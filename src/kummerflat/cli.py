@@ -123,17 +123,21 @@ def _parse_a_list(text, parser):
 
 
 def _validate(cfg, parser, a_values=None, gh_extra=None):
-    """Re-run the library invariant guards at parse time."""
+    """Re-run the library invariant guards at parse time.
+
+    Returns the glued models the command runs on, one per deformation
+    parameter, so that each is built (and its regime logged) once."""
+    models = []
     try:
         if cfg.command in ("scaling", "solve", "lambda1", "uniqueness"):
             cfg.norm_params()
             cfg.grid()
-            for a in a_values if a_values is not None else [cfg.a]:
-                cfg.model(a)
+            models = [cfg.model(a) for a in (a_values if a_values is not None else [cfg.a])]
         if cfg.command == "verify-gh":
             gh.two_center_config(gh_extra["c"], gh_extra["eps_gh"])
     except ValueError as exc:
         parser.error(str(exc))
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +378,14 @@ def cmd_verify_gh(cfg, c, eps_gh):
 # scaling sweep
 
 
-def scaling_rows(cfg, a_values):
+def scaling_rows(cfg, models):
     params = cfg.norm_params()
     grid = cfg.grid()
     rows = []
-    for a in a_values:
-        prob = solver.Problem.build(cfg.model(a), grid)
+    for model in models:
+        prob = solver.Problem.build(model, grid)
         rows.append({
-            "a": a,
+            "a": model.a,
             "sup_ea": float(np.max(np.abs(prob.ea))),
             "y_norm_ea": float(solver.y_norm(prob, params, prob.ea)),
             "lambda": prob.lam,
@@ -406,8 +410,8 @@ def scaling_footer(rows):
     return footer
 
 
-def cmd_scaling(cfg, a_values):
-    rows = scaling_rows(cfg, a_values)
+def cmd_scaling(cfg, models):
+    rows = scaling_rows(cfg, models)
     footer = scaling_footer(rows)
     path = Path(cfg.out) / "scaling.csv"
     with open(path, "w", newline="") as fh:
@@ -429,8 +433,8 @@ def cmd_scaling(cfg, a_values):
 # solve, spectrum, uniqueness
 
 
-def cmd_solve(cfg, ball_guard=True):
-    prob = solver.Problem.build(cfg.model(), cfg.grid())
+def cmd_solve(cfg, model, ball_guard=True):
+    prob = solver.Problem.build(model, cfg.grid())
     params = cfg.norm_params()
     state = solver.banach_solve(
         prob, params, tol=cfg.tol, max_iter=cfg.max_iter, enforce_ball=ball_guard
@@ -468,7 +472,7 @@ def cmd_solve(cfg, ball_guard=True):
     return 0 if ok else 1
 
 
-def lambda1_report(cfg, a_values):
+def lambda1_report(cfg, models):
     grid = cfg.grid()
     n = cfg.grid_n
     flat_discrete = float(4.0 * n**2 * np.sin(np.pi / n) ** 2)
@@ -476,10 +480,10 @@ def lambda1_report(cfg, a_values):
     checks = []
     flat_grid = True
     last_prob = None
-    for a in a_values:
-        prob = solver.Problem.build(cfg.model(a), grid)
+    for model in models:
+        prob = solver.Problem.build(model, grid)
         lam1 = solver.lambda1_estimate(prob, tol=min(cfg.tol, 1e-6), seed=cfg.seed)
-        values.append({"a": a, "lambda1": lam1})
+        values.append({"a": model.a, "lambda1": lam1})
         flat_grid = flat_grid and float(np.max(np.abs(prob.ea))) == 0.0
         last_prob = prob
     if len(values) >= 2:
@@ -504,8 +508,8 @@ def lambda1_report(cfg, a_values):
     return report, checks
 
 
-def cmd_lambda1(cfg, a_values):
-    report, checks = lambda1_report(cfg, a_values)
+def cmd_lambda1(cfg, models):
+    report, checks = lambda1_report(cfg, models)
     path = Path(cfg.out) / "lambda1.json"
     solver.dump_json(report, path)
     for v in report["values"]:
@@ -513,8 +517,8 @@ def cmd_lambda1(cfg, a_values):
     return 0 if _print_report(checks, path) else 1
 
 
-def cmd_uniqueness(cfg, ball_guard=True):
-    prob = solver.Problem.build(cfg.model(), cfg.grid())
+def cmd_uniqueness(cfg, model, ball_guard=True):
+    prob = solver.Problem.build(model, cfg.grid())
     params = cfg.norm_params()
     gap = solver.uniqueness_check(
         prob, params, psi0_a=None, psi0_b=-prob.ea,
@@ -606,7 +610,7 @@ def main(argv=None):
             "c": _merged(args, file_cfg, "c", float, 0.5),
             "eps_gh": _merged(args, file_cfg, "eps_gh", float, 0.0),
         }
-    _validate(cfg, parser, a_values=a_values, gh_extra=gh_extra)
+    models = _validate(cfg, parser, a_values=a_values, gh_extra=gh_extra)
 
     try:
         if args.command == "verify-eh":
@@ -614,13 +618,13 @@ def main(argv=None):
         if args.command == "verify-gh":
             return cmd_verify_gh(cfg, gh_extra["c"], gh_extra["eps_gh"])
         if args.command == "scaling":
-            return cmd_scaling(cfg, a_values)
+            return cmd_scaling(cfg, models)
         if args.command == "solve":
-            return cmd_solve(cfg, ball_guard=not args.no_ball_guard)
+            return cmd_solve(cfg, models[0], ball_guard=not args.no_ball_guard)
         if args.command == "lambda1":
-            return cmd_lambda1(cfg, a_values)
+            return cmd_lambda1(cfg, models)
         if args.command == "uniqueness":
-            return cmd_uniqueness(cfg, ball_guard=not args.no_ball_guard)
+            return cmd_uniqueness(cfg, models[0], ball_guard=not args.no_ball_guard)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

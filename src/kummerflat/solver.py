@@ -11,7 +11,12 @@ arrays.  The complex Hessian stencil P(u) = 2 u_{i jbar} uses 3-point
 second differences on the diagonal and central-central mixed
 differences; with the 2x2 identity det(h+P) = det h + [h:P] + det P
 this makes the Monge-Ampere residual of a solved potential collapse to
-the solver tolerances instead of an extra discretization error.
+the solver tolerances instead of an extra discretization error.  The
+stencil returns the four real components (p11, p22, Re p12, Im p12)
+of the Hermitian field P, and the bracket, determinant and minimum
+eigenvalue work on those components; the complex (..., 2, 2) form is
+built only where a Field11 is assembled.  The inversion's flat
+preconditioner uses real-to-complex FFTs on the half spectrum.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,50 +127,115 @@ def project_mean_zero(problem, f):
 # stencils
 
 
+def _neighbours(f, axis, op):
+    """op(f[i+1], f[i-1]) along one periodic axis.
+
+    Works on the flat C-order buffer, where the two neighbours are one
+    axis stride away, and then rewrites the two wrapped end slices, so
+    it makes no shifted copies of f.
+    """
+    f = np.ascontiguousarray(f, dtype=float)
+    n = f.shape[axis]
+    stride = math.prod(f.shape[axis + 1:])
+    out = np.empty_like(f)
+    flat, flat_out = f.reshape(-1), out.reshape(-1)
+    op(flat[2 * stride:], flat[: -2 * stride], out=flat_out[stride:-stride])
+    f3, out3 = f.reshape(-1, n, stride), out.reshape(-1, n, stride)
+    op(f3[:, 1], f3[:, -1], out=out3[:, 0])
+    op(f3[:, 0], f3[:, -2], out=out3[:, -1])
+    return out
+
+
 def _second_diff(f, axis, dx):
-    return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / dx**2
+    out = _neighbours(f, axis, np.add)
+    out -= 2.0 * f
+    out /= dx**2
+    return out
 
 
 def _central_diff(f, axis, dx):
-    return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * dx)
+    out = _neighbours(f, axis, np.subtract)
+    out /= 2.0 * dx
+    return out
 
 
 def _mixed_diff(f, ax1, ax2, dx):
     return _central_diff(_central_diff(f, ax1, dx), ax2, dx)
 
 
-def complex_hessian(u, dx):
-    """Stencil field P = 2 u_{i jbar} as (..., 2, 2) complex arrays.
+def hessian_parts(u, dx):
+    """Real components (p11, p22, Re p12, Im p12) of the stencil field
+    P = 2 u_{i jbar}.
 
     Real coordinates order (x1, y1, x2, y2) along the four grid axes.
+    The diagonal entries are half the 5-point Laplacian of each complex
+    plane; the four central-central mixed differences share the
+    central differences along x1 and y1.
     """
-    u = np.asarray(u, dtype=float)
-    p11 = 0.5 * (_second_diff(u, 0, dx) + _second_diff(u, 1, dx))
-    p22 = 0.5 * (_second_diff(u, 2, dx) + _second_diff(u, 3, dx))
-    p12 = 0.5 * (
-        (_mixed_diff(u, 0, 2, dx) + _mixed_diff(u, 1, 3, dx))
-        + 1j * (_mixed_diff(u, 0, 3, dx) - _mixed_diff(u, 1, 2, dx))
-    )
-    P = np.empty(u.shape + (2, 2), dtype=complex)
+    u = np.ascontiguousarray(u, dtype=float)
+    four_u = 4.0 * u
+    p11 = _neighbours(u, 0, np.add)
+    p11 += _neighbours(u, 1, np.add)
+    p11 -= four_u
+    p11 *= 0.5 / dx**2
+    p22 = _neighbours(u, 2, np.add)
+    p22 += _neighbours(u, 3, np.add)
+    p22 -= four_u
+    p22 *= 0.5 / dx**2
+    d0 = _neighbours(u, 0, np.subtract)
+    d1 = _neighbours(u, 1, np.subtract)
+    re12 = _neighbours(d0, 2, np.subtract)
+    re12 += _neighbours(d1, 3, np.subtract)
+    re12 *= 0.5 / (2.0 * dx) ** 2
+    im12 = _neighbours(d0, 3, np.subtract)
+    im12 -= _neighbours(d1, 2, np.subtract)
+    im12 *= 0.5 / (2.0 * dx) ** 2
+    return p11, p22, re12, im12
+
+
+def complex_hessian(u, dx):
+    """Stencil field P = 2 u_{i jbar} as (..., 2, 2) complex arrays."""
+    p11, p22, re12, im12 = hessian_parts(u, dx)
+    P = np.empty(p11.shape + (2, 2), dtype=complex)
     P[..., 0, 0] = p11
     P[..., 1, 1] = p22
-    P[..., 0, 1] = p12
-    P[..., 1, 0] = np.conj(p12)
+    P[..., 0, 1] = re12 + 1j * im12
+    P[..., 1, 0] = re12 - 1j * im12
     return P
 
 
-def hermitian_bracket(h, k):
-    """Mixed determinant polarization [h:k] of 2x2 Hermitian fields."""
-    return (
-        h[..., 0, 0] * k[..., 1, 1]
-        + h[..., 1, 1] * k[..., 0, 0]
-        - h[..., 0, 1] * k[..., 1, 0]
-        - h[..., 1, 0] * k[..., 0, 1]
-    ).real
+def _field_parts(field_):
+    """Real components (h11, h22, Re h12, Im h12) of a Hermitian 2x2
+    field, as strided views of its complex data."""
+    d = field_.data
+    return d[..., 0, 0].real, d[..., 1, 1].real, d[..., 0, 1].real, d[..., 0, 1].imag
 
 
-def _det2(P):
-    return P[..., 0, 0].real * P[..., 1, 1].real - np.abs(P[..., 0, 1]) ** 2
+def _bracket_weights(field_):
+    """Weights w with [h : P] = sum_k w_k P_k over the real components
+    of P: the mixed determinant polarization h11 p22 + h22 p11
+    - 2 Re(h12 conj(p12))."""
+    h11, h22, re12, im12 = _field_parts(field_)
+    return h22, h11, -2.0 * re12, -2.0 * im12
+
+
+def _bracket(w, P):
+    """sum_k w_k P_k; scales the components of P in place."""
+    out = w[0] * P[0]
+    for wk, pk in zip(w[1:], P[1:]):
+        pk *= wk
+        out += pk
+    return out
+
+
+def _det(p):
+    return p[0] * p[1] - (p[2] ** 2 + p[3] ** 2)
+
+
+def _min_eig(p):
+    tr = 0.5 * (p[0] + p[1])
+    gap = np.sqrt((0.5 * (p[0] - p[1])) ** 2 + p[2] ** 2 + p[3] ** 2)
+    return float(np.min(tr - gap))
 
 
 def laplacian(problem, u):
@@ -177,8 +248,8 @@ def laplacian(problem, u):
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("laplacian input must be finite")
-    P = complex_hessian(u, problem.spacing)
-    return hermitian_bracket(problem.field_.data, P) / problem.dets
+    P = hessian_parts(u, problem.spacing)
+    return _bracket(_bracket_weights(problem.field_), P) / problem.dets
 
 
 def quadratic_Q(problem, u):
@@ -186,8 +257,7 @@ def quadratic_Q(problem, u):
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("quadratic remainder input must be finite")
-    P = complex_hessian(u, problem.spacing)
-    return _det2(P) / problem.dets
+    return _det(hessian_parts(u, problem.spacing)) / problem.dets
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +265,37 @@ def quadratic_Q(problem, u):
 
 
 def flat_symbol(n):
-    """Eigenvalues of minus the flat grid Laplacian, shape (n,n,n,n)."""
+    """Eigenvalues of minus the flat grid Laplacian on the real-FFT half
+    spectrum, shape (n, n, n, n // 2 + 1)."""
     k = np.arange(n)
     s = 4.0 * n**2 * np.sin(np.pi * k / n) ** 2
+    h = s[: n // 2 + 1]
     return (
         s[:, None, None, None]
         + s[None, :, None, None]
         + s[None, None, :, None]
-        + s[None, None, None, :]
+        + h[None, None, None, :]
     )
 
 
-def _flat_inverse(rhs, symbol):
-    """Solve the flat Laplacian with zero mean, spectrally."""
-    hat = np.fft.fftn(rhs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hat = np.where(symbol > 0, hat / symbol, 0.0)
-    return np.real(np.fft.ifftn(hat))
+def _flat_inverse(rhs, inverse_symbol):
+    """Multiply the real spectrum of rhs by a half-spectrum symbol, e.g.
+    to solve the flat Laplacian with zero mean."""
+    hat = np.fft.rfftn(rhs, axes=(0, 1, 2, 3))
+    hat *= inverse_symbol
+    return np.fft.irfftn(hat, s=rhs.shape, axes=(0, 1, 2, 3))
+
+
+def _glued_operator(problem):
+    """The operator B(u) = -[h : P(u)], minus its mean, that the PCG
+    inverts; the bracket weights are copied to contiguous arrays once."""
+    w = tuple(np.ascontiguousarray(c) for c in _bracket_weights(problem.field_))
+
+    def apply_B(u):
+        out = _bracket(w, hessian_parts(u, problem.spacing))
+        return out.mean() - out
+
+    return apply_B
 
 
 def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600):
@@ -230,24 +314,19 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600):
     # when f has zero weighted mean
     g = -f * problem.dets
     g = g - g.mean()
-    symbol = flat_symbol(problem.grid.n)
     scale = float(np.linalg.norm(g))
     if scale == 0.0:
         return np.zeros_like(f), {"iterations": 0, "relative_residual": 0.0,
                                   "mean_defect": 0.0, "history": [0.0]}
-
-    def apply_B(u):
-        P = complex_hessian(u, problem.spacing)
-        out = -hermitian_bracket(problem.field_.data, P)
-        return out - out.mean()
-
-    def precondition(r):
-        # the flat operator is -(1/4) x standard Laplacian
-        return 4.0 * _flat_inverse(r, symbol)
-
+    # the flat operator is -(1/4) x standard Laplacian; its inverse
+    # kills the constant mode
+    symbol = flat_symbol(problem.grid.n)
+    with np.errstate(divide="ignore"):
+        inverse_symbol = np.where(symbol > 0, 4.0 / symbol, 0.0)
+    apply_B = _glued_operator(problem)
     u = np.zeros_like(f)
     r = g.copy()
-    z = precondition(r)
+    z = _flat_inverse(r, inverse_symbol)
     p = z.copy()
     rz = float(np.sum(r * z))
     history = [1.0]
@@ -270,7 +349,7 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600):
                 f"inversion stagnated at relative residual {rel:.3e} after {it} iterations; "
                 f"history tail {['%.2e' % h for h in history[-5:]]}"
             )
-        z = precondition(r)
+        z = _flat_inverse(r, inverse_symbol)
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -444,26 +523,26 @@ class SolverState:
     mean_zero_defect: float = float("nan")
 
 
+def _corrected_parts(problem, phi):
+    """Real components of the corrected field h + P(phi)."""
+    P = hessian_parts(phi, problem.spacing)
+    return tuple(h + p for h, p in zip(_field_parts(problem.field_), P))
+
+
 def ma_residual(problem, phi):
     """Pointwise volume-equation defect of the corrected form:
     2 det(h + P(phi)) / lambda - 1."""
-    phi = np.asarray(phi, dtype=float)
-    K = problem.field_.data + complex_hessian(phi, problem.spacing)
-    tr = 0.5 * (K[..., 0, 0].real + K[..., 1, 1].real)
-    gap = np.sqrt((0.5 * (K[..., 0, 0].real - K[..., 1, 1].real)) ** 2 + np.abs(K[..., 0, 1]) ** 2)
-    mineig = float(np.min(tr - gap))
+    K = _corrected_parts(problem, phi)
+    mineig = _min_eig(K)
     if mineig <= 0:
         raise ValueError(
             f"corrected form not positive definite: min eigenvalue {mineig:.6g}"
         )
-    return 2.0 * _det2(K) / problem.lam - 1.0
+    return 2.0 * _det(K) / problem.lam - 1.0
 
 
 def corrected_min_eigenvalue(problem, phi):
-    K = problem.field_.data + complex_hessian(np.asarray(phi, dtype=float), problem.spacing)
-    tr = 0.5 * (K[..., 0, 0].real + K[..., 1, 1].real)
-    gap = np.sqrt((0.5 * (K[..., 0, 0].real - K[..., 1, 1].real)) ** 2 + np.abs(K[..., 0, 1]) ** 2)
-    return float(np.min(tr - gap))
+    return _min_eig(_corrected_parts(problem, phi))
 
 
 def fixed_point_map(problem, psi, invert_tol=DEFAULT_INVERT_TOL, invert_max_iter=600):
@@ -650,6 +729,10 @@ def lambda1_estimate(problem, dim=16, tol=1e-6, seed=7, invert_tol=1e-9):
     v = project_mean_zero(problem, random_smooth_field(problem.grid, rng))
     v /= np.sqrt(wip(v, v))
     basis.append(v)
+    # one -laplacian image per basis vector, made when a Ritz step first
+    # needs it; the Ritz matrix grows by one row and column per image
+    images = []
+    M = np.empty((dim + 1, dim + 1))
     prev = None
     for _ in range(dim):
         u, _ = invert_laplacian(problem, basis[-1], tol=invert_tol)
@@ -661,12 +744,14 @@ def lambda1_estimate(problem, dim=16, tol=1e-6, seed=7, invert_tol=1e-9):
             break
         basis.append(u / nrm)
         m = len(basis)
-        M = np.empty((m, m))
-        images = [-laplacian(problem, b) for b in basis]
-        for i in range(m):
-            for j in range(m):
-                M[i, j] = wip(basis[i], images[j])
-        ritz = np.linalg.eigvalsh(0.5 * (M + M.T))
+        for k in range(len(images), m):
+            images.append(-laplacian(problem, basis[k]))
+            for i in range(k):
+                M[i, k] = wip(basis[i], images[k])
+                M[k, i] = wip(basis[k], images[i])
+            M[k, k] = wip(basis[k], images[k])
+        G = M[:m, :m]
+        ritz = np.linalg.eigvalsh(0.5 * (G + G.T))
         bottom = float(ritz[0])
         if prev is not None and abs(bottom - prev) <= tol * abs(bottom):
             return bottom

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -180,6 +181,16 @@ class TestSolve:
         summary = json.loads((tmp_path / "b" / "solve_summary.json").read_text())
         assert summary["converged"] is True
         assert summary["residual_ratio"] < 0.1
+
+    def test_regime_notes_logged_once(self, tmp_path, caplog):
+        # parse-time validation and the solve share one model, so each
+        # regime note appears once
+        caplog.set_level(logging.INFO, logger="kummerflat.kummer")
+        run(["solve", "--a", "0.06", "--zeta", ZETA_RESOLVED, "--grid-n", "8",
+             "--no-ball-guard", "--out", str(tmp_path)])
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum("exceeds the conservative bound 1/4" in m for m in messages) == 1
+        assert sum("exceeds the conservative bound zeta/8" in m for m in messages) == 1
 
     def test_alpha_window_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -356,3 +356,183 @@ class TestArtifacts:
         sv.write_trace_csv(state, p1)
         sv.write_trace_csv(state, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic: the complex (..., 2, 2) Hessian from rolled copies,
+# the complex mixed-determinant bracket and the complex determinant
+
+
+def _ref_second_diff(f, axis, dx):
+    return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / dx**2
+
+
+def _ref_mixed_diff(f, ax1, ax2, dx):
+    def central(g, axis):
+        return (np.roll(g, -1, axis) - np.roll(g, 1, axis)) / (2.0 * dx)
+    return central(central(f, ax1), ax2)
+
+
+def _ref_complex_hessian(u, dx):
+    p12 = 0.5 * (
+        (_ref_mixed_diff(u, 0, 2, dx) + _ref_mixed_diff(u, 1, 3, dx))
+        + 1j * (_ref_mixed_diff(u, 0, 3, dx) - _ref_mixed_diff(u, 1, 2, dx))
+    )
+    P = np.empty(u.shape + (2, 2), dtype=complex)
+    P[..., 0, 0] = 0.5 * (_ref_second_diff(u, 0, dx) + _ref_second_diff(u, 1, dx))
+    P[..., 1, 1] = 0.5 * (_ref_second_diff(u, 2, dx) + _ref_second_diff(u, 3, dx))
+    P[..., 0, 1] = p12
+    P[..., 1, 0] = np.conj(p12)
+    return P
+
+
+def _ref_bracket(h, k):
+    return (
+        h[..., 0, 0] * k[..., 1, 1]
+        + h[..., 1, 1] * k[..., 0, 0]
+        - h[..., 0, 1] * k[..., 1, 0]
+        - h[..., 1, 0] * k[..., 0, 1]
+    ).real
+
+
+def _ref_det(P):
+    return P[..., 0, 0].real * P[..., 1, 1].real - np.abs(P[..., 0, 1]) ** 2
+
+
+def _ref_min_eig(K):
+    tr = 0.5 * (K[..., 0, 0].real + K[..., 1, 1].real)
+    gap = np.sqrt((0.5 * (K[..., 0, 0].real - K[..., 1, 1].real)) ** 2 + np.abs(K[..., 0, 1]) ** 2)
+    return float(np.min(tr - gap))
+
+
+# float64 round-off over the ~20 terms of a stencil contraction
+STENCIL_RTOL = 1e-12
+
+
+def _assert_close(value, reference):
+    scale = float(np.max(np.abs(reference)))
+    assert float(np.max(np.abs(value - reference))) <= STENCIL_RTOL * scale
+
+
+class TestStencilEquivalence:
+    @pytest.fixture(scope="class")
+    def field(self, grid16):
+        return sv.random_smooth_field(grid16, np.random.default_rng(21))
+
+    def test_hessian_parts(self, resolved_problem, field):
+        P = _ref_complex_hessian(field, resolved_problem.spacing)
+        p11, p22, re12, im12 = sv.hessian_parts(field, resolved_problem.spacing)
+        _assert_close(p11, P[..., 0, 0].real)
+        _assert_close(p22, P[..., 1, 1].real)
+        _assert_close(re12 + 1j * im12, P[..., 0, 1])
+        _assert_close(sv.complex_hessian(field, resolved_problem.spacing), P)
+
+    def test_laplacian(self, resolved_problem, field):
+        P = _ref_complex_hessian(field, resolved_problem.spacing)
+        ref = _ref_bracket(resolved_problem.field_.data, P) / resolved_problem.dets
+        _assert_close(sv.laplacian(resolved_problem, field), ref)
+
+    def test_pcg_operator(self, resolved_problem, field):
+        P = _ref_complex_hessian(field, resolved_problem.spacing)
+        ref = -_ref_bracket(resolved_problem.field_.data, P)
+        ref = ref - ref.mean()
+        _assert_close(sv._glued_operator(resolved_problem)(field), ref)
+
+    def test_quadratic_Q(self, resolved_problem, field):
+        P = _ref_complex_hessian(field, resolved_problem.spacing)
+        ref = _ref_det(P) / resolved_problem.dets
+        _assert_close(sv.quadratic_Q(resolved_problem, field), ref)
+
+    def test_ma_residual_and_min_eigenvalue(self, resolved_problem, field):
+        # small enough that the corrected form stays positive definite
+        phi = 1e-3 * field
+        K = resolved_problem.field_.data + _ref_complex_hessian(phi, resolved_problem.spacing)
+        ref = 2.0 * _ref_det(K) / resolved_problem.lam - 1.0
+        _assert_close(sv.ma_residual(resolved_problem, phi), ref)
+        mineig = sv.corrected_min_eigenvalue(resolved_problem, phi)
+        assert abs(mineig - _ref_min_eig(K)) <= STENCIL_RTOL * abs(_ref_min_eig(K))
+
+
+def _inverse_half_symbol(n):
+    half = sv.flat_symbol(n)
+    assert half.shape == (n, n, n, n // 2 + 1)
+    with np.errstate(divide="ignore"):
+        return np.where(half > 0, 1.0 / half, 0.0)
+
+
+class TestPreconditioner:
+    def test_real_fft_matches_complex_fft(self, grid16):
+        n = grid16.n
+        r = sv.random_smooth_field(grid16, np.random.default_rng(22))
+        s = 4.0 * n**2 * np.sin(np.pi * np.arange(n) / n) ** 2
+        full = s[:, None, None, None] + s[None, :, None, None] + s[None, None, :, None] + s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = np.real(np.fft.ifftn(np.where(full > 0, np.fft.fftn(r) / full, 0.0)))
+        _assert_close(sv._flat_inverse(r, _inverse_half_symbol(n)), ref)
+
+    def test_constants_map_to_zero(self, grid16):
+        n = grid16.n
+        out = sv._flat_inverse(np.full((n,) * 4, 3.0), _inverse_half_symbol(n))
+        assert float(np.max(np.abs(out))) <= 1e-12 * 3.0
+
+
+def _uncached_lambda1(problem, dim=16, tol=1e-6, seed=7, invert_tol=1e-9):
+    """lambda1_estimate with every Ritz image recomputed at every step."""
+    rng = np.random.default_rng(seed)
+
+    def wip(u, v):
+        return float(np.sum(problem.weight * u * v))
+
+    v = sv.project_mean_zero(problem, sv.random_smooth_field(problem.grid, rng))
+    v /= np.sqrt(wip(v, v))
+    basis = [v]
+    prev = None
+    for _ in range(dim):
+        u, _ = sv.invert_laplacian(problem, basis[-1], tol=invert_tol)
+        u = sv.project_mean_zero(problem, u)
+        for b in basis:
+            u = u - wip(u, b) * b
+        nrm = np.sqrt(wip(u, u))
+        if nrm < 1e-13:
+            break
+        basis.append(u / nrm)
+        m = len(basis)
+        images = [-sv.laplacian(problem, b) for b in basis]
+        M = np.array([[wip(basis[i], images[j]) for j in range(m)] for i in range(m)])
+        bottom = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+        if prev is not None and abs(bottom - prev) <= tol * abs(bottom):
+            return bottom
+        prev = bottom
+    return prev
+
+
+class TestRitzImages:
+    def test_one_image_per_basis_vector(self, resolved_problem, monkeypatch):
+        counts = {"inversions": 0, "images": 0}
+        inside = []
+        invert, laplacian = sv.invert_laplacian, sv.laplacian
+
+        def counting_invert(*args, **kwargs):
+            counts["inversions"] += 1
+            inside.append(True)
+            try:
+                return invert(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counting_laplacian(*args, **kwargs):
+            if not inside:
+                counts["images"] += 1
+            return laplacian(*args, **kwargs)
+
+        monkeypatch.setattr(sv, "invert_laplacian", counting_invert)
+        monkeypatch.setattr(sv, "laplacian", counting_laplacian)
+        sv.lambda1_estimate(resolved_problem)
+        # every inversion adds one basis vector to the starting one
+        assert counts["inversions"] >= 2
+        assert counts["images"] == counts["inversions"] + 1
+
+    def test_matches_uncached_reference(self, resolved_problem):
+        lam1 = sv.lambda1_estimate(resolved_problem)
+        ref = _uncached_lambda1(resolved_problem)
+        assert abs(lam1 - ref) <= 1e-12 * abs(ref)
