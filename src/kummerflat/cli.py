@@ -442,15 +442,8 @@ def cmd_solve(cfg, model, ball_guard=True):
     out = Path(cfg.out)
     trace_path = out / "solve_trace.csv"
     solver.write_trace_csv(state, trace_path)
-    corrected = kummer.Field11(
-        n=cfg.grid_n,
-        a=cfg.a,
-        zeta=cfg.zeta,
-        data=prob.field_.data + solver.complex_hessian(state.phi, prob.spacing),
-        lam=prob.lam,
-    )
     field_path = out / "corrected_field.kmf"
-    kummer.save_field(corrected, field_path)
+    kummer.save_field(solver.corrected_field(prob, state.phi), field_path)
     summary = solver.write_summary_json(
         state,
         out / "solve_summary.json",

@@ -123,14 +123,6 @@ def coframe_matrix(params):
     return matrix
 
 
-def coframe_forms(params):
-    E = coframe_matrix(params)
-    out = []
-    for i in range(DIM):
-        out.append(one_form(EH_R, {j: (lambda c, _i=i, _j=j: E(c)[_i, _j]) for j in range(DIM)}))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # metric
 

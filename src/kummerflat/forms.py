@@ -336,16 +336,13 @@ def _merge_sign(idx_a, idx_b):
     if len(set(merged)) != len(merged):
         return None, 0
     perm = sorted(range(len(merged)), key=lambda i: merged[i])
-    sign = 1
-    seen = list(perm)
     # count inversions of the permutation
     inv = 0
-    for i in range(len(seen)):
-        for j in range(i + 1, len(seen)):
-            if seen[i] > seen[j]:
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
                 inv += 1
-    sign = -1 if inv % 2 else 1
-    return tuple(sorted(merged)), sign
+    return tuple(sorted(merged)), -1 if inv % 2 else 1
 
 
 def wedge(f, g):

@@ -11,6 +11,14 @@ the resulting error density live here as well.
 Conventions: the flat form carries coefficient matrix identity/2, the
 2-form density of a coefficient field h is 8 det h per coordinate
 volume, and the complex volume form density is the constant 4.
+
+A Hermitian 2x2 field is stored as its four real components
+(h11, h22, Re h12, Im h12) along a leading axis of length 4; on the
+grid that is one float64 array of shape (4, n, n, n, n), 32 bytes per
+node.  hermitian_det and hermitian_min_eig work on any such array.  The
+complex (n, n, n, n, 2, 2) form exists only in the KMF1 file body,
+which save_field assembles from the components and load_field checks
+and converts back.
 """
 
 from __future__ import annotations
@@ -300,9 +308,25 @@ class GluedModel:
             log.info("zeta=%.4g exceeds the conservative bound 1/4", self.zeta)
 
 
+def hermitian_det(h):
+    """Pointwise determinant h11 h22 - |h12|^2 of Hermitian 2x2 fields
+    given as components (h11, h22, Re h12, Im h12) along axis 0."""
+    return h[0] * h[1] - (h[2] ** 2 + h[3] ** 2)
+
+
+def hermitian_min_eig(h):
+    """Pointwise smaller eigenvalue of Hermitian 2x2 fields given as
+    components (h11, h22, Re h12, Im h12) along axis 0."""
+    tr = 0.5 * (h[0] + h[1])
+    gap = np.sqrt((0.5 * (h[0] - h[1])) ** 2 + h[2] ** 2 + h[3] ** 2)
+    return tr - gap
+
+
 @dataclass
 class Field11:
-    """Grid samples of a Hermitian 2x2 coefficient field h_{i jbar}."""
+    """Grid samples of a Hermitian 2x2 coefficient field h_{i jbar}, as
+    the components (h11, h22, Re h12, Im h12) in a (4, n, n, n, n)
+    float array."""
 
     n: int
     a: float
@@ -311,57 +335,50 @@ class Field11:
     lam: float | None = None
 
     def __post_init__(self):
-        shape = (self.n,) * 4 + (2, 2)
+        shape = (4,) + (self.n,) * 4
         if self.data.shape != shape:
             raise ValueError(f"field data must have shape {shape}, got {self.data.shape}")
 
-    def flat(self):
-        return self.data.reshape(-1, 2, 2)
-
     def det(self):
-        d = self.data
-        return (d[..., 0, 0].real * d[..., 1, 1].real - np.abs(d[..., 0, 1]) ** 2)
+        return hermitian_det(self.data)
 
     def min_eigenvalue(self):
-        d = self.data
-        tr = 0.5 * (d[..., 0, 0].real + d[..., 1, 1].real)
-        gap = np.sqrt(
-            (0.5 * (d[..., 0, 0].real - d[..., 1, 1].real)) ** 2 + np.abs(d[..., 0, 1]) ** 2
-        )
-        return float(np.min(tr - gap))
-
-    def hermitian_defect(self):
-        return float(np.max(np.abs(self.data - np.conj(np.swapaxes(self.data, -1, -2)))))
+        return float(np.min(hermitian_min_eig(self.data)))
 
 
 def site_contribution(model, v):
-    """Hermitian contribution of one site at wrapped displacements v
-    (shape (..., 4)); zero outside the radius-zeta/2 ball."""
+    """Components (h11, h22, Re h12, Im h12) of one site's Hermitian
+    contribution at wrapped displacements v (shape (..., 4)), along a
+    leading axis of length 4; zero outside the radius-zeta/2 ball.
+
+    With z = (x1 + i y1, x2 + i y2) the contribution is
+    f_w identity + f_ww conj(z) z^T."""
     v = np.asarray(v, dtype=float)
     w = np.sum(v**2, axis=-1)
     u = np.sqrt(w)
-    out = np.zeros(v.shape[:-1] + (2, 2), dtype=complex)
+    out = np.zeros((4,) + v.shape[:-1])
     mask = (u > 0) & (u < model.zeta / 2.0)
     if not np.any(mask):
         return out
-    um, wm, vm = u[mask], w[mask], v[mask]
+    um, wm = u[mask], w[mask]
     beta, beta_t, beta_tt = cutoff_beta_derivs(model.zeta, um)
     beta_w = np.where(beta_t != 0.0, beta_t / (2.0 * um), 0.0)
     beta_ww = np.where(beta_tt != 0.0, (beta_tt - np.where(um > 0, beta_t / um, 0.0)) / (4.0 * wm), 0.0)
     g, gw, gww = ball_correction_derivs(model.a, wm)
     f_w = beta_w * g + beta * gw
     f_ww = beta_ww * g + 2.0 * beta_w * gw + beta * gww
-    z = np.stack([vm[:, 0] + 1j * vm[:, 1], vm[:, 2] + 1j * vm[:, 3]], axis=-1)
-    outer = np.conj(z)[:, :, None] * z[:, None, :]
-    block = f_w[:, None, None] * np.eye(2) + f_ww[:, None, None] * outer
-    out[mask] = block
+    x1, y1, x2, y2 = v[mask].T
+    out[:, mask] = f_ww * np.stack([x1 * x1 + y1 * y1, x2 * x2 + y2 * y2,
+                                    x1 * x2 + y1 * y2, x1 * y2 - y1 * x2])
+    out[:2, mask] += f_w
     return out
 
 
 def omega0_at(model, x):
-    """Pointwise coefficient matrix of the glued form at a torus point."""
+    """Pointwise components (h11, h22, Re h12, Im h12) of the glued form
+    at a torus point."""
     x = np.asarray(x, dtype=float)
-    h = 0.5 * np.eye(2, dtype=complex)
+    h = np.array([0.5, 0.5, 0.0, 0.0])
     for site in model.sites:
         v = wrap_displacement(x - site)
         if np.linalg.norm(v) == 0.0:
@@ -380,32 +397,26 @@ def build_omega0(model, grid, check_positive=True):
     under the involution node-for-node.
     """
     nodes = grid.nodes()
-    h = np.zeros((grid.node_count(), 2, 2), dtype=complex)
-    h[:, 0, 0] = 0.5
-    h[:, 1, 1] = 0.5
-    touched = np.zeros(grid.node_count(), dtype=bool)
+    h = np.zeros((4, grid.node_count()))
+    h[:2] = 0.5
+    touched = False
     for site in model.sites:
-        v = wrap_displacement(nodes - site)
-        contrib = site_contribution(model, v)
-        nz = np.abs(contrib).sum(axis=(1, 2)) > 0
-        touched |= nz
+        contrib = site_contribution(model, wrap_displacement(nodes - site))
+        touched = touched or bool(contrib.any())
         h += contrib
-    if not np.any(touched):
+    if not touched:
         log.info(
             "grid n=%d has no nodes inside any gluing ball (zeta=%.4g): field is exactly flat",
             grid.n, model.zeta,
         )
-    out = Field11(grid.n, model.a, model.zeta, h.reshape((grid.n,) * 4 + (2, 2)))
+    out = Field11(grid.n, model.a, model.zeta, h.reshape((4,) + (grid.n,) * 4))
     if check_positive:
-        mineig = out.min_eigenvalue()
-        if mineig <= 0:
-            flat_idx = int(np.argmin(
-                0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
-                - np.sqrt((0.5 * (h[:, 0, 0].real - h[:, 1, 1].real)) ** 2 + np.abs(h[:, 0, 1]) ** 2)
-            ))
+        mineig = hermitian_min_eig(h)
+        flat_idx = int(np.argmin(mineig))
+        if mineig[flat_idx] <= 0:
             node = tuple(round(float(c), 6) for c in nodes[flat_idx])
             raise ValueError(
-                f"glued form not positive definite: min eigenvalue {mineig:.6g} at node "
+                f"glued form not positive definite: min eigenvalue {mineig[flat_idx]:.6g} at node "
                 f"{node}; the deformation parameter a={model.a} is too large for zeta={model.zeta}"
             )
     return out
@@ -468,15 +479,24 @@ def max_admissible_a(zeta, n, hi=None, iterations=40):
 # serialization
 
 
+_HEADER = struct.Struct("<4sii3d")
+
+
 def save_field(field_, path):
     """Write the field as magic/version/N/a/zeta/lambda header plus a
-    row-major complex body, with a JSON sidecar; byte-stable."""
+    row-major complex128 (n, n, n, n, 2, 2) body, with a JSON sidecar;
+    byte-stable."""
     lam = field_.lam if field_.lam is not None else float("nan")
-    header = struct.pack("<4sii3d", _MAGIC, _VERSION, field_.n, field_.a, field_.zeta, lam)
-    body = np.ascontiguousarray(field_.data.astype(np.complex128)).tobytes()
+    header = _HEADER.pack(_MAGIC, _VERSION, field_.n, field_.a, field_.zeta, lam)
+    h = field_.data
+    body = np.empty(h.shape[1:] + (2, 2), dtype="<c16")
+    body[..., 0, 0] = h[0]
+    body[..., 1, 1] = h[1]
+    body[..., 0, 1] = h[2] + 1j * h[3]
+    body[..., 1, 0] = h[2] - 1j * h[3]
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        fh.write(body.tobytes())
     sidecar = {
         "magic": _MAGIC.decode(),
         "version": _VERSION,
@@ -493,16 +513,33 @@ def save_field(field_, path):
 
 
 def load_field(path):
+    """Read a field written by save_field; any malformed header or body,
+    including one that is not exactly Hermitian, raises ValueError.  A
+    NaN lambda stands for no lambda."""
     with open(path, "rb") as fh:
-        raw = fh.read(struct.calcsize("<4sii3d"))
-        magic, version, n, a, zeta, lam = struct.unpack("<4sii3d", raw)
+        raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise ValueError(f"truncated field header: {len(raw)} bytes, expected {_HEADER.size}")
+        magic, version, n, a, zeta, lam = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise ValueError(f"not a coefficient-field file: bad magic {magic!r}")
         if version != _VERSION:
             raise ValueError(f"unsupported field file version {version}")
-        body = fh.read()
-    expect = n**4 * 4 * 16
-    if len(body) != expect:
+        TorusGrid(n)  # the grid-size rule: even and at least 8
+        if not (np.isfinite(a) and np.isfinite(zeta) and not np.isinf(lam)):
+            raise ValueError(f"non-finite field parameters a={a}, zeta={zeta}, lambda={lam}")
+        expect = n**4 * 4 * 16
+        # one byte past the expected size tells an oversized file apart
+        # without reading all of it
+        body = fh.read(expect + 1)
+    if len(body) < expect:
         raise ValueError(f"field body has {len(body)} bytes, expected {expect}")
-    data = np.frombuffer(body, dtype=np.complex128).reshape((n,) * 4 + (2, 2)).copy()
+    if len(body) > expect:
+        raise ValueError(f"field body has more than the expected {expect} bytes")
+    m = np.frombuffer(body, dtype="<c16").reshape((n,) * 4 + (2, 2))
+    if not np.all(np.isfinite(m)):
+        raise ValueError("field body has non-finite entries")
+    if not np.array_equal(m, np.conj(np.swapaxes(m, -1, -2))):
+        raise ValueError("field body is not Hermitian")
+    data = np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag])
     return Field11(n, a, zeta, data, lam=None if np.isnan(lam) else lam)

@@ -12,11 +12,13 @@ second differences on the diagonal and central-central mixed
 differences; with the 2x2 identity det(h+P) = det h + [h:P] + det P
 this makes the Monge-Ampere residual of a solved potential collapse to
 the solver tolerances instead of an extra discretization error.  The
-stencil returns the four real components (p11, p22, Re p12, Im p12)
-of the Hermitian field P, and the bracket, determinant and minimum
-eigenvalue work on those components; the complex (..., 2, 2) form is
-built only where a Field11 is assembled.  The inversion's flat
-preconditioner uses real-to-complex FFTs on the half spectrum.
+stencil returns P in the layout of kummer.Field11 data, the four real
+components (p11, p22, Re p12, Im p12) along a leading axis, so the
+corrected field is field_.data + hessian_parts(phi, dx), and the
+bracket, kummer.hermitian_det and kummer.hermitian_min_eig work on
+those components; no complex (..., 2, 2) field is built here.  The
+inversion's flat preconditioner uses real-to-complex FFTs on the half
+spectrum.
 """
 
 from __future__ import annotations
@@ -127,8 +129,9 @@ def project_mean_zero(problem, f):
 # stencils
 
 
-def _neighbours(f, axis, op):
-    """op(f[i+1], f[i-1]) along one periodic axis.
+def _neighbours(f, axis, op, out=None):
+    """op(f[i+1], f[i-1]) along one periodic axis, into out (a new
+    array by default; a given out must be C-contiguous).
 
     Works on the flat C-order buffer, where the two neighbours are one
     axis stride away, and then rewrites the two wrapped end slices, so
@@ -137,7 +140,8 @@ def _neighbours(f, axis, op):
     f = np.ascontiguousarray(f, dtype=float)
     n = f.shape[axis]
     stride = math.prod(f.shape[axis + 1:])
-    out = np.empty_like(f)
+    if out is None:
+        out = np.empty_like(f)
     flat, flat_out = f.reshape(-1), out.reshape(-1)
     op(flat[2 * stride:], flat[: -2 * stride], out=flat_out[stride:-stride])
     f3, out3 = f.reshape(-1, n, stride), out.reshape(-1, n, stride)
@@ -164,8 +168,8 @@ def _mixed_diff(f, ax1, ax2, dx):
 
 
 def hessian_parts(u, dx):
-    """Real components (p11, p22, Re p12, Im p12) of the stencil field
-    P = 2 u_{i jbar}.
+    """The stencil field P = 2 u_{i jbar} as one (4, ...) array of its
+    components (p11, p22, Re p12, Im p12).
 
     Real coordinates order (x1, y1, x2, y2) along the four grid axes.
     The diagonal entries are half the 5-point Laplacian of each complex
@@ -174,48 +178,32 @@ def hessian_parts(u, dx):
     """
     u = np.ascontiguousarray(u, dtype=float)
     four_u = 4.0 * u
-    p11 = _neighbours(u, 0, np.add)
+    P = np.empty((4,) + u.shape)
+    p11, p22, re12, im12 = P
+    _neighbours(u, 0, np.add, out=p11)
     p11 += _neighbours(u, 1, np.add)
     p11 -= four_u
     p11 *= 0.5 / dx**2
-    p22 = _neighbours(u, 2, np.add)
+    _neighbours(u, 2, np.add, out=p22)
     p22 += _neighbours(u, 3, np.add)
     p22 -= four_u
     p22 *= 0.5 / dx**2
     d0 = _neighbours(u, 0, np.subtract)
     d1 = _neighbours(u, 1, np.subtract)
-    re12 = _neighbours(d0, 2, np.subtract)
+    _neighbours(d0, 2, np.subtract, out=re12)
     re12 += _neighbours(d1, 3, np.subtract)
     re12 *= 0.5 / (2.0 * dx) ** 2
-    im12 = _neighbours(d0, 3, np.subtract)
+    _neighbours(d0, 3, np.subtract, out=im12)
     im12 -= _neighbours(d1, 2, np.subtract)
     im12 *= 0.5 / (2.0 * dx) ** 2
-    return p11, p22, re12, im12
-
-
-def complex_hessian(u, dx):
-    """Stencil field P = 2 u_{i jbar} as (..., 2, 2) complex arrays."""
-    p11, p22, re12, im12 = hessian_parts(u, dx)
-    P = np.empty(p11.shape + (2, 2), dtype=complex)
-    P[..., 0, 0] = p11
-    P[..., 1, 1] = p22
-    P[..., 0, 1] = re12 + 1j * im12
-    P[..., 1, 0] = re12 - 1j * im12
     return P
-
-
-def _field_parts(field_):
-    """Real components (h11, h22, Re h12, Im h12) of a Hermitian 2x2
-    field, as strided views of its complex data."""
-    d = field_.data
-    return d[..., 0, 0].real, d[..., 1, 1].real, d[..., 0, 1].real, d[..., 0, 1].imag
 
 
 def _bracket_weights(field_):
     """Weights w with [h : P] = sum_k w_k P_k over the real components
     of P: the mixed determinant polarization h11 p22 + h22 p11
     - 2 Re(h12 conj(p12))."""
-    h11, h22, re12, im12 = _field_parts(field_)
+    h11, h22, re12, im12 = field_.data
     return h22, h11, -2.0 * re12, -2.0 * im12
 
 
@@ -226,16 +214,6 @@ def _bracket(w, P):
         pk *= wk
         out += pk
     return out
-
-
-def _det(p):
-    return p[0] * p[1] - (p[2] ** 2 + p[3] ** 2)
-
-
-def _min_eig(p):
-    tr = 0.5 * (p[0] + p[1])
-    gap = np.sqrt((0.5 * (p[0] - p[1])) ** 2 + p[2] ** 2 + p[3] ** 2)
-    return float(np.min(tr - gap))
 
 
 def laplacian(problem, u):
@@ -257,7 +235,7 @@ def quadratic_Q(problem, u):
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("quadratic remainder input must be finite")
-    return _det(hessian_parts(u, problem.spacing)) / problem.dets
+    return kummer.hermitian_det(hessian_parts(u, problem.spacing)) / problem.dets
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +266,8 @@ def _flat_inverse(rhs, inverse_symbol):
 
 def _glued_operator(problem):
     """The operator B(u) = -[h : P(u)], minus its mean, that the PCG
-    inverts; the bracket weights are copied to contiguous arrays once."""
-    w = tuple(np.ascontiguousarray(c) for c in _bracket_weights(problem.field_))
+    inverts."""
+    w = _bracket_weights(problem.field_)
 
     def apply_B(u):
         out = _bracket(w, hessian_parts(u, problem.spacing))
@@ -523,26 +501,24 @@ class SolverState:
     mean_zero_defect: float = float("nan")
 
 
-def _corrected_parts(problem, phi):
-    """Real components of the corrected field h + P(phi)."""
-    P = hessian_parts(phi, problem.spacing)
-    return tuple(h + p for h, p in zip(_field_parts(problem.field_), P))
+def corrected_field(problem, phi):
+    """The corrected field h + P(phi), with the problem's volume ratio."""
+    h = problem.field_
+    K = hessian_parts(phi, problem.spacing)
+    K += h.data
+    return kummer.Field11(h.n, h.a, h.zeta, K, lam=problem.lam)
 
 
-def ma_residual(problem, phi):
-    """Pointwise volume-equation defect of the corrected form:
-    2 det(h + P(phi)) / lambda - 1."""
-    K = _corrected_parts(problem, phi)
-    mineig = _min_eig(K)
+def ma_residual(problem, corrected):
+    """Pointwise volume-equation defect 2 det(K) / lambda - 1 of a
+    corrected field K = corrected_field(problem, phi); K must be
+    positive definite."""
+    mineig = corrected.min_eigenvalue()
     if mineig <= 0:
         raise ValueError(
             f"corrected form not positive definite: min eigenvalue {mineig:.6g}"
         )
-    return 2.0 * _det(K) / problem.lam - 1.0
-
-
-def corrected_min_eigenvalue(problem, phi):
-    return _min_eig(_corrected_parts(problem, phi))
+    return 2.0 * corrected.det() / problem.lam - 1.0
 
 
 def fixed_point_map(problem, psi, invert_tol=DEFAULT_INVERT_TOL, invert_max_iter=600):
@@ -577,7 +553,8 @@ def banach_solve(
         )
     state = SolverState(psi=psi, phi=np.zeros(problem.shape), ball_radius=R,
                         iterations=0, converged=False)
-    state.initial_ma_sup = float(np.max(np.abs(ma_residual(problem, np.zeros(problem.shape)))))
+    # the corrected field of phi = 0 is h itself
+    state.initial_ma_sup = float(np.max(np.abs(ma_residual(problem, problem.field_))))
     first_increment = None
     prev_increment = None
     for it in range(1, max_iter + 1):
@@ -585,8 +562,9 @@ def banach_solve(
         y_next = y_norm(problem, params, psi_next)
         increment = y_norm(problem, params, psi_next - psi)
         ratio = float("nan") if prev_increment in (None, 0.0) else increment / prev_increment
-        ma_sup = float(np.max(np.abs(ma_residual(problem, phi))))
-        mineig = corrected_min_eigenvalue(problem, phi)
+        corrected = corrected_field(problem, phi)
+        ma_sup = float(np.max(np.abs(ma_residual(problem, corrected))))
+        mineig = corrected.min_eigenvalue()
         state.y_history.append(y_next)
         state.ratio_history.append(ratio)
         state.projection_leaks.append(info["projection_leak"])
@@ -618,12 +596,13 @@ def banach_solve(
         )
     phi_final, _ = invert_laplacian(problem, state.psi, tol=invert_tol)
     state.phi = phi_final
-    state.final_min_eigenvalue = corrected_min_eigenvalue(problem, phi_final)
+    corrected = corrected_field(problem, phi_final)
+    state.final_min_eigenvalue = corrected.min_eigenvalue()
     if state.final_min_eigenvalue <= 0:
         raise ValueError(
             f"accepted correction loses positivity: min eigenvalue {state.final_min_eigenvalue:.6g}"
         )
-    state.final_ma_sup = float(np.max(np.abs(ma_residual(problem, phi_final))))
+    state.final_ma_sup = float(np.max(np.abs(ma_residual(problem, corrected))))
     state.mean_zero_defect = abs(weighted_mean(problem, state.psi))
     return state
 

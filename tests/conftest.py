@@ -7,17 +7,12 @@ def rng():
     return np.random.default_rng(20260823)
 
 
-def sample_eh_points(rng, n, r_lo=1.2, r_hi=4.0, pole_margin=0.3):
-    """Radial-chart sample points away from coordinate poles."""
-    pts = np.empty((n, 4))
-    pts[:, 0] = rng.uniform(r_lo, r_hi, n)
-    pts[:, 1] = rng.uniform(pole_margin, np.pi - pole_margin, n)
-    pts[:, 2] = rng.uniform(0.0, 2.0 * np.pi, n)
-    pts[:, 3] = rng.uniform(0.0, 4.0 * np.pi, n)
-    return pts
-
-
-def sample_u_points(rng, n, u_lo=0.3, u_hi=3.0, pole_margin=0.3):
-    pts = sample_eh_points(rng, n, pole_margin=pole_margin)
-    pts[:, 0] = rng.uniform(u_lo, u_hi, n)
-    return pts
+def complex_matrix(h):
+    """The complex (..., 2, 2) Hermitian matrices whose components
+    (h11, h22, Re h12, Im h12) lie along the first axis of h."""
+    m = np.zeros(h.shape[1:] + (2, 2), dtype=complex)
+    m[..., 0, 0] = h[0]
+    m[..., 1, 1] = h[1]
+    m[..., 0, 1] = h[2] + 1j * h[3]
+    m[..., 1, 0] = h[2] - 1j * h[3]
+    return m

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from kummerflat import eguchi_hanson as EH
 from kummerflat import forms as F
-
-from conftest import sample_eh_points, sample_u_points
+from kummerflat.cli import _radial_points, _resolving_points
 
 P1 = EH.EhParams(1.0)
 
@@ -40,7 +39,7 @@ def test_metric_rejects_bolt_radius():
 
 def test_metric_equals_coframe_square(rng):
     E = EH.coframe_matrix(P1)
-    for c in sample_eh_points(rng, 20):
+    for c in _radial_points(rng, 20):
         g = EH.eh_metric(P1, c).components
         Ec = E(c)
         assert np.max(np.abs(Ec.T @ Ec - g)) < 1e-12
@@ -56,7 +55,7 @@ def test_small_parameter_limit_is_flat_cone(rng):
 
 def test_u_chart_metric_matches_pushforward(rng):
     u2r = EH.resolving_to_radial(P1)
-    pts = sample_u_points(rng, 10)
+    pts = _resolving_points(rng, 10)
     pts[0, 0] = 15.0 ** 0.25  # r = 2
     for c in pts:
         J = u2r.jacobian(c)
@@ -141,7 +140,7 @@ def test_sigma_one_at_zero_fiber_angle():
 
 def test_sigma_structure_equations(rng):
     s1, s2, s3 = EH.sigma_forms()
-    pts = sample_eh_points(rng, 20)
+    pts = _radial_points(rng, 20)
     for a, b, c_ in ((s1, s2, s3), (s2, s3, s1), (s3, s1, s2)):
         d = F.ext_d(a, step=1e-4)
         tgt = F.wedge(b, c_) * 2.0
@@ -150,7 +149,7 @@ def test_sigma_structure_equations(rng):
 
 def test_sigma_sum_of_squares_is_quarter_sphere(rng):
     s1, s2, _ = EH.sigma_forms()
-    for c in sample_eh_points(rng, 10):
+    for c in _radial_points(rng, 10):
         v1 = s1.as_vector(c)
         v2 = s2.as_vector(c)
         q = np.outer(v1, v1) + np.outer(v2, v2)
@@ -182,7 +181,7 @@ def test_first_structure_swaps_radial_and_fiber_rows():
 
 
 def test_kahler_forms_closed(rng):
-    pts = sample_eh_points(rng, 20)
+    pts = _radial_points(rng, 20)
     for om in EH.kahler_forms(P1):
         d = F.ext_d(om, step=1e-4)
         assert max(d.max_abs(p) for p in pts) < 1e-6
@@ -190,7 +189,7 @@ def test_kahler_forms_closed(rng):
 
 def test_first_form_coframe_pairs(rng):
     oI = EH.kahler_forms(P1)[0]
-    for c in sample_eh_points(rng, 5):
+    for c in _radial_points(rng, 5):
         E = EH.coframe_matrix(P1)(c)
         M = oI.as_matrix(c)
         ref = np.outer(E[0], E[3]) - np.outer(E[3], E[0]) + np.outer(E[1], E[2]) - np.outer(E[2], E[1])
@@ -200,7 +199,7 @@ def test_first_form_coframe_pairs(rng):
 def test_forms_compatible_with_structures(rng):
     forms = EH.kahler_forms(P1)
     mats = (EH.STRUCTURE_I, EH.STRUCTURE_J, EH.STRUCTURE_K)
-    for c in sample_eh_points(rng, 5):
+    for c in _radial_points(rng, 5):
         E = EH.coframe_matrix(P1)(c)
         g = EH.eh_metric(P1, c).components
         for A, om in zip(mats, forms):
@@ -212,7 +211,7 @@ def test_u_chart_forms_are_pullbacks(rng):
     u2r = EH.resolving_to_radial(P1)
     for om_r, om_u in zip(EH.kahler_forms(P1), EH.kahler_forms_u_chart(P1)):
         pb = F.pullback(u2r, om_r)
-        for c in sample_u_points(rng, 5):
+        for c in _resolving_points(rng, 5):
             assert (pb - om_u).max_abs(c) < 1e-10
 
 
@@ -270,7 +269,7 @@ def test_half_d_of_rotated_differential_is_first_form(rng):
     dphi = EH.potential_differential(P1)
     cand = F.ext_d(F.apply_J(strs["I"], dphi), step=1e-4) * (-0.5)
     oI = EH.kahler_forms(P1)[0]
-    pts = sample_eh_points(rng, 20)
+    pts = _radial_points(rng, 20)
     pts[0] = [2.0, 0.9, 1.0, 2.0]  # include the reference radius r=2
     assert max((cand - oI).max_abs(p) for p in pts) < 1e-6
 
@@ -297,7 +296,7 @@ def test_radial_hessian_derivs_match_potential():
 def test_embedding_round_trip(rng):
     emb = EH.resolving_to_complex()
     inv = EH.complex_to_resolving()
-    for c in sample_u_points(rng, 10):
+    for c in _resolving_points(rng, 10):
         c = c.copy()
         c[3] = c[3] % (2 * np.pi)  # inverse reports the fiber angle in [0, 2pi)
         back = inv(emb(c))
@@ -310,7 +309,7 @@ def test_embedding_round_trip(rng):
 def test_embedding_jacobian_matches_finite_difference(rng):
     emb = EH.resolving_to_complex()
     fd = F.ChartMap(F.EH_U, F.COMPLEX2, emb.forward, name="fd")
-    for c in sample_u_points(rng, 10):
+    for c in _resolving_points(rng, 10):
         assert np.max(np.abs(emb.jacobian(c) - fd.jacobian(c))) < 1e-5
 
 
@@ -318,14 +317,14 @@ def test_volume_form_is_embedding_pullback(rng):
     emb = EH.resolving_to_complex()
     Om = EH.holomorphic_volume_form(P1)
     pb = F.pullback(emb, EH.complex_coordinate_area_form())
-    worst = max((pb - Om).max_abs(c) for c in sample_u_points(rng, 20))
+    worst = max((pb - Om).max_abs(c) for c in _resolving_points(rng, 20))
     assert worst < 1e-8
 
 
 def test_volume_form_square_machine_zero(rng):
     Om = EH.holomorphic_volume_form(P1)
     sq = F.wedge(Om, Om)
-    for c in sample_u_points(rng, 10):
+    for c in _resolving_points(rng, 10):
         scale = Om.max_abs(c) ** 2
         assert abs(sq.coeff((0, 1, 2, 3), c)) <= 1e-14 * scale
 
@@ -337,7 +336,7 @@ def test_volume_form_against_metric_volume(rng):
     Om_bar = F.CoefficientForm(F.EH_U, 2, conj_terms)
     dens = F.wedge(Om, Om_bar)
     ratios = []
-    for c in sample_u_points(rng, 20):
+    for c in _resolving_points(rng, 20):
         vol = np.sqrt(np.linalg.det(EH.eh_metric_u_chart(P1, c).components))
         ratios.append(complex(dens.coeff((0, 1, 2, 3), c)) / vol)
     ratios = np.asarray(ratios)
@@ -350,7 +349,7 @@ def test_flat_form_pullback_is_first_form_zero_parameter(rng):
     flat = F.CoefficientForm(F.COMPLEX2, 2, {(0, 1): 1.0, (2, 3): 1.0})
     pb = F.pullback(emb, flat)
     oI0 = EH.kahler_forms_u_chart(EH.EhParams(1e-10))[0]
-    worst = max((pb - oI0).max_abs(c) for c in sample_u_points(rng, 10))
+    worst = max((pb - oI0).max_abs(c) for c in _resolving_points(rng, 10))
     assert worst < 1e-8
 
 
@@ -364,7 +363,7 @@ def _eh_field(c):
 
 def test_ricci_flat_at_sampled_points(rng):
     worst = 0.0
-    for c in sample_eh_points(rng, 15, r_lo=1.5, pole_margin=0.5):
+    for c in _radial_points(rng, 15, r_lo=1.5, pole_margin=0.5):
         worst = max(worst, np.max(np.abs(EH.ricci_residual(_eh_field, c, step=1e-3))))
     assert worst < 1e-4
 

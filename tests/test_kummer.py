@@ -10,6 +10,8 @@ from kummerflat import eguchi_hanson as eh
 from kummerflat import forms
 from kummerflat import kummer as km
 
+from conftest import complex_matrix
+
 
 class TestInvolution:
     def test_example_point(self):
@@ -237,7 +239,7 @@ class TestGluedField:
     def test_far_point_exactly_flat(self):
         model = km.GluedModel(a=0.05, zeta=1.0 / 9.0)
         h = km.omega0_at(model, [0.25, 0.25, 0.25, 0.25])
-        assert np.all(h == 0.5 * np.eye(2))
+        assert np.all(h == [0.5, 0.5, 0.0, 0.0])
 
     def test_singular_at_fixed_point(self):
         model = km.GluedModel(a=0.05, zeta=1.0 / 9.0)
@@ -257,7 +259,7 @@ class TestGluedField:
 
         d2 = forms.second_derivative_matrix(potential, x, step=1e-5)
         ref = forms.hermitian_from_second_derivs(d2)
-        rel = np.max(np.abs(h - ref)) / np.max(np.abs(ref))
+        rel = np.max(np.abs(complex_matrix(h) - ref)) / np.max(np.abs(ref))
         assert rel < 2e-3
 
     def test_grid_build_agrees_with_pointwise(self):
@@ -265,10 +267,10 @@ class TestGluedField:
         grid = km.TorusGrid(8)
         built = km.build_omega0(model, grid)
         nodes = grid.nodes()
-        flat = built.flat()
+        flat = built.data.reshape(4, -1)
         for idx in [0, 111, 2048, 4000]:
             direct = km.omega0_at(model, nodes[idx])
-            assert np.max(np.abs(flat[idx] - direct)) < 1e-15
+            assert np.max(np.abs(flat[:, idx] - direct)) < 1e-15
 
     def test_reference_grid_is_blind_and_flat(self):
         # the default radius keeps every node outside all gluing balls,
@@ -276,8 +278,8 @@ class TestGluedField:
         model = km.GluedModel(a=0.05, zeta=1.0 / 9.0)
         grid = km.TorusGrid(16)
         built = km.build_omega0(model, grid)
-        assert np.all(built.data[..., 0, 0] == 0.5)
-        assert np.all(built.data[..., 0, 1] == 0.0)
+        assert np.all(built.data[0] == 0.5)
+        assert np.all(built.data[2:] == 0.0)
         lam = km.volume_ratio_lambda(model, grid, built)
         assert lam == 0.5
         ea = km.error_density_ea(model, grid, built, lam)
@@ -288,11 +290,10 @@ class TestGluedField:
         grid = km.TorusGrid(16)
         built = km.build_omega0(model, grid)
         assert built.min_eigenvalue() > 0
-        assert built.hermitian_defect() == 0.0
         # node-for-node invariance under the involution, no tolerance
-        flat = built.flat()
+        flat = built.data.reshape(4, -1)
         perm = grid.involution_index_map()
-        assert np.all(flat[perm] == flat)
+        assert np.all(flat[:, perm] == flat)
 
     def test_flat_region_error_is_normalization_defect(self):
         model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)
@@ -425,3 +426,117 @@ class TestFieldSerialization:
         assert magic == b"KMF1"
         assert (version, n) == (1, 8)
         assert (a, zeta, lam) == (field_.a, field_.zeta, field_.lam)
+
+    def test_body_layout(self, tmp_path):
+        # the body is the row-major complex128 (n, n, n, n, 2, 2) matrix
+        # of the components, as before the component storage
+        field_ = self._small_field()
+        path = tmp_path / "field.kmf"
+        km.save_field(field_, path)
+        body = path.read_bytes()[struct.calcsize("<4sii3d"):]
+        expected = complex_matrix(field_.data).astype("<c16")
+        assert expected.shape == (8, 8, 8, 8, 2, 2)
+        assert body == expected.tobytes()
+
+    def test_missing_lambda_round_trip(self, tmp_path):
+        field_ = self._small_field()
+        field_.lam = None
+        path = tmp_path / "field.kmf"
+        km.save_field(field_, path)
+        assert km.load_field(path).lam is None
+
+
+def _header(n=8, a=0.05, zeta=4.0 / 9.0, lam=0.5):
+    return struct.pack("<4sii3d", b"KMF1", 1, n, a, zeta, lam)
+
+
+@pytest.fixture(scope="module")
+def valid_kmf(tmp_path_factory):
+    """Bytes of a valid n=8 field file and a directory to write into."""
+    model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)
+    grid = km.TorusGrid(8)
+    built = km.build_omega0(model, grid)
+    built.lam = km.volume_ratio_lambda(model, grid, built)
+    root = tmp_path_factory.mktemp("kmf")
+    km.save_field(built, root / "valid.kmf")
+    return (root / "valid.kmf").read_bytes(), root
+
+
+def _load_bytes(root, raw):
+    path = root / "candidate.kmf"
+    path.write_bytes(raw)
+    return km.load_field(path)
+
+
+class TestLoadFieldRejects:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_truncation(self, valid_kmf, data):
+        raw, root = valid_kmf
+        length = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(ValueError):
+            _load_bytes(root, raw[:length])
+
+    @settings(max_examples=20, deadline=None)
+    @given(extra=st.binary(min_size=1, max_size=64))
+    def test_oversized(self, valid_kmf, extra):
+        raw, root = valid_kmf
+        with pytest.raises(ValueError):
+            _load_bytes(root, raw + extra)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"n": 0}, "even and at least 8"),
+        ({"n": -8}, "even and at least 8"),
+        ({"n": 9}, "even and at least 8"),
+        ({"a": float("nan")}, "non-finite"),
+        ({"zeta": float("inf")}, "non-finite"),
+        ({"lam": float("-inf")}, "non-finite"),
+    ])
+    def test_bad_header_values(self, valid_kmf, fields, match):
+        raw, root = valid_kmf
+        with pytest.raises(ValueError, match=match):
+            _load_bytes(root, _header(**fields) + raw[len(_header()):])
+
+    def test_valid_file_loads(self, valid_kmf):
+        raw, root = valid_kmf
+        assert _load_bytes(root, raw).data.shape == (4, 8, 8, 8, 8)
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0), (0, 0), (1, 1)])
+    def test_non_hermitian_body(self, valid_kmf, entry):
+        # a hand-built body whose one node breaks Hermitian symmetry: a
+        # stray imaginary part on the diagonal or a non-conjugate
+        # off-diagonal pair
+        raw, root = valid_kmf
+        head = len(_header())
+        body = np.frombuffer(raw[head:], dtype="<c16").reshape((8,) * 4 + (2, 2)).copy()
+        body[3, 1, 4, 1][entry] += 1e-3j
+        with pytest.raises(ValueError, match="Hermitian"):
+            _load_bytes(root, raw[:head] + body.tobytes())
+        nan_a = _header(a=float("nan"))
+        with pytest.raises(ValueError):
+            _load_bytes(root, nan_a + body.tobytes())
+
+    def test_non_finite_body(self, valid_kmf):
+        raw, root = valid_kmf
+        head = len(_header())
+        body = np.frombuffer(raw[head:], dtype="<c16").copy()
+        body[77] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _load_bytes(root, raw[:head] + body.tobytes())
+
+
+class TestHermitianFormulas:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-1e3, 1e3, allow_subnormal=False)] * 4),
+                    min_size=1, max_size=6))
+    def test_det_and_min_eig_match_numpy(self, rows):
+        h = np.array(rows).T
+        m = complex_matrix(h)
+        scale = max(float(np.max(np.abs(h))), 1.0)
+        det = km.hermitian_det(h)
+        mineig = km.hermitian_min_eig(h)
+        assert det.shape == mineig.shape == (len(rows),)
+        ref_det = np.linalg.det(m)
+        ref_min = np.linalg.eigvalsh(m)[:, 0]
+        assert np.all(np.abs(det - ref_det) <= 1e-12 * scale**2)
+        assert np.all(np.abs(mineig - ref_min) <= 1e-12 * scale)

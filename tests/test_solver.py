@@ -7,6 +7,8 @@ import pytest
 from kummerflat import kummer as km
 from kummerflat import solver as sv
 
+from conftest import complex_matrix
+
 
 @pytest.fixture(scope="module")
 def grid16():
@@ -224,13 +226,15 @@ class TestQuadraticRemainder:
 
 class TestMaResidual:
     def test_flat_zero(self, flat_problem):
-        res = sv.ma_residual(flat_problem, np.zeros(flat_problem.shape))
+        zero = sv.corrected_field(flat_problem, np.zeros(flat_problem.shape))
+        res = sv.ma_residual(flat_problem, zero)
         assert np.max(np.abs(res)) == 0.0
 
     def test_zero_potential_identity(self, resolved_problem):
         # the defect of the uncorrected form is the error density times
         # the density ratio, an exact algebraic rearrangement
-        res = sv.ma_residual(resolved_problem, np.zeros(resolved_problem.shape))
+        zero = sv.corrected_field(resolved_problem, np.zeros(resolved_problem.shape))
+        res = sv.ma_residual(resolved_problem, zero)
         ident = resolved_problem.ea * 2.0 * resolved_problem.dets / resolved_problem.lam
         assert np.max(np.abs(res - ident)) < 1e-10
 
@@ -238,7 +242,7 @@ class TestMaResidual:
         X = _coords(grid16)
         huge = 5.0 * np.sin(2 * np.pi * X[0])
         with pytest.raises(ValueError, match="positive definite"):
-            sv.ma_residual(flat_problem, huge)
+            sv.ma_residual(flat_problem, sv.corrected_field(flat_problem, huge))
 
 
 class TestFixedPoint:
@@ -421,20 +425,22 @@ class TestStencilEquivalence:
 
     def test_hessian_parts(self, resolved_problem, field):
         P = _ref_complex_hessian(field, resolved_problem.spacing)
-        p11, p22, re12, im12 = sv.hessian_parts(field, resolved_problem.spacing)
+        parts = sv.hessian_parts(field, resolved_problem.spacing)
+        assert parts.shape == (4,) + field.shape
+        p11, p22, re12, im12 = parts
         _assert_close(p11, P[..., 0, 0].real)
         _assert_close(p22, P[..., 1, 1].real)
         _assert_close(re12 + 1j * im12, P[..., 0, 1])
-        _assert_close(sv.complex_hessian(field, resolved_problem.spacing), P)
+        _assert_close(complex_matrix(parts), P)
 
     def test_laplacian(self, resolved_problem, field):
         P = _ref_complex_hessian(field, resolved_problem.spacing)
-        ref = _ref_bracket(resolved_problem.field_.data, P) / resolved_problem.dets
+        ref = _ref_bracket(complex_matrix(resolved_problem.field_.data), P) / resolved_problem.dets
         _assert_close(sv.laplacian(resolved_problem, field), ref)
 
     def test_pcg_operator(self, resolved_problem, field):
         P = _ref_complex_hessian(field, resolved_problem.spacing)
-        ref = -_ref_bracket(resolved_problem.field_.data, P)
+        ref = -_ref_bracket(complex_matrix(resolved_problem.field_.data), P)
         ref = ref - ref.mean()
         _assert_close(sv._glued_operator(resolved_problem)(field), ref)
 
@@ -446,10 +452,13 @@ class TestStencilEquivalence:
     def test_ma_residual_and_min_eigenvalue(self, resolved_problem, field):
         # small enough that the corrected form stays positive definite
         phi = 1e-3 * field
-        K = resolved_problem.field_.data + _ref_complex_hessian(phi, resolved_problem.spacing)
+        K = complex_matrix(resolved_problem.field_.data) + _ref_complex_hessian(
+            phi, resolved_problem.spacing)
         ref = 2.0 * _ref_det(K) / resolved_problem.lam - 1.0
-        _assert_close(sv.ma_residual(resolved_problem, phi), ref)
-        mineig = sv.corrected_min_eigenvalue(resolved_problem, phi)
+        corrected = sv.corrected_field(resolved_problem, phi)
+        _assert_close(complex_matrix(corrected.data), K)
+        _assert_close(sv.ma_residual(resolved_problem, corrected), ref)
+        mineig = corrected.min_eigenvalue()
         assert abs(mineig - _ref_min_eig(K)) <= STENCIL_RTOL * abs(_ref_min_eig(K))
 
 
