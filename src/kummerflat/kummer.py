@@ -389,7 +389,7 @@ def omega0_at(model, x):
     return h
 
 
-def build_omega0(model, grid, check_positive=True):
+def build_omega0(model, grid):
     """Assemble the glued coefficient field on the grid.
 
     The result is flat outside every radius-zeta/2 ball, exactly the
@@ -409,25 +409,21 @@ def build_omega0(model, grid, check_positive=True):
             "grid n=%d has no nodes inside any gluing ball (zeta=%.4g): field is exactly flat",
             grid.n, model.zeta,
         )
-    out = Field11(grid.n, model.a, model.zeta, h.reshape((4,) + (grid.n,) * 4))
-    if check_positive:
-        mineig = hermitian_min_eig(h)
-        flat_idx = int(np.argmin(mineig))
-        if mineig[flat_idx] <= 0:
-            node = tuple(round(float(c), 6) for c in nodes[flat_idx])
-            raise ValueError(
-                f"glued form not positive definite: min eigenvalue {mineig[flat_idx]:.6g} at node "
-                f"{node}; the deformation parameter a={model.a} is too large for zeta={model.zeta}"
-            )
-    return out
+    mineig = hermitian_min_eig(h)
+    flat_idx = int(np.argmin(mineig))
+    if mineig[flat_idx] <= 0:
+        node = tuple(round(float(c), 6) for c in nodes[flat_idx])
+        raise ValueError(
+            f"glued form not positive definite: min eigenvalue {mineig[flat_idx]:.6g} at node "
+            f"{node}; the deformation parameter a={model.a} is too large for zeta={model.zeta}"
+        )
+    return Field11(grid.n, model.a, model.zeta, h.reshape((4,) + (grid.n,) * 4))
 
 
-def volume_ratio_lambda(model, grid, field_=None):
+def volume_ratio_lambda(dets):
     """Ratio of the total squared-form density to the total complex volume
-    density; equals one half for the purely flat field."""
-    if field_ is None:
-        field_ = build_omega0(model, grid)
-    dets = field_.det()
+    density, from the determinants det h of a glued field on the grid;
+    equals one half for the purely flat field."""
     num = OMEGA_SQ_DENSITY_FACTOR * float(np.sum(dets))
     den = CHI_CHIBAR_DENSITY * dets.size
     lam = num / den
@@ -436,14 +432,10 @@ def volume_ratio_lambda(model, grid, field_=None):
     return lam
 
 
-def error_density_ea(model, grid, field_=None, lam=None):
-    """Pointwise density defect 1 - lam/(2 det h); zero wherever the glued
-    form is exactly Ricci-flat with the global normalization."""
-    if field_ is None:
-        field_ = build_omega0(model, grid)
-    if lam is None:
-        lam = volume_ratio_lambda(model, grid, field_)
-    dets = field_.det()
+def error_density_ea(dets, lam):
+    """Pointwise density defect 1 - lam/(2 det h) from the determinants
+    det h; zero wherever the glued form is exactly Ricci-flat with the
+    global normalization."""
     if np.any(np.abs(dets) < 1e-12):
         raise ValueError("degenerate squared form: determinant underflow in the error density")
     return 1.0 - lam / (2.0 * dets)

@@ -38,6 +38,9 @@ log = logging.getLogger(__name__)
 DEFAULT_INVERT_TOL = 1e-8
 DEFAULT_FIXED_POINT_TOL = 1e-6
 MEAN_ZERO_TOL = 1e-8
+# band limit and amplitude decay of random_smooth_field
+RANDOM_FIELD_KMAX = 3
+RANDOM_FIELD_DECAY = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -48,16 +51,13 @@ MEAN_ZERO_TOL = 1e-8
 class NormParams:
     """Exponents of the weighted solution/error norms.
 
-    alpha is the Hölder exponent, p the integrability exponent with
-    derived weight exponent eps = 2 - 4/p, and r_ball the sampling
-    radius for the local Hölder seminorm (defaults to max(a, 2 grid
-    spacings) at use time).
+    alpha is the Hölder exponent and p the integrability exponent, with
+    derived weight exponent eps = 2 - 4/p; the local Hölder seminorm
+    samples offsets within radius max(a, 2 grid spacings).
     """
 
     alpha: float = 0.1
     p: float = 6.0
-    eps: float | None = None
-    r_ball: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0 / 3.0):
@@ -71,7 +71,7 @@ class NormParams:
             )
 
     def resolved_eps(self):
-        return self.eps if self.eps is not None else 2.0 - 4.0 / self.p
+        return 2.0 - 4.0 / self.p
 
     def contraction_bound(self, a):
         """Analytic contraction scalar 2 a^(eps/2 - 2 alpha)."""
@@ -82,7 +82,7 @@ class NormParams:
         return a ** (self.resolved_eps() / 2.0)
 
     def resolved_r_ball(self, a, spacing):
-        return self.r_ball if self.r_ball is not None else max(a, 2.0 * spacing)
+        return max(a, 2.0 * spacing)
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,10 @@ class Problem:
     @classmethod
     def build(cls, model, grid):
         field_ = kummer.build_omega0(model, grid)
-        lam = kummer.volume_ratio_lambda(model, grid, field_)
-        field_.lam = lam
-        ea = kummer.error_density_ea(model, grid, field_, lam)
         dets = field_.det()
+        lam = kummer.volume_ratio_lambda(dets)
+        field_.lam = lam
+        ea = kummer.error_density_ea(dets, lam)
         # Riemannian volume weights: half the squared-form density
         weight = 4.0 * dets / dets.size
         return cls(model, grid, field_, lam, dets, ea, weight)
@@ -123,6 +123,14 @@ def weighted_mean(problem, f):
 
 def project_mean_zero(problem, f):
     return f - weighted_mean(problem, f)
+
+
+def _require_finite(f, what):
+    """f as a float array; raises unless every entry is finite."""
+    f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError(f"{what} must be finite")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +169,6 @@ def _central_diff(f, axis, dx):
     out = _neighbours(f, axis, np.subtract)
     out /= 2.0 * dx
     return out
-
-
-def _mixed_diff(f, ax1, ax2, dx):
-    return _central_diff(_central_diff(f, ax1, dx), ax2, dx)
 
 
 def hessian_parts(u, dx):
@@ -223,18 +227,14 @@ def laplacian(problem, u):
     constant).  Its volume-weighted mean vanishes identically there;
     on resolved glued fields it vanishes only to stencil truncation.
     """
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("laplacian input must be finite")
+    u = _require_finite(u, "laplacian input")
     P = hessian_parts(u, problem.spacing)
     return _bracket(_bracket_weights(problem.field_), P) / problem.dets
 
 
 def quadratic_Q(problem, u):
     """Quadratic volume remainder det P(u) / det h."""
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("quadratic remainder input must be finite")
+    u = _require_finite(u, "quadratic remainder input")
     return kummer.hermitian_det(hessian_parts(u, problem.spacing)) / problem.dets
 
 
@@ -285,9 +285,7 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600):
     measured on the zero-sum projection of the residual; the leftover
     constant defect is reported in the info dict, not hidden.
     """
-    f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("inversion data must be finite")
+    f = _require_finite(f, "inversion data")
     # operator B(u) = -[h : P(u)], rhs g = -f det h; both sum to zero
     # when f has zero weighted mean
     g = -f * problem.dets
@@ -353,9 +351,7 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600):
 
 def lp_norm(f, p, weight=None):
     """Volume-weighted L^p norm; uniform unit-volume weights by default."""
-    f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("norm input must be finite")
+    f = _require_finite(f, "norm input")
     w = np.full(f.shape, 1.0 / f.size) if weight is None else weight
     return float(np.sum(w * np.abs(f) ** p) ** (1.0 / p))
 
@@ -364,54 +360,48 @@ def gradient_components(f, dx):
     return [_central_diff(f, ax, dx) for ax in range(4)]
 
 
-def hessian_components(f, dx):
-    comps = []
+def _second_differences(f, dx):
+    """(multiplicity, component) for the ten i <= j second differences
+    of f, in the order (0,0), (0,1), ..., (3,3): the 3-point second
+    difference on the diagonal, and off it the central-central mixed
+    difference, which the full Hessian holds twice."""
     for i in range(4):
-        for j in range(i, 4):
-            if i == j:
-                comps.append(_second_diff(f, i, dx))
-            else:
-                comps.append(_mixed_diff(f, i, j, dx))
-    return comps
+        yield 1.0, _second_diff(f, i, dx)
+        if i < 3:
+            along_i = _central_diff(f, i, dx)
+            for j in range(i + 1, 4):
+                yield 2.0, _central_diff(along_i, j, dx)
 
 
 def sobolev_l22_norm(f, dx, weight=None):
     """Two-derivative Sobolev norm: L2 norms of f, its gradient, and its
     Hessian, via central differences."""
-    f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("norm input must be finite")
+    f = _require_finite(f, "norm input")
     w = np.full(f.shape, 1.0 / f.size) if weight is None else weight
     total = float(np.sum(w * f**2))
     for g in gradient_components(f, dx):
         total += float(np.sum(w * g**2))
-    for i in range(4):
-        for j in range(i, 4):
-            if i == j:
-                h2 = _second_diff(f, i, dx) ** 2
-            else:
-                h2 = 2.0 * _mixed_diff(f, i, j, dx) ** 2
-            total += float(np.sum(w * h2))
+    for m, h in _second_differences(f, dx):
+        total += float(np.sum(w * (m * h**2)))
     return float(np.sqrt(total))
 
 
+def _lattice_box(reach):
+    """The points of {-reach, ..., reach}^4 as rows in lexicographic
+    order; the origin is the middle row, and row i is minus row -1-i."""
+    return np.indices((2 * reach + 1,) * 4).reshape(4, -1).T - reach
+
+
 def _holder_offsets(dx, r_ball):
-    reach = int(np.floor(r_ball / dx))
-    if reach < 1:
-        reach = 1
-    offsets = []
-    rng4 = range(-reach, reach + 1)
-    for d0 in rng4:
-        for d1 in rng4:
-            for d2 in rng4:
-                for d3 in rng4:
-                    d = (d0, d1, d2, d3)
-                    if d == (0, 0, 0, 0):
-                        continue
-                    dist = dx * float(np.linalg.norm(d))
-                    if dist <= r_ball:
-                        offsets.append((d, dist))
-    return offsets
+    """(offset, length) for the lattice offsets d within the sampling
+    ball, one of each pair d, -d: the rows after the origin, whose first
+    nonzero entry is positive.  On the torus |f(x+d) - f(x)| and
+    |f(x-d) - f(x)| range over the same values."""
+    box = _lattice_box(max(int(np.floor(r_ball / dx)), 1))
+    half = box[len(box) // 2 + 1:]
+    dist = dx * np.sqrt(np.sum(half**2, axis=1))
+    keep = dist <= r_ball
+    return list(zip(half[keep], dist[keep].tolist()))
 
 
 def holder_seminorm(f, dx, alpha, r_ball):
@@ -420,20 +410,16 @@ def holder_seminorm(f, dx, alpha, r_ball):
     f = np.asarray(f, dtype=float)
     best = 0.0
     for d, dist in _holder_offsets(dx, r_ball):
-        shifted = f
-        for ax, k in enumerate(d):
-            if k:
-                shifted = np.roll(shifted, -k, axis=ax)
-        best = max(best, float(np.max(np.abs(shifted - f))) / dist**alpha)
+        diff = np.roll(f, -d, axis=(0, 1, 2, 3))
+        diff -= f
+        best = max(best, float(np.max(np.abs(diff, out=diff))) / dist**alpha)
     return best
 
 
 def holder_norm(f, dx, k, alpha, r_ball):
     """C^{k,alpha} norm: derivative sups up to order k plus the Hölder
     seminorm of the highest derivatives."""
-    f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("norm input must be finite")
+    f = _require_finite(f, "norm input")
     if k not in (0, 1, 2):
         raise ValueError(f"Hölder order must be 0, 1, or 2, got {k}")
     total = float(np.max(np.abs(f)))
@@ -441,41 +427,40 @@ def holder_norm(f, dx, k, alpha, r_ball):
     if k >= 1:
         tops = gradient_components(f, dx)
         total += max(float(np.max(np.abs(g))) for g in tops)
-    if k == 2:
-        tops = hessian_components(f, dx)
-        total += max(float(np.max(np.abs(h))) for h in tops)
-    total += max(holder_seminorm(t, dx, alpha, r_ball) for t in tops)
-    return total
+    if k < 2:
+        return total + max(holder_seminorm(t, dx, alpha, r_ball) for t in tops)
+    # one Hessian component at a time: its sup and its seminorm
+    sups, semis = [], []
+    for _, h in _second_differences(f, dx):
+        sups.append(float(np.max(np.abs(h))))
+        semis.append(holder_seminorm(h, dx, alpha, r_ball))
+    return total + max(sups) + max(semis)
 
 
-def _require_mean_zero(problem, f):
+def _norm_parts(problem, params, f):
+    """Prologue of the X- and Y-norms: f minus its weighted mean, which
+    must vanish, the L2 weight a^(-4+eps) and the Hölder radius."""
+    f = np.asarray(f, dtype=float)
     mean = weighted_mean(problem, f)
     scale = float(np.max(np.abs(f))) if f.size else 0.0
     if abs(mean) > MEAN_ZERO_TOL * (1.0 + scale):
         raise ValueError(f"norm defined on mean-zero fields; weighted mean {mean:.3e}")
-    return f - mean
+    a = problem.model.a
+    return f - mean, a ** (-4.0 + params.resolved_eps()), params.resolved_r_ball(a, problem.spacing)
 
 
 def x_norm(problem, params, f):
     """Solution norm: a^(-4+eps) L2-Sobolev part plus a^alpha C^{2,alpha}."""
-    f = _require_mean_zero(problem, np.asarray(f, dtype=float))
-    a = problem.model.a
-    eps = params.resolved_eps()
-    rb = params.resolved_r_ball(a, problem.spacing)
-    return a ** (-4.0 + eps) * sobolev_l22_norm(f, problem.spacing, problem.weight) + a**params.alpha * holder_norm(
-        f, problem.spacing, 2, params.alpha, rb
-    )
+    f, l2_weight, rb = _norm_parts(problem, params, f)
+    dx = problem.spacing
+    holder = holder_norm(f, dx, 2, params.alpha, rb)
+    return l2_weight * sobolev_l22_norm(f, dx, problem.weight) + problem.model.a**params.alpha * holder
 
 
 def y_norm(problem, params, f):
     """Error norm: a^(-4+eps) L2 part plus C^{0,alpha}."""
-    f = _require_mean_zero(problem, np.asarray(f, dtype=float))
-    a = problem.model.a
-    eps = params.resolved_eps()
-    rb = params.resolved_r_ball(a, problem.spacing)
-    return a ** (-4.0 + eps) * lp_norm(f, 2, problem.weight) + holder_norm(
-        f, problem.spacing, 0, params.alpha, rb
-    )
+    f, l2_weight, rb = _norm_parts(problem, params, f)
+    return l2_weight * lp_norm(f, 2, problem.weight) + holder_norm(f, problem.spacing, 0, params.alpha, rb)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +484,7 @@ class SolverState:
     final_ma_sup: float = float("nan")
     final_min_eigenvalue: float = float("nan")
     mean_zero_defect: float = float("nan")
+    corrected: kummer.Field11 | None = None
 
 
 def corrected_field(problem, phi):
@@ -521,9 +507,9 @@ def ma_residual(problem, corrected):
     return 2.0 * corrected.det() / problem.lam - 1.0
 
 
-def fixed_point_map(problem, psi, invert_tol=DEFAULT_INVERT_TOL, invert_max_iter=600):
+def fixed_point_map(problem, psi, invert_tol=DEFAULT_INVERT_TOL):
     """One application of psi -> projection of -e_a - Q(inverse(psi))."""
-    phi, info = invert_laplacian(problem, psi, tol=invert_tol, max_iter=invert_max_iter)
+    phi, info = invert_laplacian(problem, psi, tol=invert_tol)
     raw = -problem.ea - quadratic_Q(problem, phi)
     leak = weighted_mean(problem, raw)
     return raw - leak, phi, {"projection_leak": leak, "invert": info}
@@ -596,7 +582,7 @@ def banach_solve(
         )
     phi_final, _ = invert_laplacian(problem, state.psi, tol=invert_tol)
     state.phi = phi_final
-    corrected = corrected_field(problem, phi_final)
+    state.corrected = corrected = corrected_field(problem, phi_final)
     state.final_min_eigenvalue = corrected.min_eigenvalue()
     if state.final_min_eigenvalue <= 0:
         raise ValueError(
@@ -611,20 +597,21 @@ def banach_solve(
 # random fields and empirical diagnostics
 
 
-def random_smooth_field(grid, rng, kmax=3, decay=2.0):
-    """Band-limited random real field with zero plain mean."""
+def random_smooth_field(grid, rng):
+    """Band-limited random real field with zero plain mean.
+
+    Every nonzero mode k in {-RANDOM_FIELD_KMAX, ..., RANDOM_FIELD_KMAX}^4
+    gets amplitude (1 + |k|^2)^-RANDOM_FIELD_DECAY times one complex
+    normal, drawn in lexicographic mode order."""
     n = grid.n
+    box = _lattice_box(RANDOM_FIELD_KMAX)
+    modes = np.delete(box, len(box) // 2, axis=0)
+    # Python's pow, which numpy's vectorized power need not match to
+    # the last bit
+    amp = np.array([(1.0 + s) ** -RANDOM_FIELD_DECAY for s in np.sum(modes**2, axis=1).tolist()])
+    z = rng.standard_normal((len(modes), 2))
     spec = np.zeros((n,) * 4, dtype=complex)
-    ks = list(range(-kmax, kmax + 1))
-    for k0 in ks:
-        for k1 in ks:
-            for k2 in ks:
-                for k3 in ks:
-                    if (k0, k1, k2, k3) == (0, 0, 0, 0):
-                        continue
-                    amp = (1.0 + k0**2 + k1**2 + k2**2 + k3**2) ** (-decay)
-                    c = amp * (rng.standard_normal() + 1j * rng.standard_normal())
-                    spec[k0 % n, k1 % n, k2 % n, k3 % n] = c
+    spec[tuple((modes % n).T)] = amp * (z[:, 0] + 1j * z[:, 1])
     f = np.real(np.fft.ifftn(spec)) * n**2
     return f - f.mean()
 
@@ -668,8 +655,8 @@ def quadratic_envelope(problem, params, n_pairs=50, seed=0, invert_tol=DEFAULT_I
         psi1, psi2 = scaled_ball_samples(problem, params, rng, 2)
         u1, _ = invert_laplacian(problem, psi1, tol=invert_tol)
         u2, _ = invert_laplacian(problem, psi2, tol=invert_tol)
-        diff = y_norm(problem, params, quadratic_Q(problem, u1) - quadratic_Q(problem, u2)
-                      - weighted_mean(problem, quadratic_Q(problem, u1) - quadratic_Q(problem, u2)))
+        q_diff = quadratic_Q(problem, u1) - quadratic_Q(problem, u2)
+        diff = y_norm(problem, params, project_mean_zero(problem, q_diff))
         den = a ** (-2.0 * params.alpha) * x_norm(problem, params, u1 - u2) * x_norm(
             problem, params, u1 + u2
         )
@@ -765,12 +752,8 @@ def bochner_ratio(grid, u):
     dx = grid.spacing
     u = np.asarray(u, dtype=float)
     hess = 0.0
-    for i in range(4):
-        for j in range(i, 4):
-            if i == j:
-                hess += float(np.mean(_second_diff(u, i, dx) ** 2))
-            else:
-                hess += 2.0 * float(np.mean(_mixed_diff(u, i, j, dx) ** 2))
+    for m, h in _second_differences(u, dx):
+        hess += m * float(np.mean(h**2))
     lap = sum(_second_diff(u, ax, dx) for ax in range(4))
     denom = float(np.mean(lap**2))
     return hess / denom
@@ -784,6 +767,12 @@ def uniqueness_check(problem, params, psi0_a=None, psi0_b=None, tol=DEFAULT_FIXE
                            psi0=psi0_a, enforce_ball=enforce_ball)
     state_b = banach_solve(problem, params, tol=tol, max_iter=max_iter,
                            psi0=psi0_b, enforce_ball=enforce_ball)
+    return potential_gap(problem, state_a, state_b)
+
+
+def potential_gap(problem, state_a, state_b):
+    """Sup distance of two solves' potentials after removing the mean
+    shift."""
     diff = state_a.phi - state_b.phi
     diff = diff - weighted_mean(problem, diff)
     return float(np.max(np.abs(diff)))

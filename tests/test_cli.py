@@ -6,6 +6,7 @@ import pytest
 
 from kummerflat import cli
 from kummerflat import kummer as km
+from kummerflat import solver as sv
 
 ZETA_RESOLVED = "0.4444444444444444"
 
@@ -171,6 +172,29 @@ class TestSolve:
         assert loaded.lam == 0.5
         assert loaded.min_eigenvalue() > 0
 
+    def test_corrected_field_built_only_inside_the_solve(self, tmp_path, monkeypatch):
+        outside = []
+        inside = []
+        solve, corrected_field = sv.banach_solve, sv.corrected_field
+
+        def tracking_solve(*args, **kwargs):
+            inside.append(True)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def tracking_corrected_field(*args, **kwargs):
+            if not inside:
+                outside.append(True)
+            return corrected_field(*args, **kwargs)
+
+        monkeypatch.setattr(sv, "banach_solve", tracking_solve)
+        monkeypatch.setattr(sv, "corrected_field", tracking_corrected_field)
+        assert run(["solve", "--grid-n", "8", "--out", str(tmp_path)]) == 0
+        assert outside == []
+        assert km.load_field(tmp_path / "corrected_field.kmf").min_eigenvalue() > 0
+
     def test_resolved_requires_guard_release(self, tmp_path):
         status = run(["solve", "--zeta", ZETA_RESOLVED, "--out", str(tmp_path / "a")])
         assert status == 1
@@ -224,3 +248,15 @@ class TestUniqueness:
         by_name = {e["check"]: e for e in report}
         assert by_name["two-seed-agreement"]["pass"] is True
         assert by_name["rerun-determinism"]["max_residual"] == 0.0
+
+    def test_three_solves(self, tmp_path, monkeypatch):
+        calls = []
+        solve = sv.banach_solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(True)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sv, "banach_solve", counting_solve)
+        assert run(["uniqueness", "--grid-n", "8", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 3

@@ -280,9 +280,9 @@ class TestGluedField:
         built = km.build_omega0(model, grid)
         assert np.all(built.data[0] == 0.5)
         assert np.all(built.data[2:] == 0.0)
-        lam = km.volume_ratio_lambda(model, grid, built)
+        lam = km.volume_ratio_lambda(built.det())
         assert lam == 0.5
-        ea = km.error_density_ea(model, grid, built, lam)
+        ea = km.error_density_ea(built.det(), lam)
         assert np.all(ea == 0.0)
 
     def test_resolved_grid_field(self):
@@ -299,8 +299,8 @@ class TestGluedField:
         model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)
         grid = km.TorusGrid(16)
         built = km.build_omega0(model, grid)
-        lam = km.volume_ratio_lambda(model, grid, built)
-        ea = km.error_density_ea(model, grid, built, lam).reshape(-1)
+        lam = km.volume_ratio_lambda(built.det())
+        ea = km.error_density_ea(built.det(), lam).reshape(-1)
         nodes = grid.nodes()
         dists = np.full(grid.node_count(), np.inf)
         for site in km.fixed_points():
@@ -313,8 +313,8 @@ class TestGluedField:
 
     def test_volume_ratio_refinement_invariance(self):
         model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)
-        lam16 = km.volume_ratio_lambda(model, km.TorusGrid(16))
-        lam32 = km.volume_ratio_lambda(model, km.TorusGrid(32))
+        lam16 = km.volume_ratio_lambda(km.build_omega0(model, km.TorusGrid(16)).det())
+        lam32 = km.volume_ratio_lambda(km.build_omega0(model, km.TorusGrid(32)).det())
         assert abs(lam32 - lam16) / lam16 < 0.01
 
     def test_error_density_scales_like_fourth_power(self):
@@ -325,8 +325,8 @@ class TestGluedField:
         for a in values:
             model = km.GluedModel(a=a, zeta=zeta)
             built = km.build_omega0(model, grid)
-            lam = km.volume_ratio_lambda(model, grid, built)
-            ea = km.error_density_ea(model, grid, built, lam)
+            lam = km.volume_ratio_lambda(built.det())
+            ea = km.error_density_ea(built.det(), lam)
             sups.append(np.max(np.abs(ea)))
             lam_shifts.append(abs(lam - 0.5))
         sup_slope = np.polyfit(np.log(values), np.log(sups), 1)[0]
@@ -340,8 +340,8 @@ class TestGluedField:
         def sup_outside(model, n):
             grid = km.TorusGrid(n)
             built = km.build_omega0(model, grid)
-            lam = km.volume_ratio_lambda(model, grid, built)
-            ea = km.error_density_ea(model, grid, built, lam).reshape(-1)
+            lam = km.volume_ratio_lambda(built.det())
+            ea = km.error_density_ea(built.det(), lam).reshape(-1)
             nodes = grid.nodes()
             dists = np.full(grid.node_count(), np.inf)
             for site in km.fixed_points():
@@ -375,7 +375,7 @@ class TestFieldSerialization:
         model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)
         grid = km.TorusGrid(8)
         built = km.build_omega0(model, grid)
-        built.lam = km.volume_ratio_lambda(model, grid, built)
+        built.lam = km.volume_ratio_lambda(built.det())
         return built
 
     def test_round_trip_and_byte_stability(self, tmp_path):
@@ -456,7 +456,7 @@ def valid_kmf(tmp_path_factory):
     model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)
     grid = km.TorusGrid(8)
     built = km.build_omega0(model, grid)
-    built.lam = km.volume_ratio_lambda(model, grid, built)
+    built.lam = km.volume_ratio_lambda(built.det())
     root = tmp_path_factory.mktemp("kmf")
     km.save_field(built, root / "valid.kmf")
     return (root / "valid.kmf").read_bytes(), root

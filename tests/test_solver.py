@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummerflat import kummer as km
 from kummerflat import solver as sv
@@ -66,7 +68,6 @@ class TestNormParams:
         p = sv.NormParams()
         assert p.resolved_r_ball(0.05, 1.0 / 16.0) == 0.125
         assert p.resolved_r_ball(0.3, 1.0 / 16.0) == 0.3
-        assert sv.NormParams(r_ball=0.2).resolved_r_ball(0.05, 1.0 / 16.0) == 0.2
 
 
 class TestLaplacian:
@@ -545,3 +546,148 @@ class TestRitzImages:
         lam1 = sv.lambda1_estimate(resolved_problem)
         ref = _uncached_lambda1(resolved_problem)
         assert abs(lam1 - ref) <= 1e-12 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# reference norm layer: the full offset sweep with one roll per axis, the
+# nested mode loop with one draw per number, and the i <= j second
+# difference loops of the Sobolev norm and the Bochner ratio
+
+
+def _ref_holder_offsets(dx, r_ball):
+    reach = max(int(np.floor(r_ball / dx)), 1)
+    offsets = []
+    rng4 = range(-reach, reach + 1)
+    for d0 in rng4:
+        for d1 in rng4:
+            for d2 in rng4:
+                for d3 in rng4:
+                    d = (d0, d1, d2, d3)
+                    if d == (0, 0, 0, 0):
+                        continue
+                    dist = dx * float(np.linalg.norm(d))
+                    if dist <= r_ball:
+                        offsets.append((d, dist))
+    return offsets
+
+
+def _ref_holder_seminorm(f, dx, alpha, r_ball):
+    best = 0.0
+    for d, dist in _ref_holder_offsets(dx, r_ball):
+        shifted = f
+        for ax, k in enumerate(d):
+            if k:
+                shifted = np.roll(shifted, -k, axis=ax)
+        best = max(best, float(np.max(np.abs(shifted - f))) / dist**alpha)
+    return best
+
+
+def _ref_random_smooth_field(grid, rng, kmax=3, decay=2.0):
+    n = grid.n
+    spec = np.zeros((n,) * 4, dtype=complex)
+    ks = range(-kmax, kmax + 1)
+    for k0 in ks:
+        for k1 in ks:
+            for k2 in ks:
+                for k3 in ks:
+                    if (k0, k1, k2, k3) == (0, 0, 0, 0):
+                        continue
+                    amp = (1.0 + k0**2 + k1**2 + k2**2 + k3**2) ** (-decay)
+                    c = amp * (rng.standard_normal() + 1j * rng.standard_normal())
+                    spec[k0 % n, k1 % n, k2 % n, k3 % n] = c
+    f = np.real(np.fft.ifftn(spec)) * n**2
+    return f - f.mean()
+
+
+def _ref_mixed(f, i, j, dx):
+    return sv._central_diff(sv._central_diff(f, i, dx), j, dx)
+
+
+def _ref_sobolev_l22_norm(f, dx, weight=None):
+    w = np.full(f.shape, 1.0 / f.size) if weight is None else weight
+    total = float(np.sum(w * f**2))
+    for g in sv.gradient_components(f, dx):
+        total += float(np.sum(w * g**2))
+    for i in range(4):
+        for j in range(i, 4):
+            if i == j:
+                h2 = sv._second_diff(f, i, dx) ** 2
+            else:
+                h2 = 2.0 * _ref_mixed(f, i, j, dx) ** 2
+            total += float(np.sum(w * h2))
+    return float(np.sqrt(total))
+
+
+def _ref_bochner_ratio(grid, u):
+    dx = grid.spacing
+    hess = 0.0
+    for i in range(4):
+        for j in range(i, 4):
+            if i == j:
+                hess += float(np.mean(sv._second_diff(u, i, dx) ** 2))
+            else:
+                hess += 2.0 * float(np.mean(_ref_mixed(u, i, j, dx) ** 2))
+    lap = sum(sv._second_diff(u, ax, dx) for ax in range(4))
+    return hess / float(np.mean(lap**2))
+
+
+class TestNormLayerEquivalence:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.sampled_from([8, 16]),
+        alpha=st.floats(0.0, 1.0 / 3.0, exclude_min=True, exclude_max=True),
+        reach=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_holder_seminorm_matches_full_sweep(self, n, alpha, reach, seed):
+        f = np.random.default_rng(seed).standard_normal((n,) * 4)
+        dx = 1.0 / n
+        r_ball = reach * dx
+        assert sv.holder_seminorm(f, dx, alpha, r_ball) == _ref_holder_seminorm(f, dx, alpha, r_ball)
+
+    @pytest.mark.parametrize("n, r_ball", [(16, 0.125), (24, 1.0 / 12.0), (32, 0.0625),
+                                           (16, 3.0 / 16.0), (8, 0.3)])
+    def test_holder_offsets_one_of_each_pair(self, n, r_ball):
+        dx = 1.0 / n
+        half = [(tuple(int(k) for k in d), dist) for d, dist in sv._holder_offsets(dx, r_ball)]
+        full = _ref_holder_offsets(dx, r_ball)
+        kept = {d for d, _ in half}
+        assert not any(tuple(-k for k in d) in kept for d in kept)
+        assert 2 * len(half) == len(full)
+        mirrored = half + [(tuple(-k for k in d), dist) for d, dist in half]
+        assert sorted(mirrored) == sorted(full)
+
+    def test_default_radius_sweeps_44_offsets(self):
+        for n in (16, 24, 32):
+            r_ball = sv.NormParams().resolved_r_ball(0.05, 1.0 / n)
+            assert len(sv._holder_offsets(1.0 / n, r_ball)) == 44
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_smooth_field_matches_mode_loop(self, n, seed):
+        grid = km.TorusGrid(n)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(sv.random_smooth_field(grid, rng), _ref_random_smooth_field(grid, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_sobolev_and_bochner_match_loops(self, resolved_problem, grid16):
+        rng = np.random.default_rng(23)
+        dx = grid16.spacing
+        for f in (sv.random_smooth_field(grid16, rng), rng.standard_normal((16,) * 4)):
+            assert sv.sobolev_l22_norm(f, dx) == _ref_sobolev_l22_norm(f, dx)
+            assert sv.sobolev_l22_norm(f, dx, resolved_problem.weight) == _ref_sobolev_l22_norm(
+                f, dx, resolved_problem.weight)
+            assert sv.bochner_ratio(grid16, f) == _ref_bochner_ratio(grid16, f)
+
+
+def test_problem_build_computes_det_once(monkeypatch):
+    calls = []
+    det = km.hermitian_det
+
+    def counting_det(h):
+        calls.append(h.shape)
+        return det(h)
+
+    monkeypatch.setattr(km, "hermitian_det", counting_det)
+    sv.Problem.build(km.GluedModel(a=0.05, zeta=4.0 / 9.0), km.TorusGrid(8))
+    assert len(calls) == 1
