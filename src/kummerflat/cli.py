@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -105,6 +106,12 @@ def build_run_config(args, parser):
         for key, cast in _CORE_KEYS.items()
     }
     cfg = RunConfig(command=args.command, **values)
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        parser.error(f"tolerance must be finite and positive, got tol={cfg.tol}")
+    if cfg.max_iter < 1:
+        parser.error(f"iteration budget must be at least 1, got max_iter={cfg.max_iter}")
+    if cfg.seed < 0:
+        parser.error(f"seed must be non-negative, got seed={cfg.seed}")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if not os.access(out, os.W_OK):
@@ -119,6 +126,8 @@ def _parse_a_list(text, parser):
         parser.error(f"cannot parse deformation parameter list {text!r}")
     if not values:
         parser.error("empty deformation parameter list")
+    if len(set(values)) != len(values):
+        parser.error(f"duplicate entries in deformation parameter list {text!r}")
     return values
 
 

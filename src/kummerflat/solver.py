@@ -748,7 +748,8 @@ def poincare_check(problem, lam1, n_fields=20, seed=11):
 
 def bochner_ratio(grid, u):
     """Flat-torus comparison of the full Hessian energy against the
-    Laplacian energy; at most one for these stencils."""
+    Laplacian energy; at most one for these stencils.  Undefined, and a
+    ValueError, for a field with zero Laplacian energy (a constant)."""
     dx = grid.spacing
     u = np.asarray(u, dtype=float)
     hess = 0.0
@@ -756,6 +757,8 @@ def bochner_ratio(grid, u):
         hess += m * float(np.mean(h**2))
     lap = sum(_second_diff(u, ax, dx) for ax in range(4))
     denom = float(np.mean(lap**2))
+    if denom == 0.0:
+        raise ValueError("Bochner ratio undefined for a field with zero Laplacian energy")
     return hess / denom
 
 

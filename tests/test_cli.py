@@ -55,6 +55,49 @@ class TestConfigMerge:
         assert err.value.code == 2
 
 
+HOSTILE_OPTIONS = [
+    # (command, flag argument, config entry)
+    ("solve", "--tol=nan", {"tol": float("nan")}),
+    ("solve", "--tol=inf", {"tol": float("inf")}),
+    ("solve", "--tol=0", {"tol": 0.0}),
+    ("lambda1", "--tol=-1e-3", {"tol": -1e-3}),
+    ("solve", "--max-iter=0", {"max_iter": 0}),
+    ("uniqueness", "--max-iter=-2", {"max_iter": -2}),
+    ("verify-eh", "--seed=-1", {"seed": -1}),
+    ("lambda1", "--seed=-5", {"seed": -5}),
+    ("scaling", "--a-list=0.01,0.01", {"a_list": "0.01,0.01"}),
+    ("lambda1", "--a-list=0.02,0.05,0.020", {"a_list": "0.02,0.05,0.020"}),
+]
+
+
+class TestHostileOptions:
+    @pytest.fixture(autouse=True)
+    def no_field_build(self, monkeypatch):
+        builds = []
+
+        def recording_build(*args, **kwargs):
+            builds.append(True)
+            raise AssertionError("field built for a rejected configuration")
+
+        monkeypatch.setattr(km, "build_omega0", recording_build)
+        yield
+        assert builds == []
+
+    @pytest.mark.parametrize("command, flag, entry", HOSTILE_OPTIONS)
+    def test_flag_rejected(self, tmp_path, command, flag, entry):
+        with pytest.raises(SystemExit) as err:
+            run([command, "--zeta", ZETA_RESOLVED, flag, "--out", str(tmp_path / "run")])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command, flag, entry", HOSTILE_OPTIONS)
+    def test_config_entry_rejected(self, tmp_path, command, flag, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        with pytest.raises(SystemExit) as err:
+            run([command, "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert err.value.code == 2
+
+
 class TestVerifyEh:
     def test_default_suite_passes(self, tmp_path, capsys):
         assert run(["verify-eh", "--out", str(tmp_path)]) == 0

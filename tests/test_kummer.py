@@ -1,9 +1,12 @@
 import json
+import logging
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kummerflat import eguchi_hanson as eh
@@ -358,7 +361,8 @@ class TestGluedField:
             assert s_full <= max(10.0 * abs(s_full - s_half), 1e-12)
 
     def test_positivity_failure_reports_worst_node(self):
-        with pytest.raises(ValueError, match="min eigenvalue"):
+        node = "(0.03125, 0.03125, 0.09375, 0.15625)"
+        with pytest.raises(ValueError, match=r"min eigenvalue -\S+ at node " + re.escape(node)):
             km.build_omega0(km.GluedModel(a=0.2, zeta=4.0 / 9.0), km.TorusGrid(16))
 
     def test_max_admissible_a_bisection(self):
@@ -368,6 +372,80 @@ class TestGluedField:
         km.build_omega0(km.GluedModel(a=a_max * 0.98, zeta=zeta), km.TorusGrid(16))
         with pytest.raises(ValueError, match="positive definite"):
             km.build_omega0(km.GluedModel(a=a_max * 1.05, zeta=zeta), km.TorusGrid(16))
+
+
+def _all_nodes_build(model, grid):
+    """Reference assembly: every site evaluated on every node of the grid,
+    with the same positivity check and message."""
+    nodes = grid.nodes()
+    h = np.zeros((4, grid.node_count()))
+    h[:2] = 0.5
+    for site in model.sites:
+        h += km.site_contribution(model, km.wrap_displacement(nodes - site))
+    mineig = km.hermitian_min_eig(h)
+    flat_idx = int(np.argmin(mineig))
+    if mineig[flat_idx] <= 0:
+        node = tuple(round(float(c), 6) for c in nodes[flat_idx])
+        raise ValueError(
+            f"glued form not positive definite: min eigenvalue {mineig[flat_idx]:.6g} at node "
+            f"{node}; the deformation parameter a={model.a} is too large for zeta={model.zeta}"
+        )
+    return h.reshape((4,) + (grid.n,) * 4)
+
+
+def _build_or_message(build, model, grid):
+    try:
+        return build(model, grid), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+class TestBoxAssembly:
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("zeta, a", [(1.0 / 9.0, 0.01), (1.0 / 9.0, 0.03),
+                                         (4.0 / 9.0, 0.02), (4.0 / 9.0, 0.05),
+                                         (4.0 / 9.0, 0.08)])
+    def test_matches_all_nodes_build(self, n, zeta, a):
+        model, grid = km.GluedModel(a=a, zeta=zeta), km.TorusGrid(n)
+        assert np.array_equal(km.build_omega0(model, grid).data, _all_nodes_build(model, grid))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([8, 16]),
+        zeta=st.floats(0.05, 0.49, exclude_min=True, exclude_max=True),
+        share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_matches_all_nodes_build_or_same_error(self, n, zeta, share):
+        a = share * zeta / 2.0
+        assume(0.0 < a < zeta / 2.0)
+        model, grid = km.GluedModel(a=a, zeta=zeta), km.TorusGrid(n)
+        built, message = _build_or_message(lambda m, g: km.build_omega0(m, g).data, model, grid)
+        ref, ref_message = _build_or_message(_all_nodes_build, model, grid)
+        assert message == ref_message
+        if message is None:
+            assert np.array_equal(built, ref)
+
+    def test_each_site_sees_only_its_box(self, monkeypatch):
+        n, zeta = 24, 4.0 / 9.0
+        rows = []
+        contribution = km.site_contribution
+
+        def counting_contribution(model, v):
+            rows.append(int(np.prod(v.shape[:-1])))
+            return contribution(model, v)
+
+        monkeypatch.setattr(km, "site_contribution", counting_contribution)
+        km.build_omega0(km.GluedModel(a=0.05, zeta=zeta), km.TorusGrid(n))
+        assert len(rows) == 16
+        assert max(rows) <= (math.ceil(n * zeta) + 2) ** 4 < n**4
+
+    @pytest.mark.parametrize("a, zeta, blind", [(0.01, 1.0 / 9.0, True), (0.05, 4.0 / 9.0, False)])
+    def test_blind_grid_logs_flat_field(self, caplog, a, zeta, blind):
+        caplog.set_level(logging.INFO, logger="kummerflat.kummer")
+        built = km.build_omega0(km.GluedModel(a=a, zeta=zeta), km.TorusGrid(8))
+        flat = np.all(built.data[:2] == 0.5) and np.all(built.data[2:] == 0.0)
+        logged = any("no nodes inside any gluing ball" in r.getMessage() for r in caplog.records)
+        assert flat == logged == blind
 
 
 class TestFieldSerialization:

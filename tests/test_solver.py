@@ -313,6 +313,17 @@ class TestSpectrum:
             u = sv.random_smooth_field(grid16, rng)
             assert sv.bochner_ratio(grid16, u) <= 1.02
 
+    @pytest.mark.parametrize("value", [0.0, 0.5, -3.0])
+    def test_bochner_ratio_undefined_for_constant_field(self, value):
+        grid = km.TorusGrid(8)
+        with pytest.raises(ValueError, match="zero Laplacian energy"):
+            sv.bochner_ratio(grid, np.full((8,) * 4, value))
+
+    def test_bochner_ratio_undefined_on_blind_grid(self, flat_problem):
+        assert np.all(flat_problem.ea == 0.0)
+        with pytest.raises(ValueError, match="zero Laplacian energy"):
+            sv.bochner_ratio(flat_problem.grid, flat_problem.ea)
+
 
 class TestUniqueness:
     def test_two_seeds_agree(self, flat_problem, params):
