@@ -112,11 +112,16 @@ def build_run_config(args, parser):
         parser.error(f"iteration budget must be at least 1, got max_iter={cfg.max_iter}")
     if cfg.seed < 0:
         parser.error(f"seed must be non-negative, got seed={cfg.seed}")
+    return cfg, file_cfg
+
+
+def _make_out_dir(cfg, parser):
+    """Create the artifact directory; called once every option has been
+    accepted, so a rejected configuration leaves no directory behind."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if not os.access(out, os.W_OK):
         parser.error(f"output directory {out} is not writable")
-    return cfg, file_cfg
 
 
 def _parse_a_list(text, parser):
@@ -615,6 +620,7 @@ def main(argv=None):
             "eps_gh": _merged(args, file_cfg, "eps_gh", float, 0.0),
         }
     models = _validate(cfg, parser, a_values=a_values, gh_extra=gh_extra)
+    _make_out_dir(cfg, parser)
 
     try:
         if args.command == "verify-eh":

@@ -491,15 +491,18 @@ def save_field(field_, path):
     byte-stable."""
     lam = field_.lam if field_.lam is not None else float("nan")
     header = _HEADER.pack(_MAGIC, _VERSION, field_.n, field_.a, field_.zeta, lam)
-    h = field_.data
-    body = np.empty(h.shape[1:] + (2, 2), dtype="<c16")
-    body[..., 0, 0] = h[0]
-    body[..., 1, 1] = h[1]
-    body[..., 0, 1] = h[2] + 1j * h[3]
-    body[..., 1, 0] = h[2] - 1j * h[3]
+    # the body is assembled and written one axis-0 slab at a time, so
+    # the complex layout is never held whole
+    slab = np.empty(field_.data.shape[2:] + (2, 2), dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body.tobytes())
+        for i in range(field_.n):
+            h = field_.data[:, i]
+            slab[..., 0, 0] = h[0]
+            slab[..., 1, 1] = h[1]
+            slab[..., 0, 1] = h[2] + 1j * h[3]
+            slab[..., 1, 0] = h[2] - 1j * h[3]
+            fh.write(memoryview(slab).cast("B"))
     sidecar = {
         "magic": _MAGIC.decode(),
         "version": _VERSION,

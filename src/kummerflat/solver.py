@@ -14,11 +14,14 @@ this makes the Monge-Ampere residual of a solved potential collapse to
 the solver tolerances instead of an extra discretization error.  The
 stencil returns P in the layout of kummer.Field11 data, the four real
 components (p11, p22, Re p12, Im p12) along a leading axis, so the
-corrected field is field_.data + hessian_parts(phi, dx), and the
-bracket, kummer.hermitian_det and kummer.hermitian_min_eig work on
-those components; no complex (..., 2, 2) field is built here.  The
-inversion's flat preconditioner uses real-to-complex FFTs on the half
-spectrum.
+corrected field is field_.data + hessian_parts(phi, dx), and
+kummer.hermitian_det and kummer.hermitian_min_eig work on those
+components; no complex (..., 2, 2) field is built here.  The bracket
+[h : P(u)] behind the Laplacian and its inversion is computed from the
+stencil's neighbour sums without building P.  The inversion is
+right-preconditioned BiCGStab, since the stencil operator is not
+symmetric on glued fields; its flat preconditioner uses real-to-complex
+FFTs on the half spectrum.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ MEAN_ZERO_TOL = 1e-8
 # band limit and amplitude decay of random_smooth_field
 RANDOM_FIELD_KMAX = 3
 RANDOM_FIELD_DECAY = 2.0
+# bytes of f per slab of the Hölder sweep: with its padded, shifted
+# copies a slab stays well inside a 2 MiB per-core L2
+_HOLDER_SLAB_BYTES = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +68,13 @@ class NormParams:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0 / 3.0):
             raise ValueError(f"Hölder exponent must lie in (0, 1/3), got {self.alpha}")
+        # written as "not (x > 0)" so that NaN is rejected too
+        if not self.p > 0:
+            raise ValueError(f"integrability exponent must be positive, got p={self.p}")
         eps = self.resolved_eps()
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError(f"integrability exponent p={self.p} gives nonpositive weight exponent")
-        if eps / 2.0 - 2.0 * self.alpha <= 0:
+        if not eps / 2.0 - 2.0 * self.alpha > 0:
             raise ValueError(
                 f"contraction window violated: eps/2 - 2 alpha = {eps / 2.0 - 2.0 * self.alpha:.4g} <= 0"
             )
@@ -203,20 +212,45 @@ def hessian_parts(u, dx):
     return P
 
 
-def _bracket_weights(field_):
-    """Weights w with [h : P] = sum_k w_k P_k over the real components
-    of P: the mixed determinant polarization h11 p22 + h22 p11
-    - 2 Re(h12 conj(p12))."""
+def hermitian_bracket(field_, u, dx):
+    """[h : P(u)] = h11 p22 + h22 p11 - 2 Re(h12 conj(p12)) for the
+    stencil field P = hessian_parts(u, dx) and h = field_.data, without
+    building P.
+
+    Each neighbour sum of hessian_parts is weighted by the component of
+    h it meets in the bracket, and the stencil factors are applied once
+    per diagonal and mixed part.  A constant u maps to exactly zero.
+    """
+    u = np.ascontiguousarray(u, dtype=float)
     h11, h22, re12, im12 = field_.data
-    return h22, h11, -2.0 * re12, -2.0 * im12
-
-
-def _bracket(w, P):
-    """sum_k w_k P_k; scales the components of P in place."""
-    out = w[0] * P[0]
-    for wk, pk in zip(w[1:], P[1:]):
-        pk *= wk
-        out += pk
+    # diagonal part h22 (S0 + S1 - 4u) + h11 (S2 + S3 - 4u), where Sk
+    # is the neighbour sum along axis k, times 1 / (2 dx^2)
+    out = _neighbours(u, 0, np.add)
+    s = _neighbours(u, 1, np.add)
+    t = np.multiply(u, 4.0)
+    out += s
+    out -= t
+    out *= h22
+    _neighbours(u, 2, np.add, out=s)
+    s -= t
+    s += _neighbours(u, 3, np.add, out=t)
+    s *= h11
+    out += s
+    out *= 0.5 / dx**2
+    # mixed part -2 (Re h12 Re p12 + Im h12 Im p12), with 8 dx^2 p12
+    # = D2 d0 + D3 d1 + i (D3 d0 - D2 d1) for the central differences
+    # dk = Dk u
+    d0 = _neighbours(u, 0, np.subtract)
+    d1 = _neighbours(u, 1, np.subtract)
+    _neighbours(d0, 2, np.subtract, out=s)
+    s += _neighbours(d1, 3, np.subtract, out=t)
+    s *= re12
+    _neighbours(d0, 3, np.subtract, out=t)
+    t -= _neighbours(d1, 2, np.subtract, out=d0)
+    t *= im12
+    s += t
+    s *= -0.25 / dx**2
+    out += s
     return out
 
 
@@ -228,8 +262,9 @@ def laplacian(problem, u):
     on resolved glued fields it vanishes only to stencil truncation.
     """
     u = _require_finite(u, "laplacian input")
-    P = hessian_parts(u, problem.spacing)
-    return _bracket(_bracket_weights(problem.field_), P) / problem.dets
+    out = hermitian_bracket(problem.field_, u, problem.spacing)
+    out /= problem.dets
+    return out
 
 
 def quadratic_Q(problem, u):
@@ -264,32 +299,31 @@ def _flat_inverse(rhs, inverse_symbol):
     return np.fft.irfftn(hat, s=rhs.shape, axes=(0, 1, 2, 3))
 
 
-def _glued_operator(problem):
-    """The operator B(u) = -[h : P(u)], minus its mean, that the PCG
-    inverts."""
-    w = _bracket_weights(problem.field_)
-
-    def apply_B(u):
-        out = _bracket(w, hessian_parts(u, problem.spacing))
-        return out.mean() - out
-
-    return apply_B
+def _glued_operator(problem, u):
+    """B(u) = -[h : P(u)] minus its mean, the operator the inversion
+    solves with; its values sum to zero."""
+    out = hermitian_bracket(problem.field_, u, problem.spacing)
+    return np.subtract(out.mean(), out, out=out)
 
 
-def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600):
-    """Solve laplacian(u) = f for mean-zero u by preconditioned
-    conjugate directions.
+def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600, u0=None):
+    """Solve laplacian(u) = f for mean-zero u by right-preconditioned
+    BiCGStab (van der Vorst 1992), from u0 (zero by default).
 
-    The stencil operator's range misses the constant direction by a
-    truncation-level amount on non-flat glued fields, so convergence is
-    measured on the zero-sum projection of the residual; the leftover
-    constant defect is reported in the info dict, not hidden.
+    The stencil operator is not symmetric on glued fields, hence a
+    short-recurrence method for non-symmetric systems; each step applies
+    the flat preconditioner and the operator twice, or once when its
+    half step already converges.  The operator's range misses the
+    constant direction by a truncation-level amount on non-flat glued
+    fields, so convergence is measured on the zero-sum projection of
+    the residual; the leftover constant defect is reported in the info
+    dict, not hidden.
     """
     f = _require_finite(f, "inversion data")
     # operator B(u) = -[h : P(u)], rhs g = -f det h; both sum to zero
     # when f has zero weighted mean
     g = -f * problem.dets
-    g = g - g.mean()
+    g -= g.mean()
     scale = float(np.linalg.norm(g))
     if scale == 0.0:
         return np.zeros_like(f), {"iterations": 0, "relative_residual": 0.0,
@@ -299,41 +333,65 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600):
     symbol = flat_symbol(problem.grid.n)
     with np.errstate(divide="ignore"):
         inverse_symbol = np.where(symbol > 0, 4.0 / symbol, 0.0)
-    apply_B = _glued_operator(problem)
-    u = np.zeros_like(f)
-    r = g.copy()
-    z = _flat_inverse(r, inverse_symbol)
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    history = [1.0]
-    for it in range(1, max_iter + 1):
-        Bp = apply_B(p)
-        denom = float(np.sum(p * Bp))
-        if denom <= 0:
+    # work vectors, made once: solution u, residual r, shadow residual
+    # r_hat and search direction p; besides them only the operator
+    # images v and t and one preconditioned vector z are alive at a time
+    u = np.zeros_like(f) if u0 is None else np.array(u0, dtype=float)
+    r = g if u0 is None else g - _glued_operator(problem, u)
+    history = [float(np.linalg.norm(r)) / scale]
+    it = 0
+    if history[0] > tol:
+        r_hat = r.copy()
+        p = np.zeros_like(r)
+        v = np.zeros_like(r)
+        rho = alpha = omega = 1.0
+        for it in range(1, max_iter + 1):
+            rho_next = float(np.vdot(r_hat, r))
+            if rho_next == 0.0 or omega == 0.0:
+                raise RuntimeError(f"BiCGStab breakdown at step {it}: rho = {rho_next:.3g}, omega = {omega:.3g}")
+            beta = (rho_next / rho) * (alpha / omega)
+            rho = rho_next
+            # p = r + beta (p - omega v)
+            v *= omega
+            p -= v
+            p *= beta
+            p += r
+            z = _flat_inverse(p, inverse_symbol)
+            v = _glued_operator(problem, z)
+            pivot = float(np.vdot(r_hat, v))
+            if pivot == 0.0:
+                raise RuntimeError(f"BiCGStab breakdown at step {it}: <r_hat, v> = 0")
+            alpha = rho / pivot
+            z *= alpha
+            u += z
+            del z
+            # half step: r becomes s = r - alpha v
+            r -= alpha * v
+            rel = float(np.linalg.norm(r)) / scale
+            if rel > tol:
+                z = _flat_inverse(r, inverse_symbol)
+                t = _glued_operator(problem, z)
+                omega = float(np.vdot(t, r)) / float(np.vdot(t, t))
+                z *= omega
+                u += z
+                del z
+                t *= omega
+                r -= t
+                del t
+                rel = float(np.linalg.norm(r)) / scale
+            history.append(rel)
+            if rel <= tol:
+                break
+            if it >= 80 and rel > 0.5 * history[it - 60]:
+                raise RuntimeError(
+                    f"inversion stagnated at relative residual {rel:.3e} after {it} iterations; "
+                    f"history tail {['%.2e' % h for h in history[-5:]]}"
+                )
+        else:
             raise RuntimeError(
-                f"conjugate-direction breakdown at iteration {it}: curvature {denom:.3g}"
+                f"inversion did not reach tolerance {tol:.1e} in {max_iter} iterations "
+                f"(relative residual {history[-1]:.3e})"
             )
-        alpha = rz / denom
-        u += alpha * p
-        r -= alpha * Bp
-        rel = float(np.linalg.norm(r)) / scale
-        history.append(rel)
-        if rel <= tol:
-            break
-        if it >= 80 and rel > 0.5 * history[it - 60]:
-            raise RuntimeError(
-                f"inversion stagnated at relative residual {rel:.3e} after {it} iterations; "
-                f"history tail {['%.2e' % h for h in history[-5:]]}"
-            )
-        z = _flat_inverse(r, inverse_symbol)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    else:
-        raise RuntimeError(
-            f"inversion did not reach tolerance {tol:.1e} in {max_iter} iterations "
-            f"(relative residual {history[-1]:.3e})"
-        )
     u = project_mean_zero(problem, u)
     raw = laplacian(problem, u) - f
     info = {
@@ -406,29 +464,52 @@ def _holder_offsets(dx, r_ball):
 
 def holder_seminorm(f, dx, alpha, r_ball):
     """Sup of |f(x+d) - f(x)| / |d|^alpha over lattice offsets within
-    the sampling ball; coordinate identification, no transport."""
+    the sampling ball; coordinate identification, no transport.
+
+    The sweep runs over slabs of _HOLDER_SLAB_BYTES along axis 0, so
+    that a slab and its shifted copies stay in the per-core cache while
+    every offset visits them.  The shifted values are read from one
+    periodic padding of f; within a slab the offsets are grouped by
+    their last component, whose shift is made contiguous once per group,
+    and the rest are views.  Each offset's sup is the exact max over all
+    slabs, so the result does not depend on the slab size.
+    """
     f = np.asarray(f, dtype=float)
+    offsets = _holder_offsets(dx, r_ball)
+    reach = max(int(np.floor(r_ball / dx)), 1)
+    n0, n1, n2, n3 = f.shape
+    # the kept offsets have a non-negative first component
+    padded = np.pad(f, ((0, reach), (reach, reach), (reach, reach), (reach, reach)), mode="wrap")
+    by_last = {}
+    for k, (d, _) in enumerate(offsets):
+        by_last.setdefault(int(d[3]), []).append((k, int(d[0]), reach + int(d[1]), reach + int(d[2])))
+    rows = max(1, _HOLDER_SLAB_BYTES // f[0].nbytes)
+    peaks = [0.0] * len(offsets)
+    for i0 in range(0, n0, rows):
+        i1 = min(i0 + rows, n0)
+        centre = np.ascontiguousarray(padded[i0:i1, reach:reach + n1, reach:reach + n2, reach:reach + n3])
+        diff = np.empty_like(centre)
+        for d3, group in by_last.items():
+            shifted = np.ascontiguousarray(padded[i0:i1 + reach, :, :, reach + d3:reach + d3 + n3])
+            for k, j0, j1, j2 in group:
+                np.subtract(shifted[j0:j0 + i1 - i0, j1:j1 + n1, j2:j2 + n2], centre, out=diff)
+                peaks[k] = max(peaks[k], float(np.max(np.abs(diff, out=diff))))
     best = 0.0
-    for d, dist in _holder_offsets(dx, r_ball):
-        diff = np.roll(f, -d, axis=(0, 1, 2, 3))
-        diff -= f
-        best = max(best, float(np.max(np.abs(diff, out=diff))) / dist**alpha)
+    for peak, (_, dist) in zip(peaks, offsets):
+        best = max(best, peak / dist**alpha)
     return best
 
 
 def holder_norm(f, dx, k, alpha, r_ball):
-    """C^{k,alpha} norm: derivative sups up to order k plus the Hölder
-    seminorm of the highest derivatives."""
+    """C^{k,alpha} norm for k = 0 or 2: derivative sups up to order k
+    plus the Hölder seminorm of the highest derivatives."""
     f = _require_finite(f, "norm input")
-    if k not in (0, 1, 2):
-        raise ValueError(f"Hölder order must be 0, 1, or 2, got {k}")
+    if k not in (0, 2):
+        raise ValueError(f"Hölder order must be 0 or 2, got {k}")
     total = float(np.max(np.abs(f)))
-    tops = [f]
-    if k >= 1:
-        tops = gradient_components(f, dx)
-        total += max(float(np.max(np.abs(g))) for g in tops)
-    if k < 2:
-        return total + max(holder_seminorm(t, dx, alpha, r_ball) for t in tops)
+    if k == 0:
+        return total + holder_seminorm(f, dx, alpha, r_ball)
+    total += max(float(np.max(np.abs(g))) for g in gradient_components(f, dx))
     # one Hessian component at a time: its sup and its seminorm
     sups, semis = [], []
     for _, h in _second_differences(f, dx):
@@ -498,18 +579,23 @@ def corrected_field(problem, phi):
 def ma_residual(problem, corrected):
     """Pointwise volume-equation defect 2 det(K) / lambda - 1 of a
     corrected field K = corrected_field(problem, phi); K must be
-    positive definite."""
-    mineig = corrected.min_eigenvalue()
-    if mineig <= 0:
+    positive definite.
+
+    A Hermitian 2x2 matrix is positive definite exactly when its det
+    and its first diagonal entry are positive, so the check reuses the
+    det; the min-eigenvalue formula runs only to report a failure."""
+    det = corrected.det()
+    if not (np.all(det > 0) and np.all(corrected.data[0] > 0)):
         raise ValueError(
-            f"corrected form not positive definite: min eigenvalue {mineig:.6g}"
+            f"corrected form not positive definite: min eigenvalue {corrected.min_eigenvalue():.6g}"
         )
-    return 2.0 * corrected.det() / problem.lam - 1.0
+    return 2.0 * det / problem.lam - 1.0
 
 
-def fixed_point_map(problem, psi, invert_tol=DEFAULT_INVERT_TOL):
-    """One application of psi -> projection of -e_a - Q(inverse(psi))."""
-    phi, info = invert_laplacian(problem, psi, tol=invert_tol)
+def fixed_point_map(problem, psi, invert_tol=DEFAULT_INVERT_TOL, phi0=None):
+    """One application of psi -> projection of -e_a - Q(inverse(psi));
+    the inversion starts from phi0 (zero by default)."""
+    phi, info = invert_laplacian(problem, psi, tol=invert_tol, u0=phi0)
     raw = -problem.ea - quadratic_Q(problem, phi)
     leak = weighted_mean(problem, raw)
     return raw - leak, phi, {"projection_leak": leak, "invert": info}
@@ -543,8 +629,10 @@ def banach_solve(
     state.initial_ma_sup = float(np.max(np.abs(ma_residual(problem, problem.field_))))
     first_increment = None
     prev_increment = None
+    phi = None
     for it in range(1, max_iter + 1):
-        psi_next, phi, info = fixed_point_map(problem, psi, invert_tol=invert_tol)
+        # each inversion after the first starts from the previous potential
+        psi_next, phi, info = fixed_point_map(problem, psi, invert_tol=invert_tol, phi0=phi)
         y_next = y_norm(problem, params, psi_next)
         increment = y_norm(problem, params, psi_next - psi)
         ratio = float("nan") if prev_increment in (None, 0.0) else increment / prev_increment
@@ -580,7 +668,7 @@ def banach_solve(
             f"fixed-point iteration did not converge in {max_iter} steps; "
             f"contraction ratios {['%.3f' % r for r in state.ratio_history[-5:]]}"
         )
-    phi_final, _ = invert_laplacian(problem, state.psi, tol=invert_tol)
+    phi_final, _ = invert_laplacian(problem, state.psi, tol=invert_tol, u0=state.phi)
     state.phi = phi_final
     state.corrected = corrected = corrected_field(problem, phi_final)
     state.final_min_eigenvalue = corrected.min_eigenvalue()

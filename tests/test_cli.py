@@ -67,6 +67,9 @@ HOSTILE_OPTIONS = [
     ("lambda1", "--seed=-5", {"seed": -5}),
     ("scaling", "--a-list=0.01,0.01", {"a_list": "0.01,0.01"}),
     ("lambda1", "--a-list=0.02,0.05,0.020", {"a_list": "0.02,0.05,0.020"}),
+    ("solve", "--a=0.9", {"a": 0.9}),
+    ("solve", "--p=nan", {"p": float("nan")}),
+    ("uniqueness", "--p=0", {"p": 0.0}),
 ]
 
 
@@ -88,6 +91,7 @@ class TestHostileOptions:
         with pytest.raises(SystemExit) as err:
             run([command, "--zeta", ZETA_RESOLVED, flag, "--out", str(tmp_path / "run")])
         assert err.value.code == 2
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command, flag, entry", HOSTILE_OPTIONS)
     def test_config_entry_rejected(self, tmp_path, command, flag, entry):
@@ -96,6 +100,7 @@ class TestHostileOptions:
         with pytest.raises(SystemExit) as err:
             run([command, "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert err.value.code == 2
+        assert not (tmp_path / "run").exists()
 
 
 class TestVerifyEh:
@@ -280,6 +285,16 @@ class TestLambda1:
         names = {c["check"] for c in report["checks"]}
         assert "flat-laplacian-reference" in names
         assert "poincare-inequality" in names
+        assert all(c["pass"] for c in report["checks"])
+
+    def test_resolved_large_deformation_passes(self, tmp_path):
+        # at a=0.08, n=24 the glued operator is far enough from symmetric
+        # that conjugate gradients stagnated before 1e-9
+        out = tmp_path / "run"
+        assert run(["lambda1", "--zeta", ZETA_RESOLVED, "--grid-n", "24", "--a-list", "0.08",
+                    "--out", str(out)]) == 0
+        report = json.loads((out / "lambda1.json").read_text())
+        assert {c["check"] for c in report["checks"]} == {"poincare-inequality"}
         assert all(c["pass"] for c in report["checks"])
 
 

@@ -63,6 +63,9 @@ class TestNormParams:
             sv.NormParams(p=2.0)
         with pytest.raises(ValueError, match="contraction window"):
             sv.NormParams(alpha=0.32, p=3.0)
+        for p in (float("nan"), 0.0, -3.0):
+            with pytest.raises(ValueError, match="must be positive"):
+                sv.NormParams(p=p)
 
     def test_sampling_radius_default(self):
         p = sv.NormParams()
@@ -155,6 +158,52 @@ class TestInversion:
         u1, _ = sv.invert_laplacian(resolved_problem, f)
         u2, _ = sv.invert_laplacian(resolved_problem, f)
         assert np.all(u1 == u2)
+
+    def test_breakdown_error(self, resolved_problem, grid16, monkeypatch):
+        f = sv.project_mean_zero(resolved_problem, sv.random_smooth_field(grid16, np.random.default_rng(7)))
+        monkeypatch.setattr(sv, "_glued_operator", lambda problem, u: np.zeros_like(u))
+        with pytest.raises(RuntimeError, match="BiCGStab breakdown"):
+            sv.invert_laplacian(resolved_problem, f)
+
+
+class TestNonSymmetricInversion:
+    """The a=0.08 glued field at n=24, where the lambda1 inversions at
+    tolerance 1e-9 stagnated under conjugate gradients."""
+
+    TOL = 1e-9
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return sv.Problem.build(km.GluedModel(a=0.08, zeta=4.0 / 9.0), km.TorusGrid(24))
+
+    @pytest.fixture(scope="class")
+    def solved(self, problem):
+        f = sv.project_mean_zero(problem, sv.random_smooth_field(problem.grid, np.random.default_rng(31)))
+        u, info = sv.invert_laplacian(problem, f, tol=self.TOL)
+        return f, u, info
+
+    def test_operator_is_not_symmetric(self, problem):
+        rng = np.random.default_rng(30)
+        u, v = sv.random_smooth_field(problem.grid, rng), sv.random_smooth_field(problem.grid, rng)
+        u_Bv = float(np.vdot(u, sv._glued_operator(problem, v)))
+        v_Bu = float(np.vdot(v, sv._glued_operator(problem, u)))
+        assert abs(u_Bv - v_Bu) / abs(u_Bv) > 1e-3
+
+    def test_true_residual_within_tolerance(self, problem, solved):
+        f, u, info = solved
+        assert 0 < info["iterations"] < 80
+        g = -f * problem.dets
+        g -= g.mean()
+        true = float(np.linalg.norm(sv._glued_operator(problem, u) - g)) / float(np.linalg.norm(g))
+        assert true <= self.TOL
+        assert info["relative_residual"] <= self.TOL
+
+    def test_warm_start_from_solution_takes_no_steps(self, problem, solved):
+        f, u, _ = solved
+        u_again, info = sv.invert_laplacian(problem, f, tol=self.TOL, u0=u)
+        assert info["iterations"] == 0
+        assert info["relative_residual"] <= self.TOL
+        assert float(np.max(np.abs(u_again - u))) <= 1e-12 * float(np.max(np.abs(u)))
 
 
 class TestNorms:
@@ -281,6 +330,37 @@ class TestFixedPoint:
         ratios = sv.lipschitz_ratios(prob, params, n_pairs=8, seed=3)
         assert np.all(ratios < 1.0)
         assert np.all(ratios >= 0.0)
+
+    def test_inversions_warm_start(self, resolved_problem, params, monkeypatch):
+        calls = []
+        invert = sv.invert_laplacian
+
+        def recording_invert(problem, f, tol=sv.DEFAULT_INVERT_TOL, max_iter=600, u0=None):
+            u, info = invert(problem, f, tol=tol, max_iter=max_iter, u0=u0)
+            calls.append((u0, u))
+            return u, info
+
+        monkeypatch.setattr(sv, "invert_laplacian", recording_invert)
+        state = sv.banach_solve(resolved_problem, params, enforce_ball=False)
+        assert len(calls) == state.iterations + 1
+        assert calls[0][0] is None
+        # each later inversion, the final one included, starts from the
+        # potential the one before returned
+        for (_, previous), (start, _) in zip(calls, calls[1:]):
+            assert start is previous
+
+    def test_min_eigenvalue_once_per_step(self, resolved_problem, params, monkeypatch):
+        calls = []
+        min_eig = km.hermitian_min_eig
+
+        def counting_min_eig(h):
+            calls.append(True)
+            return min_eig(h)
+
+        monkeypatch.setattr(km, "hermitian_min_eig", counting_min_eig)
+        state = sv.banach_solve(resolved_problem, params, enforce_ball=False)
+        # one per Picard step and one for the accepted correction
+        assert len(calls) == state.iterations + 1
 
     def test_inverse_bound_diagnostic(self, flat_problem, params):
         ratios = sv.inverse_bound_diagnostic(flat_problem, params, n_fields=5, seed=5)
@@ -450,11 +530,18 @@ class TestStencilEquivalence:
         ref = _ref_bracket(complex_matrix(resolved_problem.field_.data), P) / resolved_problem.dets
         _assert_close(sv.laplacian(resolved_problem, field), ref)
 
-    def test_pcg_operator(self, resolved_problem, field):
+    def test_hermitian_bracket(self, resolved_problem, field):
+        P = _ref_complex_hessian(field, resolved_problem.spacing)
+        ref = _ref_bracket(complex_matrix(resolved_problem.field_.data), P)
+        _assert_close(sv.hermitian_bracket(resolved_problem.field_, field, resolved_problem.spacing), ref)
+        constant = np.full(field.shape, 0.3)
+        assert np.all(sv.hermitian_bracket(resolved_problem.field_, constant, resolved_problem.spacing) == 0.0)
+
+    def test_krylov_operator(self, resolved_problem, field):
         P = _ref_complex_hessian(field, resolved_problem.spacing)
         ref = -_ref_bracket(complex_matrix(resolved_problem.field_.data), P)
         ref = ref - ref.mean()
-        _assert_close(sv._glued_operator(resolved_problem)(field), ref)
+        _assert_close(sv._glued_operator(resolved_problem, field), ref)
 
     def test_quadratic_Q(self, resolved_problem, field):
         P = _ref_complex_hessian(field, resolved_problem.spacing)
@@ -655,6 +742,16 @@ class TestNormLayerEquivalence:
         dx = 1.0 / n
         r_ball = reach * dx
         assert sv.holder_seminorm(f, dx, alpha, r_ball) == _ref_holder_seminorm(f, dx, alpha, r_ball)
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    @pytest.mark.parametrize("n, reach", [(8, 3.0), (16, 2.0)])
+    def test_holder_seminorm_slabs_match_full_sweep(self, monkeypatch, rows, n, reach):
+        # several slabs along axis 0, the last one short when rows does
+        # not divide n
+        f = np.random.default_rng(rows + n).standard_normal((n,) * 4)
+        monkeypatch.setattr(sv, "_HOLDER_SLAB_BYTES", rows * f[0].nbytes)
+        dx = 1.0 / n
+        assert sv.holder_seminorm(f, dx, 0.2, reach * dx) == _ref_holder_seminorm(f, dx, 0.2, reach * dx)
 
     @pytest.mark.parametrize("n, r_ball", [(16, 0.125), (24, 1.0 / 12.0), (32, 0.0625),
                                            (16, 3.0 / 16.0), (8, 0.3)])
