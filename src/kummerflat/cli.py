@@ -7,7 +7,10 @@ file (explicit flags win); every command is deterministic given its
 configuration, prints one line per executed check, writes artifacts
 under the output directory, and exits 0 exactly when every executed
 check passes.  Invalid configurations are rejected before any
-computation with exit status 2.
+computation with exit status 2: flags and config values pass one
+option table (config values must be JSON numbers for numeric options,
+integers for integer ones and strings for out and a_list, never bools),
+and a grid whose memory estimate exceeds physical memory is refused.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +42,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated options shared by all subcommands."""
+    """Validated options; those the command does not take keep their defaults."""
 
     command: str
     a: float = 0.05
@@ -50,29 +54,67 @@ class RunConfig:
     max_iter: int = 40
     seed: int = 0
     out: Path = Path(".")
+    a_list: tuple | None = None
+    c: float = 0.5
+    eps_gh: float = 0.0
 
     def norm_params(self):
         return solver.NormParams(alpha=self.alpha, p=self.p)
-
-    def model(self, a=None):
-        return kummer.GluedModel(a=self.a if a is None else a, zeta=self.zeta)
 
     def grid(self):
         return kummer.TorusGrid(self.grid_n)
 
 
-_CORE_KEYS = {
-    "a": float,
-    "zeta": float,
-    "grid_n": int,
-    "alpha": float,
-    "p": float,
-    "tol": float,
-    "max_iter": int,
-    "seed": int,
-    "out": Path,
-}
-_EXTRA_KEYS = {"a_list": str, "c": float, "eps_gh": float}
+def _finite_float(x):
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
+def _float_list(text):
+    return tuple(_finite_float(tok) for tok in text.split(",") if tok.strip())
+
+
+# the Python types of the config values a JSON type admits; a bool is never one
+_JSON_TYPES = {"number": (int, float), "integer": (int,), "string": (str,)}
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One row of the option table: the flag --name (dashed) and the config
+    key name.  parse reads the flag text, or a config value of json_type;
+    every accepted value satisfies rule."""
+
+    name: str
+    parse: Callable
+    json_type: str
+    help: str
+    rule: Callable = lambda value: True
+    rule_text: str = ""
+    commands: tuple = ()  # the commands taking the option; () for all
+
+
+_OPTIONS = (
+    _Option("a", _finite_float, "number", "deformation parameter"),
+    _Option("zeta", _finite_float, "number", "gluing radius"),
+    _Option("grid_n", int, "integer", "grid nodes per axis"),
+    _Option("alpha", _finite_float, "number", "Hölder exponent"),
+    _Option("p", _finite_float, "number", "integrability exponent"),
+    _Option("tol", _finite_float, "number", "iteration tolerance", lambda v: v > 0, "must be positive"),
+    _Option("max_iter", int, "integer", "iteration budget", lambda v: v >= 1, "must be at least 1"),
+    _Option("seed", int, "integer", "sampling seed", lambda v: v >= 0, "must be non-negative"),
+    _Option("out", Path, "string", "artifact directory"),
+    _Option("a_list", _float_list, "string", "comma-separated deformation parameters",
+            lambda v: 0 < len(v) == len(set(v)), "must be non-empty without duplicates",
+            commands=("scaling", "lambda1")),
+    _Option("c", _finite_float, "number", "half-separation of the two centers", commands=("verify-gh",)),
+    _Option("eps_gh", _finite_float, "number", "additive potential constant", commands=("verify-gh",)),
+)
+
+
+def _command_options(command):
+    return [opt for opt in _OPTIONS if not opt.commands or command in opt.commands]
 
 
 def _read_config_file(path, parser):
@@ -82,62 +124,57 @@ def _read_config_file(path, parser):
         parser.error(f"cannot read config file {path}: {exc}")
     if not isinstance(raw, dict):
         parser.error(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - set(_CORE_KEYS) - set(_EXTRA_KEYS)
+    unknown = set(raw) - {opt.name for opt in _OPTIONS}
     if unknown:
         parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")
     return raw
 
 
-def _merged(args, file_cfg, key, cast, fallback):
-    """Flag value if given, else config-file value, else the default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return cast(file_cfg[key])
-    return fallback
-
-
 def build_run_config(args, parser):
+    """Resolve each option the command takes from its flag, else the
+    config file, else the RunConfig default, checked against its row."""
     file_cfg = _read_config_file(args.config, parser) if args.config else {}
-    defaults = RunConfig(command=args.command)
-    values = {
-        key: _merged(args, file_cfg, key, cast, getattr(defaults, key))
-        for key, cast in _CORE_KEYS.items()
-    }
-    cfg = RunConfig(command=args.command, **values)
-    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
-        parser.error(f"tolerance must be finite and positive, got tol={cfg.tol}")
-    if cfg.max_iter < 1:
-        parser.error(f"iteration budget must be at least 1, got max_iter={cfg.max_iter}")
-    if cfg.seed < 0:
-        parser.error(f"seed must be non-negative, got seed={cfg.seed}")
-    return cfg, file_cfg
+    values = {}
+    for opt in _command_options(args.command):
+        raw = getattr(args, opt.name)
+        source = "--" + opt.name.replace("_", "-")
+        if raw is None:
+            if opt.name not in file_cfg:
+                continue
+            raw = file_cfg[opt.name]
+            source = f"config key {opt.name}"
+            if isinstance(raw, bool) or not isinstance(raw, _JSON_TYPES[opt.json_type]):
+                parser.error(f"{source} must be a JSON {opt.json_type}, got {json.dumps(raw)}")
+        try:
+            value = opt.parse(raw)
+        except (ValueError, OverflowError) as exc:
+            parser.error(f"{source}: {exc}")
+        if not opt.rule(value):
+            parser.error(f"{source} {opt.rule_text}, got {raw!r}")
+        values[opt.name] = value
+    return RunConfig(command=args.command, **values)
 
 
 def _make_out_dir(cfg, parser):
     """Create the artifact directory; called once every option has been
     accepted, so a rejected configuration leaves no directory behind."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if not os.access(out, os.W_OK):
-        parser.error(f"output directory {out} is not writable")
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    if not os.access(cfg.out, os.W_OK):
+        parser.error(f"output directory {cfg.out} is not writable")
 
 
-def _parse_a_list(text, parser):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        parser.error(f"cannot parse deformation parameter list {text!r}")
-    if not values:
-        parser.error("empty deformation parameter list")
-    if len(set(values)) != len(values):
-        parser.error(f"duplicate entries in deformation parameter list {text!r}")
-    return values
+# Peak resident memory per grid node of a solve, rounded up from the
+# measured 240-290 B (301 MB at n=32, 1.25-1.44 GB at n=48).
+_BYTES_PER_NODE = 300
 
 
-def _validate(cfg, parser, a_values=None, gh_extra=None):
-    """Re-run the library invariant guards at parse time.
+def _physical_memory():
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _validate(cfg, parser):
+    """Re-run the library invariant guards at parse time, and refuse a
+    grid larger than physical memory.
 
     Returns the glued models the command runs on, one per deformation
     parameter, so that each is built (and its regime logged) once."""
@@ -146,9 +183,15 @@ def _validate(cfg, parser, a_values=None, gh_extra=None):
         if cfg.command in ("scaling", "solve", "lambda1", "uniqueness"):
             cfg.norm_params()
             cfg.grid()
-            models = [cfg.model(a) for a in (a_values if a_values is not None else [cfg.a])]
+            need, have = cfg.grid_n**4 * _BYTES_PER_NODE, _physical_memory()
+            if need > have:
+                raise ValueError(
+                    f"grid_n={cfg.grid_n} needs about {need / 1e9:.3g} GB, "
+                    f"more than the {have / 1e9:.3g} GB of physical memory"
+                )
+            models = [kummer.GluedModel(a=a, zeta=cfg.zeta) for a in cfg.a_list or (cfg.a,)]
         if cfg.command == "verify-gh":
-            gh.two_center_config(gh_extra["c"], gh_extra["eps_gh"])
+            gh.two_center_config(cfg.c, cfg.eps_gh)
     except ValueError as exc:
         parser.error(str(exc))
     return models
@@ -158,8 +201,10 @@ def _validate(cfg, parser, a_values=None, gh_extra=None):
 # check plumbing
 
 
-def _entry(name, residual, tolerance):
-    residual = float(residual)
+def _entry(name, residuals, tolerance):
+    """A check on the largest of its residuals; np.max, unlike the
+    builtin max, propagates a NaN, so a NaN residual fails the check."""
+    residual = float(np.max(residuals))
     return {
         "check": name,
         "max_residual": residual,
@@ -170,7 +215,6 @@ def _entry(name, residual, tolerance):
 
 def _print_report(checks, path):
     """One line per check; returns True when every executed check passed."""
-    ok = True
     failed = []
     for c in checks:
         if c.get("skipped"):
@@ -183,13 +227,12 @@ def _print_report(checks, path):
         )
         if not c["pass"]:
             failed.append(c["check"])
-        ok = ok and c["pass"]
     print(f"wrote {path}")
-    if ok:
-        print("all executed checks passed")
-    else:
+    if failed:
         print("failed checks: " + ", ".join(failed))
-    return ok
+    else:
+        print("all executed checks passed")
+    return not failed
 
 
 def _radial_points(rng, n, r_lo=1.2, r_hi=4.0, pole_margin=0.3):
@@ -219,30 +262,30 @@ def check_structure_equations(rng, n_points=200, step=1e-4, flip_sigma2_sign=Fal
     if flip_sigma2_sign:
         s2 = s2 * (-1.0)
     pts = _radial_points(rng, n_points)
-    worst = 0.0
+    residuals = []
     for a, b, c in ((s1, s2, s3), (s2, s3, s1), (s3, s1, s2)):
         resid = forms.ext_d(a, step=step) - forms.wedge(b, c) * 2.0
-        worst = max(worst, max(resid.max_abs(p) for p in pts))
-    return _entry("frame-structure-equations", worst, 1e-6)
+        residuals += [resid.max_abs(p) for p in pts]
+    return _entry("frame-structure-equations", residuals, 1e-6)
 
 
 def check_kahler_closedness(rng, n_points=200, step=1e-4, params=None):
     params = params if params is not None else eh.EhParams(1.0)
     pts = _radial_points(rng, n_points)
-    worst = 0.0
+    residuals = []
     for om in eh.kahler_forms(params):
         d = forms.ext_d(om, step=step)
-        worst = max(worst, max(d.max_abs(p) for p in pts))
-    return _entry("kahler-forms-closed", worst, 1e-6)
+        residuals += [d.max_abs(p) for p in pts]
+    return _entry("kahler-forms-closed", residuals, 1e-6)
 
 
 def check_quaternion_algebra():
     mats = (eh.STRUCTURE_I, eh.STRUCTURE_J, eh.STRUCTURE_K)
     eye = np.eye(4)
-    worst = max(np.max(np.abs(m @ m + eye)) for m in mats)
+    residuals = [np.abs(m @ m + eye) for m in mats]
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        worst = max(worst, np.max(np.abs(mats[a] @ mats[b] + mats[c])))
-    return _entry("quaternion-algebra", worst, 1e-6)
+        residuals.append(np.abs(mats[a] @ mats[b] + mats[c]))
+    return _entry("quaternion-algebra", residuals, 1e-6)
 
 
 def check_potential_to_form(rng, n_points=200, step=1e-4, params=None):
@@ -253,19 +296,18 @@ def check_potential_to_form(rng, n_points=200, step=1e-4, params=None):
     cand = forms.ext_d(forms.apply_J(strs["I"], eh.potential_differential(params)), step=step) * (-0.5)
     target = eh.kahler_forms(params)[0]
     pts = _radial_points(rng, n_points)
-    worst = max((cand - target).max_abs(p) for p in pts)
-    return _entry("potential-to-first-form", worst, 1e-6)
+    return _entry("potential-to-first-form", [(cand - target).max_abs(p) for p in pts], 1e-6)
 
 
 def check_potential_doubling(n_points=41, params=None):
     """Twice the potential equals the closed-form doubled reference,
     relative to its scale."""
     params = params if params is not None else eh.EhParams(1.0)
-    worst = 0.0
+    residuals = []
     for u in np.geomspace(0.1, 10.0, n_points):
         scale = max(abs(eh.doubled_potential_reference(params, u)), 1.0)
-        worst = max(worst, eh.joyce_potential_check(params, u) / scale)
-    return _entry("potential-doubling-factor", worst, 1e-10)
+        residuals.append(eh.joyce_potential_check(params, u) / scale)
+    return _entry("potential-doubling-factor", residuals, 1e-10)
 
 
 def check_volume_form_pullback(rng, n_points=20, params=None):
@@ -273,8 +315,8 @@ def check_volume_form_pullback(rng, n_points=20, params=None):
     emb = eh.resolving_to_complex()
     target = eh.holomorphic_volume_form(params)
     pb = forms.pullback(emb, eh.complex_coordinate_area_form())
-    worst = max((pb - target).max_abs(c) for c in _resolving_points(rng, n_points))
-    return _entry("holomorphic-volume-pullback", worst, 1e-8)
+    residuals = [(pb - target).max_abs(c) for c in _resolving_points(rng, n_points)]
+    return _entry("holomorphic-volume-pullback", residuals, 1e-8)
 
 
 def check_volume_form_square(rng, n_points=10, params=None):
@@ -283,21 +325,20 @@ def check_volume_form_square(rng, n_points=10, params=None):
     params = params if params is not None else eh.EhParams(1.0)
     om = eh.holomorphic_volume_form(params)
     sq = forms.wedge(om, om)
-    worst = 0.0
+    residuals = []
     for c in _resolving_points(rng, n_points):
         scale = max(om.max_abs(c) ** 2, 1e-300)
-        worst = max(worst, abs(sq.coeff((0, 1, 2, 3), c)) / scale)
-    return _entry("holomorphic-volume-square", worst, 1e-13)
+        residuals.append(abs(sq.coeff((0, 1, 2, 3), c)) / scale)
+    return _entry("holomorphic-volume-square", residuals, 1e-13)
 
 
 def check_ricci_flat(rng, n_points=100, step=1e-3, params=None):
     params = params if params is not None else eh.EhParams(1.0)
     pts = _radial_points(rng, n_points, r_lo=1.5, pole_margin=0.5)
-    worst = max(
-        np.max(np.abs(eh.ricci_residual(lambda c: eh.eh_metric(params, c), c, step=step)))
-        for c in pts
-    )
-    return _entry("ricci-flat", worst, 1e-4)
+    residuals = [
+        np.abs(eh.ricci_residual(lambda c: eh.eh_metric(params, c), c, step=step)) for c in pts
+    ]
+    return _entry("ricci-flat", residuals, 1e-4)
 
 
 def verify_eh_checks(seed=0, inject_sigma2=False, structure_points=200, ricci_points=100):
@@ -317,7 +358,7 @@ def verify_eh_checks(seed=0, inject_sigma2=False, structure_points=200, ricci_po
 
 def cmd_verify_eh(cfg, inject_sigma2=False):
     checks = verify_eh_checks(seed=cfg.seed, inject_sigma2=inject_sigma2)
-    path = Path(cfg.out) / "verify_eh.json"
+    path = cfg.out / "verify_eh.json"
     solver.dump_json(checks, path)
     return 0 if _print_report(checks, path) else 1
 
@@ -329,7 +370,7 @@ def cmd_verify_eh(cfg, inject_sigma2=False):
 def check_curl_equation(c, eps_gh, rng, n_points=100, step=1e-4):
     """curl A = grad V in the orthonormal cylindrical frame."""
     cfg = gh.two_center_config(c, eps_gh)
-    worst = 0.0
+    residuals = []
     for _ in range(n_points):
         p = gh.CylPoint(
             rng.uniform(0.0, 4.0 * np.pi),
@@ -337,22 +378,20 @@ def check_curl_equation(c, eps_gh, rng, n_points=100, step=1e-4):
             rng.uniform(0.0, 2.0 * np.pi),
             rng.uniform(-1.5, 1.5),
         )
-        worst = max(worst, np.max(np.abs(gh.curl_residual(cfg, p, step=step))))
-    return _entry("connection-curl", worst, 1e-5)
+        residuals.append(np.abs(gh.curl_residual(cfg, p, step=step)))
+    return _entry("connection-curl", residuals, 1e-5)
 
 
 def check_harmonic_potential(c, eps_gh, rng, n_points=50, step=1e-2, clearance=1.0):
     cfg = gh.two_center_config(c, eps_gh)
     centers = [np.asarray(ctr) for ctr in cfg.centers]
-    worst = 0.0
-    kept = 0
-    while kept < n_points:
+    residuals = []
+    while len(residuals) < n_points:
         x = rng.uniform(-2.5, 2.5, 3)
         if min(np.linalg.norm(x - ctr) for ctr in centers) < clearance:
             continue
-        worst = max(worst, abs(gh.harmonic_residual(cfg, x, step=step)))
-        kept += 1
-    return _entry("potential-harmonic", worst, 1e-6)
+        residuals.append(abs(gh.harmonic_residual(cfg, x, step=step)))
+    return _entry("potential-harmonic", residuals, 1e-6)
 
 
 def check_gh_eh_isometry(c, rng, n_points=100):
@@ -360,8 +399,7 @@ def check_gh_eh_isometry(c, rng, n_points=100):
     Eguchi-Hanson metric with matched parameters."""
     a = np.sqrt(2.0 * c)
     pts = _radial_points(rng, n_points, r_lo=1.2 * a, r_hi=4.0 * a)
-    worst = max(gh.isometry_residual(c, p) for p in pts)
-    return _entry("gh-eh-isometry", worst, 1e-6)
+    return _entry("gh-eh-isometry", [gh.isometry_residual(c, p) for p in pts], 1e-6)
 
 
 def verify_gh_checks(c, eps_gh, seed=0):
@@ -381,9 +419,9 @@ def verify_gh_checks(c, eps_gh, seed=0):
     return checks
 
 
-def cmd_verify_gh(cfg, c, eps_gh):
-    checks = verify_gh_checks(c, eps_gh, seed=cfg.seed)
-    path = Path(cfg.out) / "verify_gh.json"
+def cmd_verify_gh(cfg):
+    checks = verify_gh_checks(cfg.c, cfg.eps_gh, seed=cfg.seed)
+    path = cfg.out / "verify_gh.json"
     solver.dump_json(checks, path)
     return 0 if _print_report(checks, path) else 1
 
@@ -427,7 +465,7 @@ def scaling_footer(rows):
 def cmd_scaling(cfg, models):
     rows = scaling_rows(cfg, models)
     footer = scaling_footer(rows)
-    path = Path(cfg.out) / "scaling.csv"
+    path = cfg.out / "scaling.csv"
     with open(path, "w", newline="") as fh:
         fh.write("a,sup_ea,y_norm_ea,lambda\n")
         for r in rows:
@@ -453,7 +491,7 @@ def cmd_solve(cfg, model, ball_guard=True):
     state = solver.banach_solve(
         prob, params, tol=cfg.tol, max_iter=cfg.max_iter, enforce_ball=ball_guard
     )
-    out = Path(cfg.out)
+    out = cfg.out
     trace_path = out / "solve_trace.csv"
     solver.write_trace_csv(state, trace_path)
     field_path = out / "corrected_field.kmf"
@@ -461,14 +499,7 @@ def cmd_solve(cfg, model, ball_guard=True):
     summary = solver.write_summary_json(
         state,
         out / "solve_summary.json",
-        extra={
-            "a": cfg.a,
-            "zeta": cfg.zeta,
-            "grid_n": cfg.grid_n,
-            "alpha": cfg.alpha,
-            "p": cfg.p,
-            "seed": cfg.seed,
-        },
+        extra={k: getattr(cfg, k) for k in ("a", "zeta", "grid_n", "alpha", "p", "seed")},
     )
     print("converged=%s iterations=%d" % (str(summary["converged"]).lower(), summary["iterations"]))
     print("residual_ratio=%.17g" % summary["residual_ratio"])
@@ -502,8 +533,7 @@ def lambda1_report(cfg, models):
         gap = abs(values[0]["lambda1"] - continuum) / continuum
         checks.append(_entry("flat-laplacian-reference", gap, 0.03))
     poincare = solver.poincare_check(last_prob, min(v["lambda1"] for v in values))
-    violation = max(0.0, -float(np.min(poincare["margins"])))
-    entry = _entry("poincare-inequality", violation, 1e-10)
+    entry = _entry("poincare-inequality", [0.0, -np.min(poincare["margins"])], 1e-10)
     entry["pass"] = poincare["all_pass"]
     checks.append(entry)
     report = {
@@ -517,7 +547,7 @@ def lambda1_report(cfg, models):
 
 def cmd_lambda1(cfg, models):
     report, checks = lambda1_report(cfg, models)
-    path = Path(cfg.out) / "lambda1.json"
+    path = cfg.out / "lambda1.json"
     solver.dump_json(report, path)
     for v in report["values"]:
         print("a=%.17g lambda1=%.17g" % (v["a"], v["lambda1"]))
@@ -540,7 +570,7 @@ def cmd_uniqueness(cfg, model, ball_guard=True):
         _entry("two-seed-agreement", gap, 10.0 * cfg.tol),
         _entry("rerun-determinism", det_gap, 0.0),
     ]
-    path = Path(cfg.out) / "uniqueness.json"
+    path = cfg.out / "uniqueness.json"
     solver.dump_json(checks, path)
     return 0 if _print_report(checks, path) else 1
 
@@ -549,18 +579,11 @@ def cmd_uniqueness(cfg, model, ball_guard=True):
 # argument parsing
 
 
-def _add_common(sp):
+def _add_options(sp, command):
     sp.add_argument("--config", type=Path, default=None,
                     help="JSON file with option defaults; explicit flags win")
-    sp.add_argument("--a", type=float, default=None, help="deformation parameter")
-    sp.add_argument("--zeta", type=float, default=None, help="gluing radius")
-    sp.add_argument("--grid-n", type=int, default=None, help="grid nodes per axis")
-    sp.add_argument("--alpha", type=float, default=None, help="Hölder exponent")
-    sp.add_argument("--p", type=float, default=None, help="integrability exponent")
-    sp.add_argument("--tol", type=float, default=None, help="iteration tolerance")
-    sp.add_argument("--max-iter", type=int, default=None, help="iteration budget")
-    sp.add_argument("--seed", type=int, default=None, help="sampling seed")
-    sp.add_argument("--out", type=Path, default=None, help="artifact directory")
+    for opt in _command_options(command):
+        sp.add_argument("--" + opt.name.replace("_", "-"), default=None, help=opt.help)
 
 
 def build_parser():
@@ -569,37 +592,22 @@ def build_parser():
         description="Verification suites and Monge-Ampere solves for the glued Kummer structure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eh = sub.add_parser("verify-eh", help="Eguchi-Hanson identity suite")
-    _add_common(p_eh)
-    p_eh.add_argument("--inject-sigma2-sign-error", action="store_true",
-                      help=argparse.SUPPRESS)
-
-    p_gh = sub.add_parser("verify-gh", help="Gibbons-Hawking ansatz suite")
-    _add_common(p_gh)
-    p_gh.add_argument("--c", type=float, default=None, help="half-separation of the two centers")
-    p_gh.add_argument("--eps-gh", type=float, default=None, help="additive potential constant")
-
-    p_sc = sub.add_parser("scaling", help="error-density scaling sweep")
-    _add_common(p_sc)
-    p_sc.add_argument("--a-list", type=str, default=None,
-                      help="comma-separated deformation parameters")
-
-    p_sv = sub.add_parser("solve", help="run the fixed-point solve")
-    _add_common(p_sv)
-    p_sv.add_argument("--no-ball-guard", action="store_true",
-                      help="disable the fixed-point ball containment guard")
-
-    p_l1 = sub.add_parser("lambda1", help="smallest nonzero Laplacian eigenvalue")
-    _add_common(p_l1)
-    p_l1.add_argument("--a-list", type=str, default=None,
-                      help="comma-separated deformation parameters")
-
-    p_un = sub.add_parser("uniqueness", help="two-seed fixed-point agreement")
-    _add_common(p_un)
-    p_un.add_argument("--no-ball-guard", action="store_true",
-                      help="disable the fixed-point ball containment guard")
-
+    for command, text in (
+        ("verify-eh", "Eguchi-Hanson identity suite"),
+        ("verify-gh", "Gibbons-Hawking ansatz suite"),
+        ("scaling", "error-density scaling sweep"),
+        ("solve", "run the fixed-point solve"),
+        ("lambda1", "smallest nonzero Laplacian eigenvalue"),
+        ("uniqueness", "two-seed fixed-point agreement"),
+    ):
+        sp = sub.add_parser(command, help=text)
+        _add_options(sp, command)
+        if command == "verify-eh":
+            sp.add_argument("--inject-sigma2-sign-error", action="store_true",
+                            help=argparse.SUPPRESS)
+        if command in ("solve", "uniqueness"):
+            sp.add_argument("--no-ball-guard", action="store_true",
+                            help="disable the fixed-point ball containment guard")
     return parser
 
 
@@ -607,26 +615,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO)
-    cfg, file_cfg = build_run_config(args, parser)
-
-    a_values = None
-    if args.command in ("scaling", "lambda1"):
-        text = _merged(args, file_cfg, "a_list", str, None)
-        a_values = _parse_a_list(text, parser) if text is not None else [cfg.a]
-    gh_extra = None
-    if args.command == "verify-gh":
-        gh_extra = {
-            "c": _merged(args, file_cfg, "c", float, 0.5),
-            "eps_gh": _merged(args, file_cfg, "eps_gh", float, 0.0),
-        }
-    models = _validate(cfg, parser, a_values=a_values, gh_extra=gh_extra)
+    cfg = build_run_config(args, parser)
+    models = _validate(cfg, parser)
     _make_out_dir(cfg, parser)
 
     try:
         if args.command == "verify-eh":
             return cmd_verify_eh(cfg, inject_sigma2=args.inject_sigma2_sign_error)
         if args.command == "verify-gh":
-            return cmd_verify_gh(cfg, gh_extra["c"], gh_extra["eps_gh"])
+            return cmd_verify_gh(cfg)
         if args.command == "scaling":
             return cmd_scaling(cfg, models)
         if args.command == "solve":

@@ -274,7 +274,8 @@ class CoefficientForm:
         vals = self.evaluate(coords)
         if not vals:
             return 0.0
-        return max(abs(v) for v in vals.values())
+        # np.max, unlike the builtin, returns NaN wherever one occurs
+        return np.max(np.abs(list(vals.values())))
 
     # -- algebra
 

@@ -1,8 +1,11 @@
 import json
 import logging
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kummerflat import cli
 from kummerflat import kummer as km
@@ -70,7 +73,21 @@ HOSTILE_OPTIONS = [
     ("solve", "--a=0.9", {"a": 0.9}),
     ("solve", "--p=nan", {"p": float("nan")}),
     ("uniqueness", "--p=0", {"p": 0.0}),
+    ("solve", "--max-iter=abc", {"max_iter": "abc"}),
+    ("scaling", "--grid-n=8.7", {"grid_n": 8.7}),
+    ("verify-eh", "--seed=1.5", {"seed": 1.5}),
+    ("verify-eh", None, {"seed": True}),
+    ("solve", None, {"a": "0.02"}),
+    ("solve", None, {"out": 5}),
+    ("verify-gh", None, {"c": None}),
+    ("scaling", None, {"a_list": 0.02}),
+    ("verify-gh", "--c=inf", {"c": float("inf")}),
+    ("verify-gh", "--eps-gh=nan", {"eps_gh": float("nan")}),
+    # above the memory limit the fixture below sets
+    ("solve", "--grid-n=48", {"grid_n": 48}),
+    ("lambda1", "--grid-n=64", {"grid_n": 64}),
 ]
+MEMORY_LIMIT = 10**9  # bytes; a grid_n=32 solve needs 0.3 GB, grid_n=48 1.6 GB
 
 
 class TestHostileOptions:
@@ -83,10 +100,11 @@ class TestHostileOptions:
             raise AssertionError("field built for a rejected configuration")
 
         monkeypatch.setattr(km, "build_omega0", recording_build)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: MEMORY_LIMIT)
         yield
         assert builds == []
 
-    @pytest.mark.parametrize("command, flag, entry", HOSTILE_OPTIONS)
+    @pytest.mark.parametrize("command, flag, entry", [c for c in HOSTILE_OPTIONS if c[1]])
     def test_flag_rejected(self, tmp_path, command, flag, entry):
         with pytest.raises(SystemExit) as err:
             run([command, "--zeta", ZETA_RESOLVED, flag, "--out", str(tmp_path / "run")])
@@ -94,13 +112,137 @@ class TestHostileOptions:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command, flag, entry", HOSTILE_OPTIONS)
-    def test_config_entry_rejected(self, tmp_path, command, flag, entry):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(entry))
+    def test_config_entry_rejected(self, tmp_path, monkeypatch, command, flag, entry):
+        # the config file also names the output directory, so that a
+        # hostile "out" entry is the one resolved; a relative "out" would
+        # land in tmp_path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": "run", **entry}))
         with pytest.raises(SystemExit) as err:
-            run([command, "--config", str(cfg), "--out", str(tmp_path / "run")])
+            run([command, "--config", "cfg.json"])
         assert err.value.code == 2
-        assert not (tmp_path / "run").exists()
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_grid_within_memory_limit_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_make_out_dir", _accepting_out_dir)
+        with pytest.raises(Accepted) as acc:
+            run(["solve", "--zeta", ZETA_RESOLVED, "--grid-n=32", "--out", str(tmp_path)])
+        assert acc.value.cfg.grid_n == 32
+
+
+class Accepted(Exception):
+    """Raised in place of creating the output directory, carrying the
+    resolved configuration."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.cfg = cfg
+
+
+def _accepting_out_dir(cfg, parser):
+    raise Accepted(cfg)
+
+
+FLOAT_OPTIONS = ("a", "zeta", "alpha", "p", "tol", "c", "eps_gh")
+SHARED_OPTIONS = ("a", "zeta", "grid_n", "alpha", "p", "tol", "max_iter", "seed")
+COMMAND_OPTIONS = {
+    "verify-eh": SHARED_OPTIONS,
+    "verify-gh": SHARED_OPTIONS + ("c", "eps_gh"),
+    "scaling": SHARED_OPTIONS + ("a_list",),
+    "solve": SHARED_OPTIONS,
+    "lambda1": SHARED_OPTIONS + ("a_list",),
+    "uniqueness": SHARED_OPTIONS,
+}
+# values each option accepts alone, so that whole inputs are often accepted
+TYPICAL = {
+    "a": [0.01, 0.02, 0.05], "zeta": [0.1111111111111111, 0.25, 0.4444444444444444],
+    "grid_n": [8, 16, 24], "alpha": [0.05, 0.1], "p": [6, 8.0], "tol": [1e-8, 1e-6],
+    "max_iter": [1, 40], "seed": [0, 7], "c": [0.5, 2], "eps_gh": [0.0, -0.5, 1],
+    "a_list": ["0.02,0.04", "0.01, 0.02,", "0.05"],
+}
+BOUNDARY_FLOATS = st.sampled_from([
+    0.0, -0.0, -1.0, 1e-300, 0.2, 0.5, 1e308, float("nan"), float("inf"), float("-inf"),
+])
+BOUNDARY = {
+    "float": BOUNDARY_FLOATS | st.floats() | st.integers(-3, 3) | st.just(10**400),
+    "int": st.sampled_from([-1, 0, 7, 10**6, 8.0, 8.7]) | st.integers(-3, 20),
+    "a_list": st.lists(BOUNDARY_FLOATS | st.floats(0.0, 0.3), max_size=4).map(
+        lambda xs: ",".join(repr(x) for x in xs)
+    ),
+}
+# config values of the wrong JSON type for every option
+MISTYPED = st.sampled_from([True, False, None, "0.1", "8", [0.1], {}])
+
+
+def _value(name):
+    kind = "float" if name in FLOAT_OPTIONS else "a_list" if name == "a_list" else "int"
+    return st.sampled_from(TYPICAL[name]) | BOUNDARY[kind] | MISTYPED
+
+
+def _well_typed(name, value):
+    if name == "a_list":
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (name in FLOAT_OPTIONS and isinstance(value, float))
+
+
+def _flag_text(name, value):
+    """The flag argument equivalent to a config value, or None where the
+    value's JSON type has no flag spelling."""
+    if name == "a_list":
+        return value if isinstance(value, str) else None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return repr(value)
+    return None
+
+
+@st.composite
+def _command_inputs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    names = draw(st.lists(st.sampled_from(COMMAND_OPTIONS[command]), unique=True, max_size=3))
+    return command, {name: draw(_value(name)) for name in names}
+
+
+class TestOptionResolution:
+    """Every input is resolved by one pass: a rejected input exits 2
+    with nothing created or built, and a flag and the equal config entry
+    resolve to the same configuration."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(inputs=_command_inputs())
+    def test_flag_and_config_resolve_alike(self, tmp_path, inputs):
+        command, entries = inputs
+        out = str(tmp_path / "run")
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": out, **entries}))
+        via_config = self._resolve([command, "--config", str(tmp_path / "cfg.json")])
+        if not all(_well_typed(k, v) for k, v in entries.items()):
+            assert via_config == "rejected"
+        flags = {k: _flag_text(k, v) for k, v in entries.items()}
+        if None not in flags.values():
+            argv = [command, "--out", out] + [
+                f"--{k.replace('_', '-')}={text}" for k, text in flags.items()
+            ]
+            assert self._resolve(argv) == via_config
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @staticmethod
+    def _resolve(argv):
+        def no_build(*args, **kwargs):
+            raise AssertionError("field built while resolving options")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(km, "build_omega0", no_build)
+            mp.setattr(cli, "_make_out_dir", _accepting_out_dir)
+            try:
+                run(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                return "rejected"
+            except Accepted as acc:
+                return acc.cfg
+        raise AssertionError("the command ran past option resolution")
 
 
 class TestVerifyEh:
@@ -153,6 +295,14 @@ class TestVerifyGh:
         with pytest.raises(SystemExit) as err:
             run(["verify-gh", "--c", "0", "--out", str(tmp_path)])
         assert err.value.code == 2
+
+    def test_nan_potential_constant_fails_checks(self):
+        # the builtin max dropped a NaN that followed a number, so these
+        # checks passed with residual 0
+        checks = [c for c in cli.verify_gh_checks(0.5, float("nan")) if not c.get("skipped")]
+        assert [c["check"] for c in checks] == ["connection-curl", "potential-harmonic"]
+        for c in checks:
+            assert np.isnan(c["max_residual"]) and c["pass"] is False
 
 
 class TestScaling:

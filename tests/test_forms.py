@@ -82,6 +82,12 @@ def test_wedge_antisymmetry(rng):
     assert fg.coeff((0, 2), c) == 1.0
 
 
+@pytest.mark.parametrize("coeffs", [[1.0, float("nan")], [float("nan"), 1.0]])
+def test_max_abs_propagates_nan_in_any_order(rng, coeffs):
+    f = F.one_form(C2, coeffs + [-2.0, 0.5])
+    assert np.isnan(f.max_abs(c2_coords(rng)[0]))
+
+
 def test_wedge_sign_rule(rng):
     # (dx0 ^ dx2) ^ dx1 = -dx0 ^ dx1 ^ dx2
     dx = [F.coordinate_differential(C2, i) for i in range(4)]
