@@ -158,7 +158,10 @@ def build_run_config(args, parser):
 def _make_out_dir(cfg, parser):
     """Create the artifact directory; called once every option has been
     accepted, so a rejected configuration leaves no directory behind."""
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot create output directory {cfg.out}: {exc.strerror or exc}")
     if not os.access(cfg.out, os.W_OK):
         parser.error(f"output directory {cfg.out} is not writable")
 

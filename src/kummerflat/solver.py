@@ -18,15 +18,20 @@ corrected field is field_.data + hessian_parts(phi, dx), and
 kummer.hermitian_det and kummer.hermitian_min_eig work on those
 components; no complex (..., 2, 2) field is built here.  The bracket
 [h : P(u)] behind the Laplacian and its inversion is computed from the
-stencil's neighbour sums without building P.  The inversion is
-right-preconditioned BiCGStab, since the stencil operator is not
-symmetric on glued fields; its flat preconditioner uses real-to-complex
-FFTs on the half spectrum.
+stencil's neighbour sums without building P, in slabs along axis 0 that
+stay in the per-core cache.  The inversion is right-preconditioned
+BiCGStab, since the stencil operator is not symmetric on glued fields;
+its flat preconditioner uses real-to-complex FFTs on the half spectrum.
+The solve loop allocates nothing per step: the work vectors, the
+operator images and the preconditioner's spectrum are made once per
+inversion and written in place, and the inverse preconditioner symbol is
+made once per Problem.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -47,6 +52,10 @@ RANDOM_FIELD_DECAY = 2.0
 # bytes of f per slab of the Hölder sweep: with its padded, shifted
 # copies a slab stays well inside a 2 MiB per-core L2
 _HOLDER_SLAB_BYTES = 1 << 19
+# bytes of u per slab of the bracket sweep: a slab with its two halo
+# rows, its four temporaries and the four slabs of h stay near a 2 MiB
+# per-core L2
+_BRACKET_SLAB_BYTES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +133,15 @@ class Problem:
     @property
     def shape(self):
         return (self.grid.n,) * 4
+
+    @functools.cached_property
+    def inverse_symbol(self):
+        """The flat preconditioner on the real-FFT half spectrum, made on
+        first use: the flat operator is -(1/4) x the standard Laplacian,
+        and its inverse kills the constant mode."""
+        symbol = flat_symbol(self.grid.n)
+        with np.errstate(divide="ignore"):
+            return np.where(symbol > 0, 4.0 / symbol, 0.0)
 
 
 def weighted_mean(problem, f):
@@ -212,45 +230,63 @@ def hessian_parts(u, dx):
     return P
 
 
-def hermitian_bracket(field_, u, dx):
+def hermitian_bracket(field_, u, dx, out=None):
     """[h : P(u)] = h11 p22 + h22 p11 - 2 Re(h12 conj(p12)) for the
     stencil field P = hessian_parts(u, dx) and h = field_.data, without
-    building P.
+    building P; into out (a new array by default).
 
     Each neighbour sum of hessian_parts is weighted by the component of
     h it meets in the bracket, and the stencil factors are applied once
     per diagonal and mixed part.  A constant u maps to exactly zero.
+    The sweep runs over slabs of _BRACKET_SLAB_BYTES along axis 0, each
+    read with one periodic halo row per side, and keeps its temporaries
+    in slab-sized buffers; every element sees the same operations as on
+    the whole array, so the result does not depend on the slab size.
     """
     u = np.ascontiguousarray(u, dtype=float)
+    if out is None:
+        out = np.empty_like(u)
     h11, h22, re12, im12 = field_.data
-    # diagonal part h22 (S0 + S1 - 4u) + h11 (S2 + S3 - 4u), where Sk
-    # is the neighbour sum along axis k, times 1 / (2 dx^2)
-    out = _neighbours(u, 0, np.add)
-    s = _neighbours(u, 1, np.add)
-    t = np.multiply(u, 4.0)
-    out += s
-    out -= t
-    out *= h22
-    _neighbours(u, 2, np.add, out=s)
-    s -= t
-    s += _neighbours(u, 3, np.add, out=t)
-    s *= h11
-    out += s
-    out *= 0.5 / dx**2
-    # mixed part -2 (Re h12 Re p12 + Im h12 Im p12), with 8 dx^2 p12
-    # = D2 d0 + D3 d1 + i (D3 d0 - D2 d1) for the central differences
-    # dk = Dk u
-    d0 = _neighbours(u, 0, np.subtract)
-    d1 = _neighbours(u, 1, np.subtract)
-    _neighbours(d0, 2, np.subtract, out=s)
-    s += _neighbours(d1, 3, np.subtract, out=t)
-    s *= re12
-    _neighbours(d0, 3, np.subtract, out=t)
-    t -= _neighbours(d1, 2, np.subtract, out=d0)
-    t *= im12
-    s += t
-    s *= -0.25 / dx**2
-    out += s
+    n0 = u.shape[0]
+    rows = min(n0, max(1, _BRACKET_SLAB_BYTES // u[0].nbytes))
+    halo = np.empty((rows + 2,) + u.shape[1:])
+    s, t, d0, d1 = np.empty((4, rows) + u.shape[1:])
+    for i0 in range(0, n0, rows):
+        i1 = min(i0 + rows, n0)
+        m = i1 - i0
+        if m < rows:
+            halo, s, t, d0, d1 = halo[:m + 2], s[:m], t[:m], d0[:m], d1[:m]
+        # rows i0 - 1, ..., i1 of u, wrapped around the torus
+        np.take(u, range(i0 - 1, i1 + 1), axis=0, out=halo, mode="wrap")
+        us, o = halo[1:-1], out[i0:i1]
+        # diagonal part h22 (S0 + S1 - 4u) + h11 (S2 + S3 - 4u), where Sk
+        # is the neighbour sum along axis k, times 1 / (2 dx^2)
+        np.add(halo[2:], halo[:-2], out=o)
+        _neighbours(us, 1, np.add, out=s)
+        np.multiply(us, 4.0, out=t)
+        o += s
+        o -= t
+        o *= h22[i0:i1]
+        _neighbours(us, 2, np.add, out=s)
+        s -= t
+        s += _neighbours(us, 3, np.add, out=t)
+        s *= h11[i0:i1]
+        o += s
+        o *= 0.5 / dx**2
+        # mixed part -2 (Re h12 Re p12 + Im h12 Im p12), with 8 dx^2 p12
+        # = D2 d0 + D3 d1 + i (D3 d0 - D2 d1) for the central differences
+        # dk = Dk u
+        np.subtract(halo[2:], halo[:-2], out=d0)
+        _neighbours(us, 1, np.subtract, out=d1)
+        _neighbours(d0, 2, np.subtract, out=s)
+        s += _neighbours(d1, 3, np.subtract, out=t)
+        s *= re12[i0:i1]
+        _neighbours(d0, 3, np.subtract, out=t)
+        t -= _neighbours(d1, 2, np.subtract, out=d0)
+        t *= im12[i0:i1]
+        s += t
+        s *= -0.25 / dx**2
+        o += s
     return out
 
 
@@ -291,18 +327,27 @@ def flat_symbol(n):
     )
 
 
-def _flat_inverse(rhs, inverse_symbol):
+def _flat_inverse(rhs, inverse_symbol, hat=None, out=None):
     """Multiply the real spectrum of rhs by a half-spectrum symbol, e.g.
-    to solve the flat Laplacian with zero mean."""
-    hat = np.fft.rfftn(rhs, axes=(0, 1, 2, 3))
+    to solve the flat Laplacian with zero mean; into out (a new array by
+    default).
+
+    The 1-D passes are those of numpy's rfftn and irfftn, in their axis
+    order, done in place in the half-spectrum buffer hat (shaped like
+    the symbol, complex; a new one by default), whose contents are lost.
+    """
+    hat = np.fft.rfftn(rhs, axes=(0, 1, 2, 3), out=hat)
     hat *= inverse_symbol
-    return np.fft.irfftn(hat, s=rhs.shape, axes=(0, 1, 2, 3))
+    for axis in (0, 1, 2):
+        np.fft.ifft(hat, axis=axis, out=hat)
+    return np.fft.irfft(hat, n=rhs.shape[3], axis=3, out=out)
 
 
-def _glued_operator(problem, u):
+def _glued_operator(problem, u, out=None):
     """B(u) = -[h : P(u)] minus its mean, the operator the inversion
-    solves with; its values sum to zero."""
-    out = hermitian_bracket(problem.field_, u, problem.spacing)
+    solves with, into out (a new array by default); its values sum to
+    zero."""
+    out = hermitian_bracket(problem.field_, u, problem.spacing, out)
     return np.subtract(out.mean(), out, out=out)
 
 
@@ -328,22 +373,21 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600, u0=None):
     if scale == 0.0:
         return np.zeros_like(f), {"iterations": 0, "relative_residual": 0.0,
                                   "mean_defect": 0.0, "history": [0.0]}
-    # the flat operator is -(1/4) x standard Laplacian; its inverse
-    # kills the constant mode
-    symbol = flat_symbol(problem.grid.n)
-    with np.errstate(divide="ignore"):
-        inverse_symbol = np.where(symbol > 0, 4.0 / symbol, 0.0)
-    # work vectors, made once: solution u, residual r, shadow residual
-    # r_hat and search direction p; besides them only the operator
-    # images v and t and one preconditioned vector z are alive at a time
+    inverse_symbol = problem.inverse_symbol
     u = np.zeros_like(f) if u0 is None else np.array(u0, dtype=float)
     r = g if u0 is None else g - _glued_operator(problem, u)
     history = [float(np.linalg.norm(r)) / scale]
     it = 0
     if history[0] > tol:
+        # work vectors, made once and written in place: shadow residual
+        # r_hat, search direction p, operator images v and t, the
+        # preconditioned vector z and the preconditioner's spectrum hat
         r_hat = r.copy()
         p = np.zeros_like(r)
         v = np.zeros_like(r)
+        t = np.empty_like(r)
+        z = np.empty_like(r)
+        hat = np.empty(inverse_symbol.shape, dtype=complex)
         rho = alpha = omega = 1.0
         for it in range(1, max_iter + 1):
             rho_next = float(np.vdot(r_hat, r))
@@ -356,28 +400,25 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600, u0=None):
             p -= v
             p *= beta
             p += r
-            z = _flat_inverse(p, inverse_symbol)
-            v = _glued_operator(problem, z)
+            _flat_inverse(p, inverse_symbol, hat, z)
+            _glued_operator(problem, z, v)
             pivot = float(np.vdot(r_hat, v))
             if pivot == 0.0:
                 raise RuntimeError(f"BiCGStab breakdown at step {it}: <r_hat, v> = 0")
             alpha = rho / pivot
             z *= alpha
             u += z
-            del z
             # half step: r becomes s = r - alpha v
-            r -= alpha * v
+            r -= np.multiply(v, alpha, out=t)
             rel = float(np.linalg.norm(r)) / scale
             if rel > tol:
-                z = _flat_inverse(r, inverse_symbol)
-                t = _glued_operator(problem, z)
+                _flat_inverse(r, inverse_symbol, hat, z)
+                _glued_operator(problem, z, t)
                 omega = float(np.vdot(t, r)) / float(np.vdot(t, t))
                 z *= omega
                 u += z
-                del z
                 t *= omega
                 r -= t
-                del t
                 rel = float(np.linalg.norm(r)) / scale
             history.append(rel)
             if rel <= tol:
@@ -690,7 +731,13 @@ def random_smooth_field(grid, rng):
 
     Every nonzero mode k in {-RANDOM_FIELD_KMAX, ..., RANDOM_FIELD_KMAX}^4
     gets amplitude (1 + |k|^2)^-RANDOM_FIELD_DECAY times one complex
-    normal, drawn in lexicographic mode order."""
+    normal, drawn in lexicographic mode order.
+
+    The field is the real part of the inverse FFT of that spectrum,
+    taken in ifftn's passes (axis 3 first, axis 0 last), where each pass
+    transforms only the lines that hold a mode: the band's indices along
+    the axes already transformed span whole lines, the others only the
+    band."""
     n = grid.n
     box = _lattice_box(RANDOM_FIELD_KMAX)
     modes = np.delete(box, len(box) // 2, axis=0)
@@ -698,10 +745,17 @@ def random_smooth_field(grid, rng):
     # the last bit
     amp = np.array([(1.0 + s) ** -RANDOM_FIELD_DECAY for s in np.sum(modes**2, axis=1).tolist()])
     z = rng.standard_normal((len(modes), 2))
-    spec = np.zeros((n,) * 4, dtype=complex)
-    spec[tuple((modes % n).T)] = amp * (z[:, 0] + 1j * z[:, 1])
-    f = np.real(np.fft.ifftn(spec)) * n**2
-    return f - f.mean()
+    # grid indices of the band along one axis, ascending
+    band = np.unique(np.arange(-RANDOM_FIELD_KMAX, RANDOM_FIELD_KMAX + 1) % n)
+    spec = np.zeros((len(band),) * 4, dtype=complex)
+    spec[tuple(np.searchsorted(band, modes % n).T)] = amp * (z[:, 0] + 1j * z[:, 1])
+    for axis in (3, 2, 1, 0):
+        lines = np.zeros(spec.shape[:axis] + (n,) + spec.shape[axis + 1:], dtype=complex)
+        lines[(slice(None),) * axis + (band,)] = spec
+        spec = np.fft.ifft(lines, axis=axis, out=lines)
+    f = spec.real * n**2
+    f -= f.mean()
+    return f
 
 
 def scaled_ball_samples(problem, params, rng, count, fractions=(0.2, 0.9)):
@@ -775,9 +829,11 @@ def lambda1_estimate(problem, dim=16, tol=1e-6, seed=7, invert_tol=1e-9):
     the near-degenerate low cluster that plain power iteration cannot
     separate.  Stops once the bottom Ritz value is stable to tol."""
     rng = np.random.default_rng(seed)
+    prod = np.empty(problem.shape)
 
     def wip(u, v):
-        return float(np.sum(problem.weight * u * v))
+        np.multiply(problem.weight, u, out=prod)
+        return float(np.sum(np.multiply(prod, v, out=prod)))
 
     basis = []
     v = project_mean_zero(problem, random_smooth_field(problem.grid, rng))
@@ -792,14 +848,17 @@ def lambda1_estimate(problem, dim=16, tol=1e-6, seed=7, invert_tol=1e-9):
         u, _ = invert_laplacian(problem, basis[-1], tol=invert_tol)
         u = project_mean_zero(problem, u)
         for b in basis:
-            u = u - wip(u, b) * b
+            c = wip(u, b)
+            u -= np.multiply(b, c, out=prod)
         nrm = np.sqrt(wip(u, u))
         if nrm < 1e-13:
             break
-        basis.append(u / nrm)
+        u /= nrm
+        basis.append(u)
         m = len(basis)
         for k in range(len(images), m):
-            images.append(-laplacian(problem, basis[k]))
+            image = laplacian(problem, basis[k])
+            images.append(np.negative(image, out=image))
             for i in range(k):
                 M[i, k] = wip(basis[i], images[k])
                 M[k, i] = wip(basis[k], images[i])
@@ -820,15 +879,20 @@ def poincare_check(problem, lam1, n_fields=20, seed=11):
     random mean-zero fields, with forward-difference energy."""
     rng = np.random.default_rng(seed)
     dx = problem.spacing
+    d = np.empty(problem.shape)
     margins = []
     for _ in range(n_fields):
         u = random_smooth_field(problem.grid, rng)
-        u = u - u.mean()
-        l2sq = float(np.mean(u**2))
+        u -= u.mean()
+        l2sq = float(np.mean(np.square(u, out=d)))
         energy = 0.0
         for ax in range(4):
-            d = (np.roll(u, -1, ax) - u) / dx
-            energy += float(np.mean(d**2))
+            # d = (u(x + e_ax) - u(x)) / dx, periodic
+            u_ax, d_ax = np.moveaxis(u, ax, 0), np.moveaxis(d, ax, 0)
+            np.subtract(u_ax[1:], u_ax[:-1], out=d_ax[:-1])
+            np.subtract(u_ax[0], u_ax[-1], out=d_ax[-1])
+            d /= dx
+            energy += float(np.mean(np.square(d, out=d)))
         margins.append(energy / lam1 - l2sq)
     margins = np.array(margins)
     return {"all_pass": bool(np.all(margins >= -1e-10)), "margins": margins}

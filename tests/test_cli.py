@@ -123,6 +123,16 @@ class TestHostileOptions:
         assert err.value.code == 2
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_under_existing_file_rejected(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("kept")
+        with pytest.raises(SystemExit) as err:
+            run(["solve", "--zeta", ZETA_RESOLVED, "--out", str(tmp_path / out)])
+        assert err.value.code == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert (tmp_path / "afile").read_text() == "kept"
+        assert os.listdir(tmp_path) == ["afile"]
+
     def test_grid_within_memory_limit_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_make_out_dir", _accepting_out_dir)
         with pytest.raises(Accepted) as acc:

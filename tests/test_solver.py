@@ -161,7 +161,7 @@ class TestInversion:
 
     def test_breakdown_error(self, resolved_problem, grid16, monkeypatch):
         f = sv.project_mean_zero(resolved_problem, sv.random_smooth_field(grid16, np.random.default_rng(7)))
-        monkeypatch.setattr(sv, "_glued_operator", lambda problem, u: np.zeros_like(u))
+        monkeypatch.setattr(sv, "_glued_operator", lambda problem, u, out: np.multiply(u, 0.0, out=out))
         with pytest.raises(RuntimeError, match="BiCGStab breakdown"):
             sv.invert_laplacian(resolved_problem, f)
 
@@ -647,6 +647,110 @@ class TestRitzImages:
 
 
 # ---------------------------------------------------------------------------
+# reference Krylov kernels: the bracket as one whole-array sweep, numpy's
+# allocating real-FFT pair, and forward differences from np.roll copies
+
+
+def _ref_hermitian_bracket(field_, u, dx):
+    u = np.ascontiguousarray(u, dtype=float)
+    h11, h22, re12, im12 = field_.data
+    out = sv._neighbours(u, 0, np.add)
+    s = sv._neighbours(u, 1, np.add)
+    t = np.multiply(u, 4.0)
+    out += s
+    out -= t
+    out *= h22
+    sv._neighbours(u, 2, np.add, out=s)
+    s -= t
+    s += sv._neighbours(u, 3, np.add, out=t)
+    s *= h11
+    out += s
+    out *= 0.5 / dx**2
+    d0 = sv._neighbours(u, 0, np.subtract)
+    d1 = sv._neighbours(u, 1, np.subtract)
+    sv._neighbours(d0, 2, np.subtract, out=s)
+    s += sv._neighbours(d1, 3, np.subtract, out=t)
+    s *= re12
+    sv._neighbours(d0, 3, np.subtract, out=t)
+    t -= sv._neighbours(d1, 2, np.subtract, out=d0)
+    t *= im12
+    s += t
+    s *= -0.25 / dx**2
+    out += s
+    return out
+
+
+def _ref_poincare_margins(problem, lam1, n_fields, seed):
+    rng = np.random.default_rng(seed)
+    dx = problem.spacing
+    margins = []
+    for _ in range(n_fields):
+        u = sv.random_smooth_field(problem.grid, rng)
+        u = u - u.mean()
+        l2sq = float(np.mean(u**2))
+        energy = 0.0
+        for ax in range(4):
+            d = (np.roll(u, -1, ax) - u) / dx
+            energy += float(np.mean(d**2))
+        margins.append(energy / lam1 - l2sq)
+    return np.array(margins)
+
+
+def _assert_same_bits(value, reference):
+    assert value.dtype == reference.dtype and value.shape == reference.shape
+    assert value.tobytes() == reference.tobytes()
+
+
+@pytest.fixture(scope="module", params=[8, 16])
+def bolt_problem(request):
+    return sv.Problem.build(km.GluedModel(a=0.08, zeta=4.0 / 9.0), km.TorusGrid(request.param))
+
+
+class TestKrylovKernelEquivalence:
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_bracket_slabs_match_whole_array(self, monkeypatch, bolt_problem, rows):
+        # several slabs along axis 0, the last one short when rows does
+        # not divide n
+        u = np.random.default_rng(rows).standard_normal(bolt_problem.shape)
+        dx = bolt_problem.spacing
+        ref = _ref_hermitian_bracket(bolt_problem.field_, u, dx)
+        monkeypatch.setattr(sv, "_BRACKET_SLAB_BYTES", rows * u[0].nbytes)
+        _assert_same_bits(sv.hermitian_bracket(bolt_problem.field_, u, dx), ref)
+        out = np.full(u.shape, np.nan)
+        assert sv.hermitian_bracket(bolt_problem.field_, u, dx, out) is out
+        _assert_same_bits(out, ref)
+
+    def test_bracket_default_slabs_match_whole_array(self, bolt_problem):
+        u = np.random.default_rng(6).standard_normal(bolt_problem.shape)
+        dx = bolt_problem.spacing
+        _assert_same_bits(sv.hermitian_bracket(bolt_problem.field_, u, dx),
+                          _ref_hermitian_bracket(bolt_problem.field_, u, dx))
+
+    def test_flat_inverse_buffers_match_numpy(self, grid16):
+        n = grid16.n
+        axes = (0, 1, 2, 3)
+        symbol = _inverse_half_symbol(n)
+        hat = np.empty(symbol.shape, dtype=complex)
+        out = np.empty((n,) * 4)
+        rng = np.random.default_rng(31)
+        # twice through the same buffers
+        for _ in range(2):
+            r = rng.standard_normal((n,) * 4)
+            kept = r.copy()
+            ref = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * symbol, s=r.shape, axes=axes)
+            assert sv._flat_inverse(r, symbol, hat, out) is out
+            _assert_same_bits(out, ref)
+            _assert_same_bits(r, kept)
+        _assert_same_bits(sv._flat_inverse(r, symbol), ref)
+
+    def test_poincare_margins_match_roll(self, bolt_problem):
+        # a lambda1 near the glued fields' value, so that margins of
+        # either sign occur
+        out = sv.poincare_check(bolt_problem, 39.0, n_fields=4, seed=11)
+        _assert_same_bits(out["margins"], _ref_poincare_margins(bolt_problem, 39.0, 4, 11))
+
+
+# ---------------------------------------------------------------------------
 # reference norm layer: the full offset sweep with one roll per axis, the
 # nested mode loop with one draw per number, and the i <= j second
 # difference loops of the Sobolev norm and the Bochner ratio
@@ -799,3 +903,20 @@ def test_problem_build_computes_det_once(monkeypatch):
     monkeypatch.setattr(km, "hermitian_det", counting_det)
     sv.Problem.build(km.GluedModel(a=0.05, zeta=4.0 / 9.0), km.TorusGrid(8))
     assert len(calls) == 1
+
+
+def test_preconditioner_symbol_made_once_per_problem(monkeypatch):
+    calls = []
+    symbol = sv.flat_symbol
+
+    def counting_symbol(n):
+        calls.append(n)
+        return symbol(n)
+
+    monkeypatch.setattr(sv, "flat_symbol", counting_symbol)
+    problem = sv.Problem.build(km.GluedModel(a=0.05, zeta=4.0 / 9.0), km.TorusGrid(8))
+    assert calls == []
+    f = sv.project_mean_zero(problem, sv.random_smooth_field(problem.grid, np.random.default_rng(3)))
+    for _ in range(2):
+        sv.invert_laplacian(problem, f)
+    assert calls == [8]
