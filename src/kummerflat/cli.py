@@ -257,6 +257,9 @@ def _resolving_points(rng, n, u_lo=0.3, u_hi=3.0, pole_margin=0.3):
 # ---------------------------------------------------------------------------
 # Eguchi-Hanson verification suite
 
+# every identity is checked at unit deformation parameter
+EH_PARAMS = eh.EhParams(1.0)
+
 
 def check_structure_equations(rng, n_points=200, step=1e-4, flip_sigma2_sign=False):
     """d sigma_i = 2 sigma_j ^ sigma_k for the cyclic triple; the sign
@@ -272,11 +275,10 @@ def check_structure_equations(rng, n_points=200, step=1e-4, flip_sigma2_sign=Fal
     return _entry("frame-structure-equations", residuals, 1e-6)
 
 
-def check_kahler_closedness(rng, n_points=200, step=1e-4, params=None):
-    params = params if params is not None else eh.EhParams(1.0)
+def check_kahler_closedness(rng, n_points=200, step=1e-4):
     pts = _radial_points(rng, n_points)
     residuals = []
-    for om in eh.kahler_forms(params):
+    for om in eh.kahler_forms(EH_PARAMS):
         d = forms.ext_d(om, step=step)
         residuals += [d.max_abs(p) for p in pts]
     return _entry("kahler-forms-closed", residuals, 1e-6)
@@ -291,42 +293,38 @@ def check_quaternion_algebra():
     return _entry("quaternion-algebra", residuals, 1e-6)
 
 
-def check_potential_to_form(rng, n_points=200, step=1e-4, params=None):
+def check_potential_to_form(rng, n_points=200, step=1e-4):
     """-1/2 d(I grad-potential differential) reproduces the first
     Kahler form."""
-    params = params if params is not None else eh.EhParams(1.0)
-    strs = eh.complex_structures(params)
-    cand = forms.ext_d(forms.apply_J(strs["I"], eh.potential_differential(params)), step=step) * (-0.5)
-    target = eh.kahler_forms(params)[0]
+    strs = eh.complex_structures(EH_PARAMS)
+    cand = forms.ext_d(forms.apply_J(strs["I"], eh.potential_differential(EH_PARAMS)), step=step) * (-0.5)
+    target = eh.kahler_forms(EH_PARAMS)[0]
     pts = _radial_points(rng, n_points)
     return _entry("potential-to-first-form", [(cand - target).max_abs(p) for p in pts], 1e-6)
 
 
-def check_potential_doubling(n_points=41, params=None):
+def check_potential_doubling(n_points=41):
     """Twice the potential equals the closed-form doubled reference,
     relative to its scale."""
-    params = params if params is not None else eh.EhParams(1.0)
     residuals = []
     for u in np.geomspace(0.1, 10.0, n_points):
-        scale = max(abs(eh.doubled_potential_reference(params, u)), 1.0)
-        residuals.append(eh.joyce_potential_check(params, u) / scale)
+        scale = max(abs(eh.doubled_potential_reference(EH_PARAMS, u)), 1.0)
+        residuals.append(eh.joyce_potential_check(EH_PARAMS, u) / scale)
     return _entry("potential-doubling-factor", residuals, 1e-10)
 
 
-def check_volume_form_pullback(rng, n_points=20, params=None):
-    params = params if params is not None else eh.EhParams(1.0)
+def check_volume_form_pullback(rng, n_points=20):
     emb = eh.resolving_to_complex()
-    target = eh.holomorphic_volume_form(params)
+    target = eh.holomorphic_volume_form(EH_PARAMS)
     pb = forms.pullback(emb, eh.complex_coordinate_area_form())
     residuals = [(pb - target).max_abs(c) for c in _resolving_points(rng, n_points)]
     return _entry("holomorphic-volume-pullback", residuals, 1e-8)
 
 
-def check_volume_form_square(rng, n_points=10, params=None):
+def check_volume_form_square(rng, n_points=10):
     """The wedge square of the holomorphic volume form vanishes to
     round-off, relative to the squared form scale."""
-    params = params if params is not None else eh.EhParams(1.0)
-    om = eh.holomorphic_volume_form(params)
+    om = eh.holomorphic_volume_form(EH_PARAMS)
     sq = forms.wedge(om, om)
     residuals = []
     for c in _resolving_points(rng, n_points):
@@ -335,27 +333,25 @@ def check_volume_form_square(rng, n_points=10, params=None):
     return _entry("holomorphic-volume-square", residuals, 1e-13)
 
 
-def check_ricci_flat(rng, n_points=100, step=1e-3, params=None):
-    params = params if params is not None else eh.EhParams(1.0)
+def check_ricci_flat(rng, n_points=100, step=1e-3):
     pts = _radial_points(rng, n_points, r_lo=1.5, pole_margin=0.5)
     residuals = [
-        np.abs(eh.ricci_residual(lambda c: eh.eh_metric(params, c), c, step=step)) for c in pts
+        np.abs(eh.ricci_residual(lambda c: eh.eh_metric(EH_PARAMS, c), c, step=step)) for c in pts
     ]
     return _entry("ricci-flat", residuals, 1e-4)
 
 
-def verify_eh_checks(seed=0, inject_sigma2=False, structure_points=200, ricci_points=100):
+def verify_eh_checks(seed=0, inject_sigma2=False):
     rng = np.random.default_rng(seed)
-    params = eh.EhParams(1.0)
     return [
-        check_structure_equations(rng, structure_points, flip_sigma2_sign=inject_sigma2),
-        check_kahler_closedness(rng, structure_points, params=params),
+        check_structure_equations(rng, flip_sigma2_sign=inject_sigma2),
+        check_kahler_closedness(rng),
         check_quaternion_algebra(),
-        check_potential_to_form(rng, structure_points, params=params),
-        check_potential_doubling(params=params),
-        check_volume_form_pullback(rng, params=params),
-        check_volume_form_square(rng, params=params),
-        check_ricci_flat(rng, ricci_points, params=params),
+        check_potential_to_form(rng),
+        check_potential_doubling(),
+        check_volume_form_pullback(rng),
+        check_volume_form_square(rng),
+        check_ricci_flat(rng),
     ]
 
 

@@ -25,9 +25,10 @@ from .forms import (
     EH_R,
     EH_U,
     ChartMap,
-    ChartPoint,
     CoefficientForm,
     ComplexStructure,
+    central_partials,
+    coords_of,
     one_form,
     wedge,
 )
@@ -48,10 +49,8 @@ class EhParams:
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Symmetric 4x4 metric components at a point of a named chart."""
+    """Symmetric 4x4 metric components at a point."""
 
-    chart_name: str
-    coords: np.ndarray
     components: np.ndarray
 
     def __post_init__(self):
@@ -61,7 +60,6 @@ class MetricTensor:
         if not np.allclose(m, m.T, atol=1e-12):
             raise ValueError("metric components must be symmetric")
         object.__setattr__(self, "components", 0.5 * (m + m.T))
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
 
     def min_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.components)[0])
@@ -127,22 +125,25 @@ def coframe_matrix(params):
 # metric
 
 
-def eh_metric(params, p):
-    """Metric components on the radial chart (r, theta, phi, psi)."""
-    if isinstance(p, ChartPoint):
-        c = p.coords
-    else:
-        c = np.asarray(p, dtype=float)
+def _radial_chart_metric(c, g_rr, w):
+    """Radial-chart components with radial entry g_rr and angular part
+    r^2 (sigma1^2 + sigma2^2 + w sigma3^2), w the fiber factor."""
     r, th = c[0], c[1]
-    _check_r(params, r)
-    w = _w_factor(params, r)
     g = np.zeros((DIM, DIM))
-    g[0, 0] = 1.0 / w
+    g[0, 0] = g_rr
     g[1, 1] = r**2 / 4.0
     g[2, 2] = (r**2 / 4.0) * (np.sin(th) ** 2 + w * np.cos(th) ** 2)
     g[3, 3] = r**2 * w / 4.0
     g[2, 3] = g[3, 2] = r**2 * w * np.cos(th) / 4.0
-    return MetricTensor("eh_r", c, g)
+    return MetricTensor(g)
+
+
+def eh_metric(params, p):
+    """Metric components on the radial chart (r, theta, phi, psi)."""
+    c = coords_of(p)
+    _check_r(params, c[0])
+    w = _w_factor(params, c[0])
+    return _radial_chart_metric(c, 1.0 / w, w)
 
 
 def radius_from_resolving(params, u):
@@ -156,10 +157,7 @@ def eh_metric_u_chart(params, p):
     the radial chart at the bolt; the components extend smoothly to the
     quotient as u tends to zero.
     """
-    if isinstance(p, ChartPoint):
-        c = p.coords
-    else:
-        c = np.asarray(p, dtype=float)
+    c = coords_of(p)
     u, th = c[0], c[1]
     if u <= 0:
         raise ValueError(f"resolving coordinate must be positive, got u={u:.6g}")
@@ -170,7 +168,7 @@ def eh_metric_u_chart(params, p):
     g[2, 2] = (r2 / 4.0) * np.sin(th) ** 2 + (u**4 / (4.0 * r2)) * np.cos(th) ** 2
     g[3, 3] = u**4 / (4.0 * r2)
     g[2, 3] = g[3, 2] = u**4 * np.cos(th) / (4.0 * r2)
-    return MetricTensor("eh_u", c, g)
+    return MetricTensor(g)
 
 
 def metric_series(params, p, order):
@@ -181,21 +179,11 @@ def metric_series(params, p, order):
     (a/r)^4) while the radial component accumulates the geometric
     series, whose truncation error obeys the geometric tail bound.
     """
-    if isinstance(p, ChartPoint):
-        c = p.coords
-    else:
-        c = np.asarray(p, dtype=float)
-    r, th = c[0], c[1]
-    _check_r(params, r)
-    q = (params.a / r) ** 4
-    g = np.zeros((DIM, DIM))
-    g[0, 0] = sum(q**n for n in range(order + 1))
+    c = coords_of(p)
+    _check_r(params, c[0])
+    q = (params.a / c[0]) ** 4
     w = 1.0 if order == 0 else 1.0 - q
-    g[1, 1] = r**2 / 4.0
-    g[2, 2] = (r**2 / 4.0) * (np.sin(th) ** 2 + w * np.cos(th) ** 2)
-    g[3, 3] = r**2 * w / 4.0
-    g[2, 3] = g[3, 2] = r**2 * w * np.cos(th) / 4.0
-    return MetricTensor("eh_r", c, g)
+    return _radial_chart_metric(c, sum(q**n for n in range(order + 1)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +264,11 @@ def kahler_forms_u_chart(params):
     def u2(c):
         return c[0] ** 2
 
-    def u3_over_r2(c):
-        return c[0] ** 3 / np.sqrt(c[0] ** 4 + params.a**4)
-
     def r2(c):
         return np.sqrt(c[0] ** 4 + params.a**4)
+
+    def u3_over_r2(c):
+        return c[0] ** 3 / r2(c)
 
     omega_i = wedge(du * u3_over_r2, s3) + wedge(s1, s2) * r2
     omega_j = wedge(du * u_, s1) + wedge(s2, s3) * u2
@@ -302,6 +290,12 @@ def holomorphic_volume_form(params):
 # Kahler potential
 
 
+def bolt_correction(a, r):
+    """(a^2/4) log((r^2 - a^2)/(r^2 + a^2)): the radial potential minus
+    the flat one r^2/2, for r > a (unchecked)."""
+    return (a**2 / 4.0) * np.log((r**2 - a**2) / (r**2 + a**2))
+
+
 def kahler_potential(params, r):
     """Radial potential whose (1,1) Hessian reproduces the first Kahler
     form; defined for r above the bolt radius."""
@@ -309,7 +303,7 @@ def kahler_potential(params, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= a):
         raise ValueError(f"potential requires r > a, got r={r} with a={a}")
-    return r**2 / 2.0 + (a**2 / 4.0) * np.log((r**2 - a**2) / (r**2 + a**2))
+    return r**2 / 2.0 + bolt_correction(a, r)
 
 
 def kahler_potential_derivative(params, r):
@@ -330,8 +324,6 @@ def kahler_potential_u_chart(params, u):
     if np.any(u <= 0):
         raise ValueError(f"potential requires u > 0, got {u}")
     s = np.sqrt(u**4 + a**4)
-    if a == 0:
-        return u**2 / 2.0
     return s / 2.0 + a**2 * np.log(u) - (a**2 / 2.0) * np.log(s + a**2)
 
 
@@ -374,38 +366,16 @@ def potential_differential(params):
 # chart maps
 
 
-def radial_to_resolving(params):
-    a = params.a
-
-    def fwd(c):
-        r = c[0]
-        _check_r(params, r)
-        u = (r**4 - a**4) ** 0.25
-        return np.array([u, c[1], c[2], c[3]])
-
-    def jac(c):
-        r = c[0]
-        u = (r**4 - a**4) ** 0.25
-        J = np.eye(DIM)
-        J[0, 0] = r**3 / u**3
-        return J
-
-    return ChartMap(EH_R, EH_U, fwd, jac=jac, name="r_to_u")
-
-
 def resolving_to_radial(params):
-    a = params.a
-
     def fwd(c):
         u = c[0]
         if u <= 0:
             raise ValueError("resolving coordinate must be positive")
-        r = (u**4 + a**4) ** 0.25
-        return np.array([r, c[1], c[2], c[3]])
+        return np.array([radius_from_resolving(params, u), c[1], c[2], c[3]])
 
     def jac(c):
         u = c[0]
-        r = (u**4 + a**4) ** 0.25
+        r = radius_from_resolving(params, u)
         J = np.eye(DIM)
         J[0, 0] = u**3 / r**3
         return J
@@ -439,8 +409,7 @@ def resolving_to_complex():
         ea = np.exp(0.5j * (ph - ps))
         eb = np.exp(-0.5j * (ph + ps))
         ch, sh = np.cos(th / 2.0), np.sin(th / 2.0)
-        z1 = u * sh * ea
-        z2 = u * ch * eb
+        z1, z2 = _complex_embedding_values(c)
         # complex partials, columns (u, theta, phi, psi)
         dz = np.array([
             [sh * ea, 0.5 * u * ch * ea, 0.5j * z1, -0.5j * z1],
@@ -510,35 +479,22 @@ def christoffel_symbols(metric_fn, coords, step=1e-3):
     if np.linalg.eigvalsh(g)[0] <= 0:
         raise ValueError(f"metric not positive definite at {coords}")
     ginv = np.linalg.inv(g)
-    dg = np.empty((DIM, DIM, DIM))
-    for c_ax in range(DIM):
-        cp = coords.copy()
-        cm = coords.copy()
-        cp[c_ax] += step
-        cm[c_ax] -= step
-        dg[:, :, c_ax] = (_metric_matrix(metric_fn, cp) - _metric_matrix(metric_fn, cm)) / (2 * step)
+    dg = central_partials(lambda c: _metric_matrix(metric_fn, c), coords, step)
     # inner[d,b,c] = dg_{dc,b} + dg_{db,c} - dg_{bc,d}
     inner = dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)
     return 0.5 * np.einsum("ad,dbc->abc", ginv, inner)
 
 
-def ricci_tensor(metric_fn, coords, step=1e-3):
-    """Ricci tensor via finite differences of the Christoffel symbols.
+def ricci_residual(metric_fn, coords, step=1e-3):
+    """Full Ricci matrix of a metric field by finite differences of the
+    Christoffel symbols; near zero for flat solutions.
 
     Second order accurate; halving the step should shrink the residual
     of a flat-in-disguise metric by about a factor of four.
     """
     coords = np.asarray(coords, dtype=float)
     gamma0 = christoffel_symbols(metric_fn, coords, step)
-    dgamma = np.empty((DIM, DIM, DIM, DIM))
-    for d_ax in range(DIM):
-        cp = coords.copy()
-        cm = coords.copy()
-        cp[d_ax] += step
-        cm[d_ax] -= step
-        dgamma[:, :, :, d_ax] = (
-            christoffel_symbols(metric_fn, cp, step) - christoffel_symbols(metric_fn, cm, step)
-        ) / (2 * step)
+    dgamma = central_partials(lambda c: christoffel_symbols(metric_fn, c, step), coords, step)
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
     #           + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
     riem = (
@@ -548,8 +504,3 @@ def ricci_tensor(metric_fn, coords, step=1e-3):
         - np.einsum("ade,ecb->abcd", gamma0, gamma0)
     )
     return np.einsum("abad->bd", riem)
-
-
-def ricci_residual(metric_fn, coords, step=1e-3):
-    """Full Ricci matrix of a metric field; near zero for flat solutions."""
-    return ricci_tensor(metric_fn, coords, step)

@@ -6,6 +6,13 @@ lazy central finite difference, so nested applications (d of d) stay
 well defined and second-order accurate.  Pullbacks contract coefficient
 functions with jacobian minors.  A small complex-structure type acts on
 1-forms through a declared orthonormal coframe.
+
+central_partials is the central difference behind finite-difference
+jacobians, the curvature and the Cauchy-Riemann and curl residuals
+(ext_d keeps its own, as it validates every sample), and coords_of the
+one point-to-coordinates accessor.  Hermitian 2x2 matrices are the
+components (h11, h22, Re h12, Im h12) along a leading axis, the layout
+of kummer.Field11.
 """
 
 from __future__ import annotations
@@ -75,14 +82,31 @@ class ChartPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", self.chart.validate(self.coords))
 
-    def shifted(self, index, delta):
-        c = self.coords.copy()
-        c[index] += delta
-        return ChartPoint(self.chart, c)
-
 
 def point(chart, *coords):
     return ChartPoint(chart, np.asarray(coords, dtype=float))
+
+
+def coords_of(p):
+    """The coordinate array of a point object (anything with ``coords``)
+    or of a plain coordinate sequence."""
+    coords = getattr(p, "coords", None)
+    return np.asarray(p, dtype=float) if coords is None else coords
+
+
+def central_partials(fn, coords, step, axes=range(DIM)):
+    """Central differences (fn(c + step e_j) - fn(c - step e_j)) / (2 step)
+    of an array-valued ``fn`` at ``coords`` for each j in ``axes``,
+    stacked along a new last axis."""
+    coords = np.asarray(coords, dtype=float)
+    cols = []
+    for j in axes:
+        cp = coords.copy()
+        cm = coords.copy()
+        cp[j] += step
+        cm[j] -= step
+        cols.append((np.asarray(fn(cp)) - np.asarray(fn(cm))) / (2 * step))
+    return np.stack(cols, axis=-1)
 
 
 # Charts used throughout the package.  Angles are radians; the fiber
@@ -158,14 +182,7 @@ class ChartMap:
         if self.jac is not None:
             J = np.asarray(self.jac(coords), dtype=float)
         else:
-            J = np.empty((DIM, DIM))
-            h = self.fd_step
-            for j in range(DIM):
-                cp = coords.copy()
-                cm = coords.copy()
-                cp[j] += h
-                cm[j] -= h
-                J[:, j] = (np.asarray(self.forward(cp)) - np.asarray(self.forward(cm))) / (2 * h)
+            J = central_partials(self.forward, coords, self.fd_step)
         det = np.linalg.det(J)
         if abs(det) < self.jacobian_floor:
             raise ValueError(f"map {self.name}: jacobian determinant {det:.3g} below floor at {coords}")
@@ -379,8 +396,8 @@ def ext_d(f, step=1e-4):
     meaningful and the chart margin is enforced where evaluation
     actually happens.
     """
-    if f.degree >= DIM:
-        return CoefficientForm(f.chart, DIM, {}) if f.degree == DIM else None
+    if f.degree == DIM:
+        return CoefficientForm(f.chart, DIM, {})
     chart = f.chart
     out_terms = {}
     for idx, coeff_fn in f.terms.items():
@@ -488,33 +505,33 @@ def apply_J(structure, f):
 
 
 def hermitian_from_second_derivs(d2):
-    """Combine real second derivatives into the 2x2 matrix of mixed
-    complex second derivatives.
+    """Combine symmetric real second derivatives into the Hermitian 2x2
+    matrix of mixed complex second derivatives, as the components
+    (h11, h22, Re h12, Im h12) along a new leading axis.
 
     ``d2[..., m, n]`` holds the derivative along real coordinates m, n in
     the ordering (x1, y1, x2, y2).  Works on scalars or broadcast arrays.
     """
     d2 = np.asarray(d2)
-    h = np.empty(d2.shape[:-2] + (2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            xi, yi = 2 * i, 2 * i + 1
-            xj, yj = 2 * j, 2 * j + 1
-            h[..., i, j] = 0.25 * ((d2[..., xi, xj] + d2[..., yi, yj]) + 1j * (d2[..., xi, yj] - d2[..., yi, xj]))
-    return h
+    return 0.25 * np.stack([
+        d2[..., 0, 0] + d2[..., 1, 1],
+        d2[..., 2, 2] + d2[..., 3, 3],
+        d2[..., 0, 2] + d2[..., 1, 3],
+        d2[..., 0, 3] - d2[..., 1, 2],
+    ])
 
 
 def hermitian_to_real_two_form(h):
-    """Real coordinate components of i * sum h_ij dz_i ^ dzbar_j.
+    """Real coordinate components of i * sum h_ij dz_i ^ dzbar_j for the
+    Hermitian components h = (h11, h22, Re h12, Im h12).
 
     Returns a dict keyed by increasing index pairs in the ordering
-    (x1, y1, x2, y2).  ``h`` must be Hermitian 2x2.
+    (x1, y1, x2, y2).
     """
-    a12 = h[0, 1].real
-    b12 = h[0, 1].imag
+    h11, h22, a12, b12 = h
     return {
-        (0, 1): 2 * h[0, 0].real,
-        (2, 3): 2 * h[1, 1].real,
+        (0, 1): 2 * h11,
+        (2, 3): 2 * h22,
         (0, 2): -2 * b12,
         (1, 3): -2 * b12,
         (0, 3): 2 * a12,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import CYL, DIM, EH_R, PROLATE, ChartMap
+from .forms import CYL, DIM, EH_R, PROLATE, ChartMap, central_partials, coords_of
 from .eguchi_hanson import EhParams, MetricTensor, eh_metric
 
 log = logging.getLogger(__name__)
@@ -35,14 +35,11 @@ class GhConfig:
     """Point-charge configuration for the ansatz.
 
     centers are 3-space points on the z-axis, charges the corresponding
-    integer weights, eps_gh the additive constant of the potential, and
-    offset the half-separation when the configuration is the symmetric
-    two-center one."""
+    integer weights and eps_gh the additive constant of the potential."""
 
     centers: tuple
     charges: tuple
     eps_gh: float = 0.0
-    offset: float | None = None
 
     def __post_init__(self):
         centers = tuple(tuple(float(x) for x in ctr) for ctr in self.centers)
@@ -71,7 +68,7 @@ def two_center_config(c, eps_gh=0.0):
     """Symmetric unit charges at (0, 0, +-c)."""
     if c <= 0:
         raise ValueError(f"half-separation must be positive, got {c}")
-    return GhConfig(centers=((0.0, 0.0, c), (0.0, 0.0, -c)), charges=(1, 1), eps_gh=eps_gh, offset=float(c))
+    return GhConfig(centers=((0.0, 0.0, c), (0.0, 0.0, -c)), charges=(1, 1), eps_gh=eps_gh)
 
 
 @dataclass(frozen=True)
@@ -86,12 +83,6 @@ class CylPoint:
     @property
     def coords(self):
         return np.array([self.psi, self.rho, self.phi, self.z])
-
-
-def _as_cyl_coords(p):
-    if isinstance(p, CylPoint):
-        return p.coords
-    return np.asarray(p, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +121,7 @@ def connection_axial(cfg, rho, z):
 
 def connection_two_center(c, p):
     """A_phi = (z+c)/(rho R1) + (z-c)/(rho R2) for unit charges at z = -+c."""
-    coords = _as_cyl_coords(p)
+    coords = coords_of(p)
     rho, z = coords[1], coords[3]
     return connection_axial(two_center_config(c), rho, z)
 
@@ -140,42 +131,32 @@ def curl_residual(cfg, p, step=1e-4, extra=None):
 
     A is the axisymmetric connection plus an optional extra field
     extra(rho, z) -> 3 frame components (used to probe gauge invariance);
-    everything is differenced centrally at the given step.
+    everything is differenced centrally at the given step, along rho
+    and z (coordinates 1 and 3).
     """
-    coords = _as_cyl_coords(p)
-    rho, phi, z = coords[1], coords[2], coords[3]
+    coords = coords_of(p)
+    rho = coords[1]
     if rho - step <= 0:
         raise ValueError(f"need rho > step for centered differences, got rho={rho}, step={step}")
 
-    def a_field(rr, zz):
-        base = np.array([0.0, connection_axial(cfg, rr, zz), 0.0])
+    def a_field(c):
+        base = np.array([0.0, connection_axial(cfg, c[1], c[3]), 0.0])
         if extra is not None:
-            base = base + np.asarray(extra(rr, zz), dtype=float)
+            base = base + np.asarray(extra(c[1], c[3]), dtype=float)
         return base
 
-    def v_at(rr, zz):
-        return potential_V(cfg, _cyl_to_cart(rr, phi, zz))
+    def a_and_v(c):
+        return np.concatenate([a_field(c), [potential_V(cfg, _cyl_to_cart(c[1], c[2], c[3]))]])
 
-    h = step
-    a_rp = a_field(rho + h, z)
-    a_rm = a_field(rho - h, z)
-    a_zp = a_field(rho, z + h)
-    a_zm = a_field(rho, z - h)
-    da_drho = (a_rp - a_rm) / (2 * h)
-    da_dz = (a_zp - a_zm) / (2 * h)
-    a_here = a_field(rho, z)
-
+    # rows A_rho, A_phi, A_z, V; columns d/drho, d/dz
+    d = central_partials(a_and_v, coords, step, axes=(1, 3))
+    a_here = a_field(coords)
     curl = np.array([
-        -da_dz[1],
-        da_dz[0] - da_drho[2],
-        da_drho[1] + a_here[1] / rho,
+        -d[1, 1],
+        d[0, 1] - d[2, 0],
+        d[1, 0] + a_here[1] / rho,
     ])
-    grad = np.array([
-        (v_at(rho + h, z) - v_at(rho - h, z)) / (2 * h),
-        0.0,
-        (v_at(rho, z + h) - v_at(rho, z - h)) / (2 * h),
-    ])
-    return curl - grad
+    return curl - np.array([d[3, 0], 0.0, d[3, 1]])
 
 
 def harmonic_residual(cfg, x, step):
@@ -199,7 +180,7 @@ def harmonic_residual(cfg, x, step):
 def gh_metric(cfg, p):
     """Ansatz metric V^-1 (dpsi + B dphi)^2 + V (drho^2 + rho^2 dphi^2 + dz^2)
     as components in the (psi, rho, phi, z) chart, with B = rho A_phi."""
-    coords = _as_cyl_coords(p)
+    coords = coords_of(p)
     rho, phi, z = coords[1], coords[2], coords[3]
     if rho <= 0:
         raise ValueError(f"metric undefined on the axis, got rho={rho}")
@@ -213,7 +194,7 @@ def gh_metric(cfg, p):
     g[1, 1] = v
     g[2, 2] = b**2 / v + v * rho**2
     g[3, 3] = v
-    return MetricTensor("cyl", coords, g)
+    return MetricTensor(g)
 
 
 def gh_metric_field(cfg):
@@ -254,7 +235,7 @@ def prolate_chain(c, p):
     """Prolate point -> (cylindrical point, EH radial-chart point with
     a = sqrt(2c)); the fiber/azimuth pair swaps roles and the azimuth
     doubles into the cylinder fiber."""
-    coords = np.asarray(p, dtype=float) if not hasattr(p, "coords") else p.coords
+    coords = coords_of(p)
     mu, nu, ph, ps = coords
     if mu <= 1.0:
         raise ValueError(f"prolate radial coordinate must exceed 1, got mu={mu}")
@@ -303,7 +284,7 @@ def radial_to_cylinder(c):
 def isometry_residual(c, sample):
     """Max-abs difference between the pullback of the two-center metric and
     GH_TO_EH_SCALE times the Eguchi-Hanson metric with a = sqrt(2c)."""
-    coords = np.asarray(sample, dtype=float) if not hasattr(sample, "coords") else sample.coords
+    coords = coords_of(sample)
     a = np.sqrt(2.0 * c)
     m = radial_to_cylinder(c)
     cyl = m(coords)

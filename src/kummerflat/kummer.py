@@ -33,11 +33,13 @@ import numpy as np
 
 from .eguchi_hanson import (
     EhParams,
+    bolt_correction,
     complex_to_resolving,
     kahler_potential_u_chart,
     radial_hessian_derivs,
     resolving_to_complex,
 )
+from .forms import central_partials
 
 log = logging.getLogger(__name__)
 
@@ -142,14 +144,7 @@ def transition_cr_residual(direction, p, step=1e-6):
     def from_real(c):
         return (c[0] + 1j * c[1], c[2] + 1j * c[3])
 
-    base = as_real(p)
-    J = np.empty((4, 4))
-    for j in range(4):
-        cp, cm = base.copy(), base.copy()
-        cp[j] += step
-        cm[j] -= step
-        J[:, j] = (as_real(blowup_transition(direction, from_real(cp)))
-                   - as_real(blowup_transition(direction, from_real(cm)))) / (2 * step)
+    J = central_partials(lambda c: as_real(blowup_transition(direction, from_real(c))), as_real(p), step)
     worst = 0.0
     for out in (0, 2):
         for inp in (0, 2):
@@ -255,7 +250,7 @@ def gluing_correction_G(a, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= a):
         raise ValueError(f"correction requires r > a, got r={r} with a={a}")
-    return (a**2 / 4.0) * np.log((r**2 - a**2) / (r**2 + a**2))
+    return bolt_correction(a, r)
 
 
 def ball_correction_derivs(a, w):

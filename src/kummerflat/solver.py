@@ -726,6 +726,21 @@ def banach_solve(
 # random fields and empirical diagnostics
 
 
+@functools.cache
+def _random_field_modes():
+    """The nonzero modes of the random-field band in lexicographic order
+    and their amplitudes, made once per process; read-only, since every
+    call shares them."""
+    box = _lattice_box(RANDOM_FIELD_KMAX)
+    modes = np.delete(box, len(box) // 2, axis=0)
+    # Python's pow, which numpy's vectorized power need not match to
+    # the last bit
+    amp = np.array([(1.0 + s) ** -RANDOM_FIELD_DECAY for s in np.sum(modes**2, axis=1).tolist()])
+    modes.flags.writeable = False
+    amp.flags.writeable = False
+    return modes, amp
+
+
 def random_smooth_field(grid, rng):
     """Band-limited random real field with zero plain mean.
 
@@ -739,11 +754,7 @@ def random_smooth_field(grid, rng):
     the axes already transformed span whole lines, the others only the
     band."""
     n = grid.n
-    box = _lattice_box(RANDOM_FIELD_KMAX)
-    modes = np.delete(box, len(box) // 2, axis=0)
-    # Python's pow, which numpy's vectorized power need not match to
-    # the last bit
-    amp = np.array([(1.0 + s) ** -RANDOM_FIELD_DECAY for s in np.sum(modes**2, axis=1).tolist()])
+    modes, amp = _random_field_modes()
     z = rng.standard_normal((len(modes), 2))
     # grid indices of the band along one axis, ascending
     band = np.unique(np.arange(-RANDOM_FIELD_KMAX, RANDOM_FIELD_KMAX + 1) % n)

@@ -393,6 +393,49 @@ def test_ricci_positive_control_round_sphere():
     assert ric[2, 2] == pytest.approx(np.sin(1.1) ** 2, abs=1e-5)
 
 
+def _ref_christoffel_symbols(metric_fn, coords, step):
+    g = EH._metric_matrix(metric_fn, coords)
+    ginv = np.linalg.inv(g)
+    dg = np.empty((4, 4, 4))
+    for c_ax in range(4):
+        cp = coords.copy()
+        cm = coords.copy()
+        cp[c_ax] += step
+        cm[c_ax] -= step
+        dg[:, :, c_ax] = (EH._metric_matrix(metric_fn, cp) - EH._metric_matrix(metric_fn, cm)) / (2 * step)
+    inner = dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)
+    return 0.5 * np.einsum("ad,dbc->abc", ginv, inner)
+
+
+def _ref_ricci_tensor(metric_fn, coords, step):
+    gamma0 = _ref_christoffel_symbols(metric_fn, coords, step)
+    dgamma = np.empty((4, 4, 4, 4))
+    for d_ax in range(4):
+        cp = coords.copy()
+        cm = coords.copy()
+        cp[d_ax] += step
+        cm[d_ax] -= step
+        dgamma[:, :, :, d_ax] = (
+            _ref_christoffel_symbols(metric_fn, cp, step) - _ref_christoffel_symbols(metric_fn, cm, step)
+        ) / (2 * step)
+    riem = (
+        dgamma.transpose(0, 2, 3, 1)
+        - dgamma.transpose(0, 2, 1, 3)
+        + np.einsum("ace,edb->abcd", gamma0, gamma0)
+        - np.einsum("ade,ecb->abcd", gamma0, gamma0)
+    )
+    return np.einsum("abad->bd", riem)
+
+
+def test_curvature_matches_axis_loops(rng):
+    for c in _radial_points(rng, 3, r_lo=1.5, pole_margin=0.5):
+        for step in (1e-3, 2e-3):
+            got = EH.christoffel_symbols(_eh_field, c, step)
+            assert got.tobytes() == _ref_christoffel_symbols(_eh_field, c, step).tobytes()
+            got = EH.ricci_residual(_eh_field, c, step=step)
+            assert got.tobytes() == _ref_ricci_tensor(_eh_field, c, step).tobytes()
+
+
 def test_ricci_rejects_indefinite_metric():
     bad = -np.eye(4)
     with pytest.raises(ValueError, match="positive"):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from kummerflat import forms as F
 
+from conftest import complex_matrix
+
 C2 = F.COMPLEX2
 
 
@@ -248,6 +250,64 @@ def test_degenerate_jacobian_rejected():
 
 
 # ---------------------------------------------------------------------------
+# central differences, bit for bit against the per-axis loops
+
+
+def _matrix_fn(c):
+    return np.array([[np.sin(c[0]) * c[1], c[2] ** 3], [np.exp(c[3]) - c[0], c[1] * c[2] * c[3]]])
+
+
+def _ref_partials(fn, coords, step, axes):
+    out = np.empty(fn(coords).shape + (len(axes),))
+    for k, j in enumerate(axes):
+        cp = coords.copy()
+        cm = coords.copy()
+        cp[j] += step
+        cm[j] -= step
+        out[..., k] = (fn(cp) - fn(cm)) / (2 * step)
+    return out
+
+
+def _ref_fd_jacobian(m, coords):
+    J = np.empty((4, 4))
+    h = m.fd_step
+    for j in range(4):
+        cp = coords.copy()
+        cm = coords.copy()
+        cp[j] += h
+        cm[j] -= h
+        J[:, j] = (np.asarray(m.forward(cp)) - np.asarray(m.forward(cm))) / (2 * h)
+    return J
+
+
+def test_central_partials_matches_axis_loop(rng):
+    for c in c2_coords(rng, 5):
+        got = F.central_partials(_matrix_fn, c, 1e-4)
+        ref = _ref_partials(_matrix_fn, c, 1e-4, range(4))
+        assert got.shape == (2, 2, 4) and got.tobytes() == ref.tobytes()
+        got = F.central_partials(_matrix_fn, c, 1e-4, axes=(1, 3))
+        ref = _ref_partials(_matrix_fn, c, 1e-4, (1, 3))
+        assert got.shape == (2, 2, 2) and got.tobytes() == ref.tobytes()
+
+
+def test_fd_jacobian_matches_axis_loop(rng):
+    m = F.ChartMap(
+        C2, C2,
+        lambda c: np.array([c[0] * np.cos(c[1]), c[1] + c[2] ** 2, np.sinh(c[2]) + c[3], c[3] * c[0] + 2.0]),
+        name="nl",
+    )
+    for c in c2_coords(rng, 5):
+        assert m.jacobian(c).tobytes() == _ref_fd_jacobian(m, c).tobytes()
+
+
+def test_coords_of_point_or_sequence():
+    p = F.point(C2, 0.1, 0.2, 0.3, 0.4)
+    assert F.coords_of(p) is p.coords
+    got = F.coords_of([1, 2, 3, 4])
+    assert got.dtype == float and np.array_equal(got, [1.0, 2.0, 3.0, 4.0])
+
+
+# ---------------------------------------------------------------------------
 # complex structure action
 
 
@@ -319,14 +379,14 @@ def test_i_ddbar_mixed_potential(rng):
     phi = lambda c: c[0] * c[3]
     c = c2_coords(rng)[0]
     d2 = F.second_derivative_matrix(phi, c)
-    h = F.hermitian_from_second_derivs(d2)
+    h = complex_matrix(F.hermitian_from_second_derivs(d2))
     assert abs(h[0, 0]) < 1e-7 and abs(h[1, 1]) < 1e-7
     assert abs(h[0, 1] - 0.25j) < 1e-7
     assert abs(h[1, 0] + 0.25j) < 1e-7
 
 
 def test_hermitian_round_trip(rng):
-    h = np.array([[1.5, 0.2 + 0.3j], [0.2 - 0.3j, 0.8]])
+    h = np.array([1.5, 0.8, 0.2, 0.3])
     comp = F.hermitian_to_real_two_form(h)
     assert comp[(0, 1)] == pytest.approx(2 * 1.5)
     assert comp[(2, 3)] == pytest.approx(2 * 0.8)
@@ -334,6 +394,27 @@ def test_hermitian_round_trip(rng):
     assert comp[(1, 2)] == pytest.approx(-2 * 0.2)
     assert comp[(0, 2)] == pytest.approx(-2 * 0.3)
     assert comp[(1, 3)] == pytest.approx(-2 * 0.3)
+
+
+def _ref_complex_hermitian(d2):
+    # the complex (..., 2, 2) formula the component layout replaced
+    h = np.empty(d2.shape[:-2] + (2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            xi, yi = 2 * i, 2 * i + 1
+            xj, yj = 2 * j, 2 * j + 1
+            h[..., i, j] = 0.25 * ((d2[..., xi, xj] + d2[..., yi, yj]) + 1j * (d2[..., xi, yj] - d2[..., yi, xj]))
+    return h
+
+
+@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=32, max_size=32))
+@settings(max_examples=50, deadline=None)
+def test_hermitian_components_match_complex_formula(vals):
+    a = np.array(vals).reshape(2, 4, 4)
+    d2 = a + np.swapaxes(a, -1, -2)
+    h = F.hermitian_from_second_derivs(d2)
+    assert h.shape == (4, 2)
+    assert np.array_equal(complex_matrix(h), _ref_complex_hermitian(d2))
 
 
 @given(coord_strategy)

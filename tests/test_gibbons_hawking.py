@@ -121,6 +121,45 @@ def test_curl_gauge_invariance():
     assert np.max(np.abs(shifted - base)) < 1e-10
 
 
+def _ref_curl_residual(cfg, p, step, extra=None):
+    rho, phi, z = p.rho, p.phi, p.z
+
+    def a_field(rr, zz):
+        base = np.array([0.0, GH.connection_axial(cfg, rr, zz), 0.0])
+        if extra is not None:
+            base = base + np.asarray(extra(rr, zz), dtype=float)
+        return base
+
+    def v_at(rr, zz):
+        return GH.potential_V(cfg, GH._cyl_to_cart(rr, phi, zz))
+
+    h = step
+    da_drho = (a_field(rho + h, z) - a_field(rho - h, z)) / (2 * h)
+    da_dz = (a_field(rho, z + h) - a_field(rho, z - h)) / (2 * h)
+    a_here = a_field(rho, z)
+    curl = np.array([-da_dz[1], da_dz[0] - da_drho[2], da_drho[1] + a_here[1] / rho])
+    grad = np.array([
+        (v_at(rho + h, z) - v_at(rho - h, z)) / (2 * h),
+        0.0,
+        (v_at(rho, z + h) - v_at(rho, z - h)) / (2 * h),
+    ])
+    return curl - grad
+
+
+def test_curl_residual_matches_axis_loop(rng):
+    cfg = GH.two_center_config(0.5, eps_gh=1.0)
+
+    def extra(rho, z):
+        return np.array([np.sin(rho) * z, rho * z**2, np.cos(z)])
+
+    for _ in range(5):
+        p = GH.CylPoint(rng.uniform(0.0, 4.0 * np.pi), rng.uniform(0.3, 2.0),
+                        rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.5, 1.5))
+        for c, ex in ((TWO, None), (cfg, None), (TWO, extra)):
+            got = GH.curl_residual(c, p, step=1e-4, extra=ex)
+            assert got.tobytes() == _ref_curl_residual(c, p, 1e-4, extra=ex).tobytes()
+
+
 def test_curl_residual_reflection_parity():
     up = GH.curl_residual(TWO, GH.CylPoint(0.0, 1.2, 0.1, 0.7), step=1e-4)
     dn = GH.curl_residual(TWO, GH.CylPoint(0.0, 1.2, 0.1, -0.7), step=1e-4)

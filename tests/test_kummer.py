@@ -88,6 +88,28 @@ class TestBlowupCharts:
             assert km.transition_cr_residual("21", p) < 1e-7
 
 
+    def test_transition_cr_residual_matches_axis_loop(self):
+        def ref(direction, p, step=1e-6):
+            def as_real(q):
+                return np.array([q[0].real, q[0].imag, q[1].real, q[1].imag])
+
+            base = as_real((complex(p[0]), complex(p[1])))
+            J = np.empty((4, 4))
+            for j in range(4):
+                cp, cm = base.copy(), base.copy()
+                cp[j] += step
+                cm[j] -= step
+                J[:, j] = (as_real(km.blowup_transition(direction, (cp[0] + 1j * cp[1], cp[2] + 1j * cp[3])))
+                           - as_real(km.blowup_transition(direction, (cm[0] + 1j * cm[1], cm[2] + 1j * cm[3])))
+                           ) / (2 * step)
+            return max(max(abs(J[o, i] - J[o + 1, i + 1]), abs(J[o, i + 1] + J[o + 1, i]))
+                       for o in (0, 2) for i in (0, 2))
+
+        for p in [(0.3 + 0.2j, 1.1 - 0.4j), (2.0 - 1.0j, 0.5 + 0.5j), (2.0, 4.0), (-0.7j, 1.3 + 2.1j)]:
+            for direction in ("12", "21"):
+                assert km.transition_cr_residual(direction, p) == ref(direction, p)
+
+
 class TestChartMaps:
     def test_radial_factorization_round_trip(self):
         r, unit = km.radial_factor([0.03, 0.0, 0.04, 0.0])
@@ -261,7 +283,7 @@ class TestGluedField:
             return eh.kahler_potential_u_chart(eh.EhParams(a), float(np.linalg.norm(c)))
 
         d2 = forms.second_derivative_matrix(potential, x, step=1e-5)
-        ref = forms.hermitian_from_second_derivs(d2)
+        ref = complex_matrix(forms.hermitian_from_second_derivs(d2))
         rel = np.max(np.abs(complex_matrix(h) - ref)) / np.max(np.abs(ref))
         assert rel < 2e-3
 

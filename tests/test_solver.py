@@ -905,6 +905,22 @@ def test_problem_build_computes_det_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_random_field_mode_table_made_once(monkeypatch):
+    calls = []
+    box = sv._lattice_box
+
+    def counting_box(reach):
+        calls.append(reach)
+        return box(reach)
+
+    monkeypatch.setattr(sv, "_lattice_box", counting_box)
+    sv._random_field_modes.cache_clear()
+    rng = np.random.default_rng(5)
+    sv.random_smooth_field(km.TorusGrid(8), rng)
+    sv.random_smooth_field(km.TorusGrid(16), rng)
+    assert calls == [sv.RANDOM_FIELD_KMAX]
+
+
 def test_preconditioner_symbol_made_once_per_problem(monkeypatch):
     calls = []
     symbol = sv.flat_symbol
