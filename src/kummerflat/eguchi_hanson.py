@@ -57,7 +57,8 @@ class MetricTensor:
         m = np.asarray(self.components, dtype=float)
         if m.shape != (DIM, DIM):
             raise ValueError("metric components must be 4x4")
-        if not np.allclose(m, m.T, atol=1e-12):
+        # np.allclose(m, m.T, atol=1e-12) written out; a NaN fails it
+        if not np.all(np.abs(m - m.T) <= 1e-12 + 1e-5 * np.abs(m.T)):
             raise ValueError("metric components must be symmetric")
         object.__setattr__(self, "components", 0.5 * (m + m.T))
 

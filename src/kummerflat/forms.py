@@ -583,10 +583,16 @@ def i_ddbar(phi, step=1e-4, chart=COMPLEX2):
     construction of the symmetrized stencils.
     """
 
+    # the six coefficients at one point share one second-derivative
+    # matrix: the last point's coordinate bytes and its coefficients
+    last = [None, None]
+
     def term(c, idx):
-        d2 = second_derivative_matrix(phi, c, step)
-        h = hermitian_from_second_derivs(d2)
-        return hermitian_to_real_two_form(h)[idx]
+        key = np.asarray(c, dtype=float).tobytes()
+        if key != last[0]:
+            d2 = second_derivative_matrix(phi, c, step)
+            last[:] = key, hermitian_to_real_two_form(hermitian_from_second_derivs(d2))
+        return last[1][idx]
 
     keys = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
     terms = {k: (lambda c, _k=k: term(c, _k)) for k in keys}

@@ -25,7 +25,12 @@ its flat preconditioner uses real-to-complex FFTs on the half spectrum.
 The solve loop allocates nothing per step: the work vectors, the
 operator images and the preconditioner's spectrum are made once per
 inversion and written in place, and the inverse preconditioner symbol is
-made once per Problem.
+made once per Problem.  Each n^4 field lives only as long as it is
+needed: the work vectors die with the BiCGStab loop, the residual checks
+and the fixed-point image are computed in place, a Picard step drops its
+corrected field once its checks are read, and hessian_parts keeps its
+intermediates in the slots of its result; a solve peaks at 11-13
+fields (n=24 and n=16) on top of its Problem's 7.
 """
 
 from __future__ import annotations
@@ -205,27 +210,30 @@ def hessian_parts(u, dx):
     Real coordinates order (x1, y1, x2, y2) along the four grid axes.
     The diagonal entries are half the 5-point Laplacian of each complex
     plane; the four central-central mixed differences share the
-    central differences along x1 and y1.
+    central differences along x1 and y1.  Until the mixed entries are
+    written, their slots of P hold 4u and the diagonal neighbour sums,
+    so the only fresh fields are the two central differences.
     """
     u = np.ascontiguousarray(u, dtype=float)
-    four_u = 4.0 * u
     P = np.empty((4,) + u.shape)
     p11, p22, re12, im12 = P
+    four_u = np.multiply(u, 4.0, out=im12)
     _neighbours(u, 0, np.add, out=p11)
-    p11 += _neighbours(u, 1, np.add)
+    p11 += _neighbours(u, 1, np.add, out=re12)
     p11 -= four_u
     p11 *= 0.5 / dx**2
     _neighbours(u, 2, np.add, out=p22)
-    p22 += _neighbours(u, 3, np.add)
+    p22 += _neighbours(u, 3, np.add, out=re12)
     p22 -= four_u
     p22 *= 0.5 / dx**2
     d0 = _neighbours(u, 0, np.subtract)
     d1 = _neighbours(u, 1, np.subtract)
     _neighbours(d0, 2, np.subtract, out=re12)
-    re12 += _neighbours(d1, 3, np.subtract)
-    re12 *= 0.5 / (2.0 * dx) ** 2
     _neighbours(d0, 3, np.subtract, out=im12)
-    im12 -= _neighbours(d1, 2, np.subtract)
+    # d0 is spent; it takes the two terms along d1
+    re12 += _neighbours(d1, 3, np.subtract, out=d0)
+    re12 *= 0.5 / (2.0 * dx) ** 2
+    im12 -= _neighbours(d1, 2, np.subtract, out=d0)
     im12 *= 0.5 / (2.0 * dx) ** 2
     return P
 
@@ -306,7 +314,9 @@ def laplacian(problem, u):
 def quadratic_Q(problem, u):
     """Quadratic volume remainder det P(u) / det h."""
     u = _require_finite(u, "quadratic remainder input")
-    return kummer.hermitian_det(hessian_parts(u, problem.spacing)) / problem.dets
+    q = kummer.hermitian_det(hessian_parts(u, problem.spacing))
+    q /= problem.dets
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -373,75 +383,86 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600, u0=None):
     if scale == 0.0:
         return np.zeros_like(f), {"iterations": 0, "relative_residual": 0.0,
                                   "mean_defect": 0.0, "history": [0.0]}
-    inverse_symbol = problem.inverse_symbol
     u = np.zeros_like(f) if u0 is None else np.array(u0, dtype=float)
-    r = g if u0 is None else g - _glued_operator(problem, u)
-    history = [float(np.linalg.norm(r)) / scale]
-    it = 0
-    if history[0] > tol:
-        # work vectors, made once and written in place: shadow residual
-        # r_hat, search direction p, operator images v and t, the
-        # preconditioned vector z and the preconditioner's spectrum hat
-        r_hat = r.copy()
-        p = np.zeros_like(r)
-        v = np.zeros_like(r)
-        t = np.empty_like(r)
-        z = np.empty_like(r)
-        hat = np.empty(inverse_symbol.shape, dtype=complex)
-        rho = alpha = omega = 1.0
-        for it in range(1, max_iter + 1):
-            rho_next = float(np.vdot(r_hat, r))
-            if rho_next == 0.0 or omega == 0.0:
-                raise RuntimeError(f"BiCGStab breakdown at step {it}: rho = {rho_next:.3g}, omega = {omega:.3g}")
-            beta = (rho_next / rho) * (alpha / omega)
-            rho = rho_next
-            # p = r + beta (p - omega v)
-            v *= omega
-            p -= v
-            p *= beta
-            p += r
-            _flat_inverse(p, inverse_symbol, hat, z)
-            _glued_operator(problem, z, v)
-            pivot = float(np.vdot(r_hat, v))
-            if pivot == 0.0:
-                raise RuntimeError(f"BiCGStab breakdown at step {it}: <r_hat, v> = 0")
-            alpha = rho / pivot
-            z *= alpha
-            u += z
-            # half step: r becomes s = r - alpha v
-            r -= np.multiply(v, alpha, out=t)
-            rel = float(np.linalg.norm(r)) / scale
-            if rel > tol:
-                _flat_inverse(r, inverse_symbol, hat, z)
-                _glued_operator(problem, z, t)
-                omega = float(np.vdot(t, r)) / float(np.vdot(t, t))
-                z *= omega
-                u += z
-                t *= omega
-                r -= t
-                rel = float(np.linalg.norm(r)) / scale
-            history.append(rel)
-            if rel <= tol:
-                break
-            if it >= 80 and rel > 0.5 * history[it - 60]:
-                raise RuntimeError(
-                    f"inversion stagnated at relative residual {rel:.3e} after {it} iterations; "
-                    f"history tail {['%.2e' % h for h in history[-5:]]}"
-                )
-        else:
-            raise RuntimeError(
-                f"inversion did not reach tolerance {tol:.1e} in {max_iter} iterations "
-                f"(relative residual {history[-1]:.3e})"
-            )
-    u = project_mean_zero(problem, u)
-    raw = laplacian(problem, u) - f
+    if u0 is not None:
+        g -= _glued_operator(problem, u)
+    # g is the residual from here on
+    history = [float(np.linalg.norm(g)) / scale]
+    it = _bicgstab(problem, u, g, scale, tol, max_iter, history) if history[0] > tol else 0
+    del g
+    u -= weighted_mean(problem, u)
+    raw = laplacian(problem, u)
+    raw -= f
+    raw *= problem.weight
     info = {
         "iterations": it,
         "relative_residual": history[-1],
-        "mean_defect": float(np.abs(np.sum(raw * problem.weight) / np.sum(problem.weight))),
+        "mean_defect": float(np.abs(np.sum(raw) / np.sum(problem.weight))),
         "history": history,
     }
     return u, info
+
+
+def _bicgstab(problem, u, r, scale, tol, max_iter, history):
+    """The BiCGStab steps of invert_laplacian: updates u and the
+    residual r in place, appends each step's relative residual to
+    history and returns the number of steps.
+
+    The work vectors are made once and written in place, and die on
+    return: shadow residual r_hat, search direction p, operator images
+    v and t, the preconditioned vector z and the preconditioner's
+    spectrum hat."""
+    inverse_symbol = problem.inverse_symbol
+    r_hat = r.copy()
+    p = np.zeros_like(r)
+    v = np.zeros_like(r)
+    t = np.empty_like(r)
+    z = np.empty_like(r)
+    hat = np.empty(inverse_symbol.shape, dtype=complex)
+    rho = alpha = omega = 1.0
+    for it in range(1, max_iter + 1):
+        rho_next = float(np.vdot(r_hat, r))
+        if rho_next == 0.0 or omega == 0.0:
+            raise RuntimeError(f"BiCGStab breakdown at step {it}: rho = {rho_next:.3g}, omega = {omega:.3g}")
+        beta = (rho_next / rho) * (alpha / omega)
+        rho = rho_next
+        # p = r + beta (p - omega v)
+        v *= omega
+        p -= v
+        p *= beta
+        p += r
+        _flat_inverse(p, inverse_symbol, hat, z)
+        _glued_operator(problem, z, v)
+        pivot = float(np.vdot(r_hat, v))
+        if pivot == 0.0:
+            raise RuntimeError(f"BiCGStab breakdown at step {it}: <r_hat, v> = 0")
+        alpha = rho / pivot
+        z *= alpha
+        u += z
+        # half step: r becomes s = r - alpha v
+        r -= np.multiply(v, alpha, out=t)
+        rel = float(np.linalg.norm(r)) / scale
+        if rel > tol:
+            _flat_inverse(r, inverse_symbol, hat, z)
+            _glued_operator(problem, z, t)
+            omega = float(np.vdot(t, r)) / float(np.vdot(t, t))
+            z *= omega
+            u += z
+            t *= omega
+            r -= t
+            rel = float(np.linalg.norm(r)) / scale
+        history.append(rel)
+        if rel <= tol:
+            return it
+        if it >= 80 and rel > 0.5 * history[it - 60]:
+            raise RuntimeError(
+                f"inversion stagnated at relative residual {rel:.3e} after {it} iterations; "
+                f"history tail {['%.2e' % h for h in history[-5:]]}"
+            )
+    raise RuntimeError(
+        f"inversion did not reach tolerance {tol:.1e} in {max_iter} iterations "
+        f"(relative residual {history[-1]:.3e})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +658,13 @@ def fixed_point_map(problem, psi, invert_tol=DEFAULT_INVERT_TOL, phi0=None):
     """One application of psi -> projection of -e_a - Q(inverse(psi));
     the inversion starts from phi0 (zero by default)."""
     phi, info = invert_laplacian(problem, psi, tol=invert_tol, u0=phi0)
-    raw = -problem.ea - quadratic_Q(problem, phi)
+    # -(Q + e_a) rounds exactly as -e_a - Q, without a -e_a temporary
+    raw = quadratic_Q(problem, phi)
+    raw += problem.ea
+    np.negative(raw, out=raw)
     leak = weighted_mean(problem, raw)
-    return raw - leak, phi, {"projection_leak": leak, "invert": info}
+    raw -= leak
+    return raw, phi, {"projection_leak": leak, "invert": info}
 
 
 def banach_solve(
@@ -680,6 +705,7 @@ def banach_solve(
         corrected = corrected_field(problem, phi)
         ma_sup = float(np.max(np.abs(ma_residual(problem, corrected))))
         mineig = corrected.min_eigenvalue()
+        del corrected
         state.y_history.append(y_next)
         state.ratio_history.append(ratio)
         state.projection_leaks.append(info["projection_leak"])
@@ -931,6 +957,8 @@ def uniqueness_check(problem, params, psi0_a=None, psi0_b=None, tol=DEFAULT_FIXE
     potentials after removing the mean shift."""
     state_a = banach_solve(problem, params, tol=tol, max_iter=max_iter,
                            psi0=psi0_a, enforce_ball=enforce_ball)
+    # only the potentials are compared
+    state_a.corrected = None
     state_b = banach_solve(problem, params, tol=tol, max_iter=max_iter,
                            psi0=psi0_b, enforce_ball=enforce_ball)
     return potential_gap(problem, state_a, state_b)

@@ -37,8 +37,8 @@ def test_criterion_01_frame_identities(capfd):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260823)
     checks = [
-        cli.check_structure_equations(rng, n_points=200, step=1e-4),
-        cli.check_kahler_closedness(rng, n_points=200, step=1e-4),
+        cli.check_structure_equations(rng),
+        cli.check_kahler_closedness(rng),
         cli.check_quaternion_algebra(),
     ]
     elapsed = time.perf_counter() - t0
@@ -51,8 +51,8 @@ def test_criterion_01_frame_identities(capfd):
 def test_criterion_02_potential(capfd):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260823)
-    form_check = cli.check_potential_to_form(rng, n_points=200, step=1e-4)
-    doubling = cli.check_potential_doubling(n_points=41)
+    form_check = cli.check_potential_to_form(rng)
+    doubling = cli.check_potential_doubling()
     elapsed = time.perf_counter() - t0
     ok = form_check["pass"] and doubling["pass"] and elapsed < 5.0
     _verdict(capfd, ok, "02 potential reproduces the first form; doubled closed form",
@@ -64,7 +64,7 @@ def test_criterion_02_potential(capfd):
 def test_criterion_03_ricci_flat(capfd):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260823)
-    check = cli.check_ricci_flat(rng, n_points=100, step=1e-3)
+    check = cli.check_ricci_flat(rng)
     params = EH.EhParams(1.0)
     probe = np.array([2.0, 1.2, 0.8, 1.9])
     metric = lambda c: EH.eh_metric(params, c)
@@ -81,8 +81,8 @@ def test_criterion_03_ricci_flat(capfd):
 def test_criterion_04_gh_eh_isometry(capfd):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260823)
-    iso = cli.check_gh_eh_isometry(0.5, rng, n_points=100)
-    curl = cli.check_curl_equation(0.5, 0.0, rng, n_points=100)
+    iso = cli.check_gh_eh_isometry(0.5, rng)
+    curl = cli.check_curl_equation(0.5, 0.0, rng)
     elapsed = time.perf_counter() - t0
     ok = iso["pass"] and curl["pass"] and elapsed < 30.0
     _verdict(capfd, ok, "04 two-center identification with matched parameters",
@@ -93,8 +93,8 @@ def test_criterion_04_gh_eh_isometry(capfd):
 
 def test_criterion_05_holomorphic_volume_form(capfd):
     rng = np.random.default_rng(20260823)
-    pullback = cli.check_volume_form_pullback(rng, n_points=20)
-    square = cli.check_volume_form_square(rng, n_points=10)
+    pullback = cli.check_volume_form_pullback(rng)
+    square = cli.check_volume_form_square(rng)
     ok = pullback["pass"] and square["pass"]
     _verdict(capfd, ok, "05 holomorphic volume form as a coordinate-area pullback",
              f"pullback residual {pullback['max_residual']:.3g} < 1e-08 at 20 points, "

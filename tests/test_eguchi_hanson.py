@@ -37,6 +37,33 @@ def test_metric_rejects_bolt_radius():
         EH.eh_metric(P1, [0.5, 0.7, 0.3, 0.4])
 
 
+def test_metric_tensor_rejects_asymmetric_and_nan():
+    m = np.eye(4)
+    m[0, 1] = 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        EH.MetricTensor(m)
+    m = np.eye(4)
+    m[2, 2] = np.nan
+    with pytest.raises(ValueError, match="symmetric"):
+        EH.MetricTensor(m)
+
+
+def test_metric_tensor_symmetry_test_matches_allclose(rng):
+    # asymmetries on both sides of the absolute (scale 0) and the
+    # relative tolerance
+    for scale in (0.0, 1.0, 1e3):
+        for size in (1e-14, 5e-13, 2e-12, 1e-6 * scale, 1e-4 * scale):
+            a = rng.standard_normal((4, 4))
+            m = scale * (a + a.T) + size * rng.standard_normal((4, 4))
+            accepted = np.allclose(m, m.T, atol=1e-12)
+            if accepted:
+                g = EH.MetricTensor(m).components
+                assert np.array_equal(g, 0.5 * (m + m.T))
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    EH.MetricTensor(m)
+
+
 def test_metric_equals_coframe_square(rng):
     E = EH.coframe_matrix(P1)
     for c in _radial_points(rng, 20):

@@ -425,6 +425,24 @@ def test_i_ddbar_matrix_antisymmetric(c):
     assert np.max(np.abs(m + m.T)) < 1e-12
 
 
+def test_i_ddbar_samples_phi_once_per_point(rng):
+    calls = []
+
+    def phi(cc):
+        calls.append(1)
+        return cc[0] ** 2 * cc[2] + np.sin(cc[1]) * cc[3]
+
+    om = F.i_ddbar(phi)
+    # a second point must not reuse the first point's coefficients
+    for c in c2_coords(rng, 2):
+        calls.clear()
+        got = om.as_matrix(c)
+        assert len(calls) == 33
+        d2 = F.second_derivative_matrix(phi, c)
+        for (i, j), v in F.hermitian_to_real_two_form(F.hermitian_from_second_derivs(d2)).items():
+            assert got[i, j] == v
+
+
 @given(st.integers(0, 3), st.integers(0, 3), coord_strategy)
 @settings(max_examples=40, deadline=None)
 def test_wedge_of_differentials_matches_sign_count(i, j, c):

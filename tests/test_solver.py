@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -890,6 +891,80 @@ class TestNormLayerEquivalence:
             assert sv.sobolev_l22_norm(f, dx, resolved_problem.weight) == _ref_sobolev_l22_norm(
                 f, dx, resolved_problem.weight)
             assert sv.bochner_ratio(grid16, f) == _ref_bochner_ratio(grid16, f)
+
+
+# ---------------------------------------------------------------------------
+# field lifetimes: the stencil and the fixed-point image against their
+# fresh-array formulas, and the traced peaks of the inversion and the solve
+
+
+def _ref_hessian_parts(u, dx):
+    # every neighbour sum and 4u in a fresh array
+    four_u = 4.0 * u
+    P = np.empty((4,) + u.shape)
+    p11, p22, re12, im12 = P
+    sv._neighbours(u, 0, np.add, out=p11)
+    p11 += sv._neighbours(u, 1, np.add)
+    p11 -= four_u
+    p11 *= 0.5 / dx**2
+    sv._neighbours(u, 2, np.add, out=p22)
+    p22 += sv._neighbours(u, 3, np.add)
+    p22 -= four_u
+    p22 *= 0.5 / dx**2
+    d0 = sv._neighbours(u, 0, np.subtract)
+    d1 = sv._neighbours(u, 1, np.subtract)
+    sv._neighbours(d0, 2, np.subtract, out=re12)
+    re12 += sv._neighbours(d1, 3, np.subtract)
+    re12 *= 0.5 / (2.0 * dx) ** 2
+    sv._neighbours(d0, 3, np.subtract, out=im12)
+    im12 -= sv._neighbours(d1, 2, np.subtract)
+    im12 *= 0.5 / (2.0 * dx) ** 2
+    return P
+
+
+def test_hessian_parts_matches_fresh_array_formula(bolt_problem):
+    dx = bolt_problem.spacing
+    rng = np.random.default_rng(41)
+    for u in (bolt_problem.ea, sv.random_smooth_field(bolt_problem.grid, rng),
+              rng.standard_normal(bolt_problem.shape)):
+        _assert_same_bits(sv.hessian_parts(u, dx), _ref_hessian_parts(u, dx))
+
+
+def test_fixed_point_map_matches_minus_ea_minus_q(bolt_problem):
+    psi = sv.project_mean_zero(bolt_problem, -bolt_problem.ea)
+    psi_next, phi, info = sv.fixed_point_map(bolt_problem, psi)
+    raw = -bolt_problem.ea - sv.quadratic_Q(bolt_problem, phi)
+    leak = sv.weighted_mean(bolt_problem, raw)
+    assert info["projection_leak"] == leak
+    _assert_same_bits(psi_next, raw - leak)
+
+
+def _traced_peak_fields(fn, n):
+    """Peak memory traced while fn() runs, above what is allocated when
+    it starts, in float64 fields of n^4 nodes; numpy reports its array
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / (8.0 * n**4)
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_peak_memory_in_fields(resolved_problem, params):
+    # at n=16 a warm-started inversion peaks at 10.9 fields and the
+    # solve at 12.9; they read 12.9 and 18.9 while the Krylov work
+    # vectors outlived the loop and the Picard step kept the previous
+    # corrected field and a -e_a temporary
+    n = resolved_problem.grid.n
+    f = sv.project_mean_zero(resolved_problem, -resolved_problem.ea)
+    u0, _ = sv.invert_laplacian(resolved_problem, f)
+    f *= 0.9
+    warm = lambda: sv.invert_laplacian(resolved_problem, f, u0=u0)
+    assert _traced_peak_fields(warm, n) < 12.0
+    solve = lambda: sv.banach_solve(resolved_problem, params, enforce_ball=False)
+    assert _traced_peak_fields(solve, n) < 15.5
 
 
 def test_problem_build_computes_det_once(monkeypatch):
