@@ -219,8 +219,12 @@ def _entry(name, residuals, tolerance):
     }
 
 
-def _print_report(checks, path):
-    """One line per check; returns True when every executed check passed."""
+def _print_report(report, path):
+    """Write report to path as JSON and print one line per check; report
+    is the list of checks, or a dict that holds it under "checks".
+    Returns the exit status, 0 exactly when every executed check passed."""
+    solver.dump_json(report, path)
+    checks = report["checks"] if isinstance(report, dict) else report
     failed = []
     for c in checks:
         if c.get("skipped"):
@@ -238,7 +242,7 @@ def _print_report(checks, path):
         print("failed checks: " + ", ".join(failed))
     else:
         print("all executed checks passed")
-    return not failed
+    return 1 if failed else 0
 
 
 def _radial_points(rng, n, r_lo=1.2, r_hi=4.0, pole_margin=0.3):
@@ -356,11 +360,9 @@ def verify_eh_checks(seed=0, inject_sigma2=False):
     ]
 
 
-def cmd_verify_eh(cfg, inject_sigma2=False):
+def cmd_verify_eh(cfg, inject_sigma2):
     checks = verify_eh_checks(seed=cfg.seed, inject_sigma2=inject_sigma2)
-    path = cfg.out / "verify_eh.json"
-    solver.dump_json(checks, path)
-    return 0 if _print_report(checks, path) else 1
+    return _print_report(checks, cfg.out / "verify_eh.json")
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +424,7 @@ def verify_gh_checks(c, eps_gh, seed=0):
 
 def cmd_verify_gh(cfg):
     checks = verify_gh_checks(cfg.c, cfg.eps_gh, seed=cfg.seed)
-    path = cfg.out / "verify_gh.json"
-    solver.dump_json(checks, path)
-    return 0 if _print_report(checks, path) else 1
+    return _print_report(checks, cfg.out / "verify_gh.json")
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,7 @@ def cmd_scaling(cfg, models):
 # solve, spectrum, uniqueness
 
 
-def cmd_solve(cfg, model, ball_guard=True):
+def cmd_solve(cfg, model, ball_guard):
     prob = solver.Problem.build(model, cfg.grid())
     params = cfg.norm_params()
     state = solver.banach_solve(
@@ -507,14 +507,14 @@ def cmd_solve(cfg, model, ball_guard=True):
     print("min_eigenvalue=%.17g" % summary["min_eigenvalue"])
     for p in (trace_path, field_path, out / "solve_summary.json"):
         print(f"wrote {p}")
-    ok = state.converged and state.final_min_eigenvalue > 0
-    return 0 if ok else 1
+    # banach_solve raises unless the solve converged to a positive form
+    return 0
 
 
 def lambda1_report(cfg, models):
     grid = cfg.grid()
     n = cfg.grid_n
-    flat_discrete = float(4.0 * n**2 * np.sin(np.pi / n) ** 2)
+    flat_discrete = float(solver.flat_axis_symbol(n)[1])
     values = []
     checks = []
     flat_grid = True
@@ -537,25 +537,22 @@ def lambda1_report(cfg, models):
     entry = _entry("poincare-inequality", [0.0, -np.min(poincare["margins"])], 1e-10)
     entry["pass"] = poincare["all_pass"]
     checks.append(entry)
-    report = {
+    return {
         "grid_n": n,
         "flat_discrete_eigenvalue": flat_discrete,
         "values": values,
         "checks": checks,
     }
-    return report, checks
 
 
 def cmd_lambda1(cfg, models):
-    report, checks = lambda1_report(cfg, models)
-    path = cfg.out / "lambda1.json"
-    solver.dump_json(report, path)
+    report = lambda1_report(cfg, models)
     for v in report["values"]:
         print("a=%.17g lambda1=%.17g" % (v["a"], v["lambda1"]))
-    return 0 if _print_report(checks, path) else 1
+    return _print_report(report, cfg.out / "lambda1.json")
 
 
-def cmd_uniqueness(cfg, model, ball_guard=True):
+def cmd_uniqueness(cfg, model, ball_guard):
     prob = solver.Problem.build(model, cfg.grid())
     params = cfg.norm_params()
 
@@ -574,9 +571,7 @@ def cmd_uniqueness(cfg, model, ball_guard=True):
         _entry("two-seed-agreement", gap, 10.0 * cfg.tol),
         _entry("rerun-determinism", det_gap, 0.0),
     ]
-    path = cfg.out / "uniqueness.json"
-    solver.dump_json(checks, path)
-    return 0 if _print_report(checks, path) else 1
+    return _print_report(checks, cfg.out / "uniqueness.json")
 
 
 # ---------------------------------------------------------------------------

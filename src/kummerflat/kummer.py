@@ -285,7 +285,6 @@ class GluedModel:
 
     a: float
     zeta: float = 1.0 / 9.0
-    cutoff: str = "exp_smoothstep"
     sites: np.ndarray = field(default_factory=fixed_points)
 
     def __post_init__(self):
@@ -295,8 +294,6 @@ class GluedModel:
             raise ValueError(
                 f"deformation parameter must lie in (0, zeta/2) = (0, {self.zeta / 2.0:.6g}), got a={self.a}"
             )
-        if self.cutoff != "exp_smoothstep":
-            raise ValueError(f"unknown cutoff profile {self.cutoff!r}")
         if self.a > self.zeta / 8.0:
             log.info("a=%.4g exceeds the conservative bound zeta/8=%.4g", self.a, self.zeta / 8.0)
         if self.zeta > 0.25:

@@ -4,7 +4,7 @@ Weighted Sobolev/Hölder norms, the scalar Laplacian attached to the
 glued (1,1) field, its mean-zero inversion, the quadratic volume
 remainder, the contraction fixed-point iteration, and spectral
 diagnostics (smallest nonzero eigenvalue, Poincaré and Bochner checks,
-two-seed uniqueness).
+the gap between two solves' potentials).
 
 Scalar fields live on the cell-centered torus grid as real (n,n,n,n)
 arrays.  The complex Hessian stencil P(u) = 2 u_{i jbar} uses 3-point
@@ -25,12 +25,14 @@ its flat preconditioner uses real-to-complex FFTs on the half spectrum.
 The solve loop allocates nothing per step: the work vectors, the
 operator images and the preconditioner's spectrum are made once per
 inversion and written in place, and the inverse preconditioner symbol is
-made once per Problem.  Each n^4 field lives only as long as it is
-needed: the work vectors die with the BiCGStab loop, the residual checks
-and the fixed-point image are computed in place, a Picard step drops its
-corrected field once its checks are read, and hessian_parts keeps its
-intermediates in the slots of its result; a solve peaks at 11-13
-fields (n=24 and n=16) on top of its Problem's 7.
+made once per Problem.  Each Picard step builds one stencil field P of
+its potential: Q = det P / det h is read from it, P becomes the
+corrected field h + P in place, and the step's residual and positivity
+checks drop it before its Y-norms run.  Each other n^4 field lives only
+as long as it is needed: the work vectors die with the BiCGStab loop,
+the residual checks and the fixed-point image are computed in place,
+and hessian_parts keeps its intermediates in the slots of its result; a
+solve peaks at 11-13 fields (n=24 and n=16) on top of its Problem's 7.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +53,9 @@ log = logging.getLogger(__name__)
 DEFAULT_INVERT_TOL = 1e-8
 DEFAULT_FIXED_POINT_TOL = 1e-6
 MEAN_ZERO_TOL = 1e-8
+# Krylov subspace dimension and inversion tolerance of lambda1_estimate
+LAMBDA1_KRYLOV_DIM = 16
+LAMBDA1_INVERT_TOL = 1e-9
 # band limit and amplitude decay of random_smooth_field
 RANDOM_FIELD_KMAX = 3
 RANDOM_FIELD_DECAY = 2.0
@@ -314,7 +319,12 @@ def laplacian(problem, u):
 def quadratic_Q(problem, u):
     """Quadratic volume remainder det P(u) / det h."""
     u = _require_finite(u, "quadratic remainder input")
-    q = kummer.hermitian_det(hessian_parts(u, problem.spacing))
+    return _remainder_of(problem, hessian_parts(u, problem.spacing))
+
+
+def _remainder_of(problem, P):
+    """det P / det h for a stencil field P = hessian_parts(u, dx)."""
+    q = kummer.hermitian_det(P)
     q /= problem.dets
     return q
 
@@ -323,11 +333,17 @@ def quadratic_Q(problem, u):
 # mean-zero inversion
 
 
+def flat_axis_symbol(n):
+    """Eigenvalues 4 n^2 sin^2(pi k / n), k = 0, ..., n - 1, of minus the
+    flat 3-point second difference along one periodic axis."""
+    k = np.arange(n)
+    return 4.0 * n**2 * np.sin(np.pi * k / n) ** 2
+
+
 def flat_symbol(n):
     """Eigenvalues of minus the flat grid Laplacian on the real-FFT half
     spectrum, shape (n, n, n, n // 2 + 1)."""
-    k = np.arange(n)
-    s = 4.0 * n**2 * np.sin(np.pi * k / n) ** 2
+    s = flat_axis_symbol(n)
     h = s[: n // 2 + 1]
     return (
         s[:, None, None, None]
@@ -469,11 +485,10 @@ def _bicgstab(problem, u, r, scale, tol, max_iter, history):
 # norms
 
 
-def lp_norm(f, p, weight=None):
-    """Volume-weighted L^p norm; uniform unit-volume weights by default."""
+def lp_norm(f, p, weight):
+    """Weighted L^p norm."""
     f = _require_finite(f, "norm input")
-    w = np.full(f.shape, 1.0 / f.size) if weight is None else weight
-    return float(np.sum(w * np.abs(f) ** p) ** (1.0 / p))
+    return float(np.sum(weight * np.abs(f) ** p) ** (1.0 / p))
 
 
 def gradient_components(f, dx):
@@ -493,16 +508,15 @@ def _second_differences(f, dx):
                 yield 2.0, _central_diff(along_i, j, dx)
 
 
-def sobolev_l22_norm(f, dx, weight=None):
-    """Two-derivative Sobolev norm: L2 norms of f, its gradient, and its
-    Hessian, via central differences."""
+def sobolev_l22_norm(f, dx, weight):
+    """Two-derivative Sobolev norm: the weighted L2 norms of f, its
+    gradient, and its Hessian, via central differences."""
     f = _require_finite(f, "norm input")
-    w = np.full(f.shape, 1.0 / f.size) if weight is None else weight
-    total = float(np.sum(w * f**2))
+    total = float(np.sum(weight * f**2))
     for g in gradient_components(f, dx):
-        total += float(np.sum(w * g**2))
+        total += float(np.sum(weight * g**2))
     for m, h in _second_differences(f, dx):
-        total += float(np.sum(w * (m * h**2)))
+        total += float(np.sum(weight * (m * h**2)))
     return float(np.sqrt(total))
 
 
@@ -612,30 +626,33 @@ def y_norm(problem, params, f):
 
 @dataclass
 class SolverState:
-    """Outcome of the contraction iteration."""
+    """Outcome of the contraction iteration; trace_rows holds one row of
+    TRACE_COLUMNS per Picard step."""
 
     psi: np.ndarray
     phi: np.ndarray
     ball_radius: float
     iterations: int
     converged: bool
-    y_history: list = field(default_factory=list)
-    ratio_history: list = field(default_factory=list)
-    projection_leaks: list = field(default_factory=list)
-    trace_rows: list = field(default_factory=list)
-    initial_ma_sup: float = float("nan")
-    final_ma_sup: float = float("nan")
-    final_min_eigenvalue: float = float("nan")
-    mean_zero_defect: float = float("nan")
-    corrected: kummer.Field11 | None = None
+    projection_leaks: list
+    trace_rows: list
+    initial_ma_sup: float
+    final_ma_sup: float
+    final_min_eigenvalue: float
+    mean_zero_defect: float
+    corrected: kummer.Field11 | None
 
 
 def corrected_field(problem, phi):
     """The corrected field h + P(phi), with the problem's volume ratio."""
+    return _corrected(problem, hessian_parts(phi, problem.spacing))
+
+
+def _corrected(problem, P):
+    """The corrected field h + P for a stencil field P, written into P."""
     h = problem.field_
-    K = hessian_parts(phi, problem.spacing)
-    K += h.data
-    return kummer.Field11(h.n, h.a, h.zeta, K, lam=problem.lam)
+    P += h.data
+    return kummer.Field11(h.n, h.a, h.zeta, P, lam=problem.lam)
 
 
 def ma_residual(problem, corrected):
@@ -654,17 +671,22 @@ def ma_residual(problem, corrected):
     return 2.0 * det / problem.lam - 1.0
 
 
-def fixed_point_map(problem, psi, invert_tol=DEFAULT_INVERT_TOL, phi0=None):
+def fixed_point_map(problem, psi, phi0=None):
     """One application of psi -> projection of -e_a - Q(inverse(psi));
-    the inversion starts from phi0 (zero by default)."""
-    phi, info = invert_laplacian(problem, psi, tol=invert_tol, u0=phi0)
+    the inversion starts from phi0 (zero by default).
+
+    Returns the image, the potential phi, the corrected field of phi and
+    the inversion's info.  One stencil field P(phi) gives both Q(phi)
+    and the corrected field, which takes over P's memory."""
+    phi, info = invert_laplacian(problem, psi, u0=phi0)
+    P = hessian_parts(_require_finite(phi, "quadratic remainder input"), problem.spacing)
     # -(Q + e_a) rounds exactly as -e_a - Q, without a -e_a temporary
-    raw = quadratic_Q(problem, phi)
+    raw = _remainder_of(problem, P)
     raw += problem.ea
     np.negative(raw, out=raw)
     leak = weighted_mean(problem, raw)
     raw -= leak
-    return raw, phi, {"projection_leak": leak, "invert": info}
+    return raw, phi, _corrected(problem, P), {"projection_leak": leak, "invert": info}
 
 
 def banach_solve(
@@ -672,7 +694,6 @@ def banach_solve(
     params,
     tol=DEFAULT_FIXED_POINT_TOL,
     max_iter=40,
-    invert_tol=DEFAULT_INVERT_TOL,
     psi0=None,
     enforce_ball=True,
 ):
@@ -689,33 +710,27 @@ def banach_solve(
         raise ValueError(
             f"starting field outside the radius-R ball: Y-norm {y0:.4e} > R = {R:.4e}"
         )
-    state = SolverState(psi=psi, phi=np.zeros(problem.shape), ball_radius=R,
-                        iterations=0, converged=False)
     # the corrected field of phi = 0 is h itself
-    state.initial_ma_sup = float(np.max(np.abs(ma_residual(problem, problem.field_))))
+    initial_ma_sup = float(np.max(np.abs(ma_residual(problem, problem.field_))))
+    rows, leaks = [], []
     first_increment = None
     prev_increment = None
     phi = None
     for it in range(1, max_iter + 1):
         # each inversion after the first starts from the previous potential
-        psi_next, phi, info = fixed_point_map(problem, psi, invert_tol=invert_tol, phi0=phi)
+        psi_next, phi, corrected, info = fixed_point_map(problem, psi, phi0=phi)
+        ma_sup = float(np.max(np.abs(ma_residual(problem, corrected))))
+        mineig = corrected.min_eigenvalue()
+        # the corrected field is spent before the Y-norms run
+        del corrected
         y_next = y_norm(problem, params, psi_next)
         increment = y_norm(problem, params, psi_next - psi)
         ratio = float("nan") if prev_increment in (None, 0.0) else increment / prev_increment
-        corrected = corrected_field(problem, phi)
-        ma_sup = float(np.max(np.abs(ma_residual(problem, corrected))))
-        mineig = corrected.min_eigenvalue()
-        del corrected
-        state.y_history.append(y_next)
-        state.ratio_history.append(ratio)
-        state.projection_leaks.append(info["projection_leak"])
-        state.trace_rows.append(
+        leaks.append(info["projection_leak"])
+        rows.append(
             {"iter": it, "y_norm_psi": y_next, "lipschitz_sample_max": ratio,
              "ma_sup_residual": ma_sup, "min_eigenvalue": mineig}
         )
-        state.psi = psi_next
-        state.phi = phi
-        state.iterations = it
         if enforce_ball and y_next > R:
             raise ValueError(
                 f"iterate {it} left the radius-R ball: Y-norm {y_next:.4e} > R = {R:.4e}; "
@@ -723,29 +738,29 @@ def banach_solve(
             )
         if first_increment is None:
             first_increment = increment
-        threshold = max(tol * first_increment, 1e-15)
-        done = increment <= threshold
         psi = psi_next
         prev_increment = increment
-        if done:
-            state.converged = True
+        if increment <= max(tol * first_increment, 1e-15):
             break
-    if not state.converged:
+    else:
         raise RuntimeError(
             f"fixed-point iteration did not converge in {max_iter} steps; "
-            f"contraction ratios {['%.3f' % r for r in state.ratio_history[-5:]]}"
+            f"contraction ratios {['%.3f' % row['lipschitz_sample_max'] for row in rows[-5:]]}"
         )
-    phi_final, _ = invert_laplacian(problem, state.psi, tol=invert_tol, u0=state.phi)
-    state.phi = phi_final
-    state.corrected = corrected = corrected_field(problem, phi_final)
-    state.final_min_eigenvalue = corrected.min_eigenvalue()
-    if state.final_min_eigenvalue <= 0:
+    phi, _ = invert_laplacian(problem, psi, u0=phi)
+    corrected = corrected_field(problem, phi)
+    final_min_eigenvalue = corrected.min_eigenvalue()
+    if final_min_eigenvalue <= 0:
         raise ValueError(
-            f"accepted correction loses positivity: min eigenvalue {state.final_min_eigenvalue:.6g}"
+            f"accepted correction loses positivity: min eigenvalue {final_min_eigenvalue:.6g}"
         )
-    state.final_ma_sup = float(np.max(np.abs(ma_residual(problem, corrected))))
-    state.mean_zero_defect = abs(weighted_mean(problem, state.psi))
-    return state
+    return SolverState(
+        psi=psi, phi=phi, ball_radius=R, iterations=it, converged=True,
+        projection_leaks=leaks, trace_rows=rows, initial_ma_sup=initial_ma_sup,
+        final_ma_sup=float(np.max(np.abs(ma_residual(problem, corrected)))),
+        final_min_eigenvalue=final_min_eigenvalue,
+        mean_zero_defect=abs(weighted_mean(problem, psi)), corrected=corrected,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -795,20 +810,20 @@ def random_smooth_field(grid, rng):
     return f
 
 
-def scaled_ball_samples(problem, params, rng, count, fractions=(0.2, 0.9)):
-    """Mean-zero random fields scaled to lie strictly inside the
-    radius-R ball of the Y-norm."""
+def scaled_ball_samples(problem, params, rng, count):
+    """Mean-zero random fields scaled to a uniform random fraction in
+    [0.2, 0.9] of the radius-R ball of the Y-norm."""
     R = params.ball_radius(problem.model.a)
     out = []
     for _ in range(count):
         f = project_mean_zero(problem, random_smooth_field(problem.grid, rng))
         y = y_norm(problem, params, f)
-        target = R * rng.uniform(*fractions)
+        target = R * rng.uniform(0.2, 0.9)
         out.append(f * (target / y))
     return out
 
 
-def lipschitz_ratios(problem, params, n_pairs=20, seed=0, invert_tol=DEFAULT_INVERT_TOL):
+def lipschitz_ratios(problem, params, n_pairs=20, seed=0):
     """Measured contraction ratios of the fixed-point map over random
     pairs inside the ball."""
     rng = np.random.default_rng(seed)
@@ -816,15 +831,15 @@ def lipschitz_ratios(problem, params, n_pairs=20, seed=0, invert_tol=DEFAULT_INV
     ratios = []
     for i in range(n_pairs):
         p1, p2 = samples[2 * i], samples[2 * i + 1]
-        f1, _, _ = fixed_point_map(problem, p1, invert_tol=invert_tol)
-        f2, _, _ = fixed_point_map(problem, p2, invert_tol=invert_tol)
+        f1 = fixed_point_map(problem, p1)[0]
+        f2 = fixed_point_map(problem, p2)[0]
         num = y_norm(problem, params, f1 - f2)
         den = y_norm(problem, params, p1 - p2)
         ratios.append(num / den)
     return np.array(ratios)
 
 
-def quadratic_envelope(problem, params, n_pairs=50, seed=0, invert_tol=DEFAULT_INVERT_TOL):
+def quadratic_envelope(problem, params, n_pairs=50, seed=0):
     """Empirical constant in the quadratic-remainder difference bound
     |Q(u1) - Q(u2)|_Y <= C a^(-2 alpha) |u1-u2|_X |u1+u2|_X."""
     rng = np.random.default_rng(seed)
@@ -832,8 +847,8 @@ def quadratic_envelope(problem, params, n_pairs=50, seed=0, invert_tol=DEFAULT_I
     ratios = []
     for _ in range(n_pairs):
         psi1, psi2 = scaled_ball_samples(problem, params, rng, 2)
-        u1, _ = invert_laplacian(problem, psi1, tol=invert_tol)
-        u2, _ = invert_laplacian(problem, psi2, tol=invert_tol)
+        u1, _ = invert_laplacian(problem, psi1)
+        u2, _ = invert_laplacian(problem, psi2)
         q_diff = quadratic_Q(problem, u1) - quadratic_Q(problem, u2)
         diff = y_norm(problem, params, project_mean_zero(problem, q_diff))
         den = a ** (-2.0 * params.alpha) * x_norm(problem, params, u1 - u2) * x_norm(
@@ -844,13 +859,13 @@ def quadratic_envelope(problem, params, n_pairs=50, seed=0, invert_tol=DEFAULT_I
     return {"ratios": ratios, "fitted_constant": float(ratios.max())}
 
 
-def inverse_bound_diagnostic(problem, params, n_fields=20, seed=0, invert_tol=DEFAULT_INVERT_TOL):
+def inverse_bound_diagnostic(problem, params, n_fields=20, seed=0):
     """Measured X/Y operator ratios of the inversion over random data."""
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(n_fields):
         f = project_mean_zero(problem, random_smooth_field(problem.grid, rng))
-        u, _ = invert_laplacian(problem, f, tol=invert_tol)
+        u, _ = invert_laplacian(problem, f)
         ratios.append(x_norm(problem, params, u) / y_norm(problem, params, f))
     return np.array(ratios)
 
@@ -859,7 +874,7 @@ def inverse_bound_diagnostic(problem, params, n_fields=20, seed=0, invert_tol=DE
 # spectrum and uniqueness
 
 
-def lambda1_estimate(problem, dim=16, tol=1e-6, seed=7, invert_tol=1e-9):
+def lambda1_estimate(problem, tol=1e-6, seed=7):
     """Smallest nonzero eigenvalue of minus the Laplacian.
 
     Rayleigh-Ritz on an inverse-iteration Krylov subspace; robust to
@@ -879,10 +894,10 @@ def lambda1_estimate(problem, dim=16, tol=1e-6, seed=7, invert_tol=1e-9):
     # one -laplacian image per basis vector, made when a Ritz step first
     # needs it; the Ritz matrix grows by one row and column per image
     images = []
-    M = np.empty((dim + 1, dim + 1))
+    M = np.empty((LAMBDA1_KRYLOV_DIM + 1, LAMBDA1_KRYLOV_DIM + 1))
     prev = None
-    for _ in range(dim):
-        u, _ = invert_laplacian(problem, basis[-1], tol=invert_tol)
+    for _ in range(LAMBDA1_KRYLOV_DIM):
+        u, _ = invert_laplacian(problem, basis[-1], tol=LAMBDA1_INVERT_TOL)
         u = project_mean_zero(problem, u)
         for b in basis:
             c = wip(u, b)
@@ -949,19 +964,6 @@ def bochner_ratio(grid, u):
     if denom == 0.0:
         raise ValueError("Bochner ratio undefined for a field with zero Laplacian energy")
     return hess / denom
-
-
-def uniqueness_check(problem, params, psi0_a=None, psi0_b=None, tol=DEFAULT_FIXED_POINT_TOL,
-                     max_iter=40, enforce_ball=True):
-    """Run the solve from two seeds and return the sup distance of the
-    potentials after removing the mean shift."""
-    state_a = banach_solve(problem, params, tol=tol, max_iter=max_iter,
-                           psi0=psi0_a, enforce_ball=enforce_ball)
-    # only the potentials are compared
-    state_a.corrected = None
-    state_b = banach_solve(problem, params, tol=tol, max_iter=max_iter,
-                           psi0=psi0_b, enforce_ball=enforce_ball)
-    return potential_gap(problem, state_a, state_b)
 
 
 def potential_gap(problem, state_a, state_b):
@@ -1043,12 +1045,12 @@ def write_trace_csv(state, path):
             writer.writerow([_fmt(row[c]) for c in TRACE_COLUMNS])
 
 
-def write_summary_json(state, path, extra=None):
+def write_summary_json(state, path, extra):
     summary = {
         "converged": state.converged,
         "iterations": state.iterations,
         "ball_radius": state.ball_radius,
-        "y_norm_final": state.y_history[-1] if state.y_history else 0.0,
+        "y_norm_final": state.trace_rows[-1]["y_norm_psi"],
         "initial_ma_sup": state.initial_ma_sup,
         "final_ma_sup": state.final_ma_sup,
         "residual_ratio": (state.final_ma_sup / state.initial_ma_sup
@@ -1056,7 +1058,6 @@ def write_summary_json(state, path, extra=None):
         "min_eigenvalue": state.final_min_eigenvalue,
         "mean_zero_defect": state.mean_zero_defect,
     }
-    if extra:
-        summary.update(extra)
+    summary.update(extra)
     dump_json(summary, path)
     return summary

@@ -185,7 +185,7 @@ def test_criterion_09_end_to_end_solve(capfd):
     params = SV.NormParams(alpha=0.1, p=6.0)
     state = SV.banach_solve(prob, params)
     elapsed = time.perf_counter() - t0
-    in_ball = all(y <= state.ball_radius for y in state.y_history)
+    in_ball = all(row["y_norm_psi"] <= state.ball_radius for row in state.trace_rows)
     residual_ok = state.final_ma_sup <= 0.1 * state.initial_ma_sup
     ok = (state.converged and in_ball and residual_ok
           and state.final_min_eigenvalue > 0 and elapsed < 1800.0)
@@ -201,7 +201,9 @@ def test_criterion_10_uniqueness_and_spectrum(capfd):
     params = SV.NormParams(alpha=0.1, p=6.0)
     reference = SV.Problem.build(KM.GluedModel(a=0.05, zeta=ZETA_REFERENCE), grid)
 
-    gap = SV.uniqueness_check(reference, params, psi0_a=None, psi0_b=-reference.ea)
+    state_a = SV.banach_solve(reference, params)
+    state_b = SV.banach_solve(reference, params, psi0=-reference.ea)
+    gap = SV.potential_gap(reference, state_a, state_b)
     gap_ok = gap < 10.0 * SV.DEFAULT_FIXED_POINT_TOL
 
     lam_flat = SV.lambda1_estimate(reference)

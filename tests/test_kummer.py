@@ -251,8 +251,6 @@ class TestGluedModel:
             km.GluedModel(a=0.3, zeta=1.0 / 9.0)
         with pytest.raises(ValueError, match=r"\(0, 1/2\)"):
             km.GluedModel(a=0.01, zeta=0.6)
-        with pytest.raises(ValueError, match="cutoff"):
-            km.GluedModel(a=0.01, zeta=1.0 / 9.0, cutoff="linear")
 
     def test_defaults(self):
         model = km.GluedModel(a=0.01)

@@ -210,14 +210,14 @@ class TestNonSymmetricInversion:
 class TestNorms:
     def test_constant_l2(self):
         c = np.full((16,) * 4, 3.0)
-        assert abs(sv.lp_norm(c, 2) - 3.0) < 1e-12
+        assert abs(sv.lp_norm(c, 2, np.full(c.shape, 1 / c.size)) - 3.0) < 1e-12
 
     def test_sobolev_against_fourier(self, grid16):
         X = _coords(grid16)
         f = np.sin(2 * np.pi * X[0])
         w = 2 * np.pi
         continuum = np.sqrt(0.5 * (1 + w**2 + w**4))
-        discrete = sv.sobolev_l22_norm(f, grid16.spacing)
+        discrete = sv.sobolev_l22_norm(f, grid16.spacing, np.full(f.shape, 1 / f.size))
         assert abs(discrete - continuum) / continuum < 0.02
 
     def test_holder_seminorm_tracks_roughness(self, grid16):
@@ -245,7 +245,7 @@ class TestNorms:
 
     def test_nonfinite_guard(self):
         with pytest.raises(ValueError, match="finite"):
-            sv.lp_norm(np.full((16,) * 4, np.inf), 2)
+            sv.lp_norm(np.full((16,) * 4, np.inf), 2, np.full((16,) * 4, 1 / 16**4))
 
     def test_error_density_y_slope(self, grid16, params):
         values = [0.02, 0.04, 0.08]
@@ -304,7 +304,7 @@ class TestFixedPoint:
         assert state.final_ma_sup <= 0.1 * state.initial_ma_sup + 1e-15
         assert state.final_min_eigenvalue > 0
         assert state.mean_zero_defect < 1e-12
-        assert all(y <= state.ball_radius for y in state.y_history)
+        assert all(row["y_norm_psi"] <= state.ball_radius for row in state.trace_rows)
 
     def test_small_parameter_degenerates(self, grid16, params):
         prob = sv.Problem.build(km.GluedModel(a=1e-3, zeta=1.0 / 9.0), grid16)
@@ -323,7 +323,8 @@ class TestFixedPoint:
         assert state.converged
         assert state.final_ma_sup <= 0.1 * state.initial_ma_sup
         assert state.final_min_eigenvalue > 0
-        ratios = [r for r in state.ratio_history if np.isfinite(r)]
+        ratios = [row["lipschitz_sample_max"] for row in state.trace_rows]
+        ratios = [r for r in ratios if np.isfinite(r)]
         assert all(r < 1 for r in ratios)
 
     def test_lipschitz_ratios_contract(self, grid16, params):
@@ -408,8 +409,9 @@ class TestSpectrum:
 
 class TestUniqueness:
     def test_two_seeds_agree(self, flat_problem, params):
-        gap = sv.uniqueness_check(flat_problem, params,
-                                  psi0_a=None, psi0_b=-flat_problem.ea)
+        state_a = sv.banach_solve(flat_problem, params)
+        state_b = sv.banach_solve(flat_problem, params, psi0=-flat_problem.ea)
+        gap = sv.potential_gap(flat_problem, state_a, state_b)
         assert gap < 10 * sv.DEFAULT_FIXED_POINT_TOL
 
     def test_identical_seeds_bitwise(self, flat_problem, params):
@@ -887,7 +889,7 @@ class TestNormLayerEquivalence:
         rng = np.random.default_rng(23)
         dx = grid16.spacing
         for f in (sv.random_smooth_field(grid16, rng), rng.standard_normal((16,) * 4)):
-            assert sv.sobolev_l22_norm(f, dx) == _ref_sobolev_l22_norm(f, dx)
+            assert sv.sobolev_l22_norm(f, dx, np.full(f.shape, 1 / f.size)) == _ref_sobolev_l22_norm(f, dx)
             assert sv.sobolev_l22_norm(f, dx, resolved_problem.weight) == _ref_sobolev_l22_norm(
                 f, dx, resolved_problem.weight)
             assert sv.bochner_ratio(grid16, f) == _ref_bochner_ratio(grid16, f)
@@ -932,11 +934,34 @@ def test_hessian_parts_matches_fresh_array_formula(bolt_problem):
 
 def test_fixed_point_map_matches_minus_ea_minus_q(bolt_problem):
     psi = sv.project_mean_zero(bolt_problem, -bolt_problem.ea)
-    psi_next, phi, info = sv.fixed_point_map(bolt_problem, psi)
+    psi_next, phi, corrected, info = sv.fixed_point_map(bolt_problem, psi)
     raw = -bolt_problem.ea - sv.quadratic_Q(bolt_problem, phi)
     leak = sv.weighted_mean(bolt_problem, raw)
     assert info["projection_leak"] == leak
     _assert_same_bits(psi_next, raw - leak)
+    # the stencil field behind Q became the corrected field
+    _assert_same_bits(corrected.data, sv.corrected_field(bolt_problem, phi).data)
+    assert corrected.lam == bolt_problem.lam
+
+
+def test_one_stencil_field_per_picard_step(resolved_problem, params, monkeypatch):
+    calls = {"hessian_parts": 0, "fixed_point_map": 0}
+
+    def counting(name):
+        original = getattr(sv, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sv, name, wrapper)
+
+    counting("hessian_parts")
+    counting("fixed_point_map")
+    state = sv.banach_solve(resolved_problem, params, enforce_ball=False)
+    assert state.iterations >= 2
+    # one P(phi) per Picard step and one for the accepted correction
+    assert calls == {"hessian_parts": state.iterations + 1, "fixed_point_map": state.iterations}
 
 
 def _traced_peak_fields(fn, n):
