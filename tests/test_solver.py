@@ -210,7 +210,7 @@ class TestNonSymmetricInversion:
 class TestNorms:
     def test_constant_l2(self):
         c = np.full((16,) * 4, 3.0)
-        assert abs(sv.lp_norm(c, 2, np.full(c.shape, 1 / c.size)) - 3.0) < 1e-12
+        assert abs(sv.l2_norm(c, np.full(c.shape, 1 / c.size)) - 3.0) < 1e-12
 
     def test_sobolev_against_fourier(self, grid16):
         X = _coords(grid16)
@@ -245,7 +245,16 @@ class TestNorms:
 
     def test_nonfinite_guard(self):
         with pytest.raises(ValueError, match="finite"):
-            sv.lp_norm(np.full((16,) * 4, np.inf), 2, np.full((16,) * 4, 1 / 16**4))
+            sv.l2_norm(np.full((16,) * 4, np.inf), np.full((16,) * 4, 1 / 16**4))
+
+    @pytest.mark.parametrize("norm", [sv.y_norm, sv.x_norm])
+    def test_nonfinite_entry_rejected_before_arithmetic(self, flat_problem, params, norm):
+        # one inf entry must raise the finiteness error, not a
+        # RuntimeWarning from inf - inf in the mean subtraction
+        f = np.zeros(flat_problem.shape)
+        f[3, 1, 4, 1] = np.inf
+        with pytest.raises(ValueError, match="norm input must be finite"):
+            norm(flat_problem, params, f)
 
     def test_error_density_y_slope(self, grid16, params):
         values = [0.02, 0.04, 0.08]
@@ -299,7 +308,6 @@ class TestMaResidual:
 class TestFixedPoint:
     def test_reference_solve(self, flat_problem, params):
         state = sv.banach_solve(flat_problem, params)
-        assert state.converged
         assert state.iterations == 1
         assert state.final_ma_sup <= 0.1 * state.initial_ma_sup + 1e-15
         assert state.final_min_eigenvalue > 0
@@ -320,7 +328,6 @@ class TestFixedPoint:
 
     def test_resolved_solve_without_ball_guard(self, resolved_problem, params):
         state = sv.banach_solve(resolved_problem, params, enforce_ball=False)
-        assert state.converged
         assert state.final_ma_sup <= 0.1 * state.initial_ma_sup
         assert state.final_min_eigenvalue > 0
         ratios = [row["lipschitz_sample_max"] for row in state.trace_rows]
@@ -386,7 +393,7 @@ class TestSpectrum:
 
     def test_poincare(self, flat_problem):
         lam1 = sv.lambda1_estimate(flat_problem)
-        out = sv.poincare_check(flat_problem, lam1, n_fields=20, seed=11)
+        out = sv.poincare_check(flat_problem, lam1)
         assert out["all_pass"]
 
     def test_bochner_ratio(self, grid16):
@@ -749,8 +756,8 @@ class TestKrylovKernelEquivalence:
     def test_poincare_margins_match_roll(self, bolt_problem):
         # a lambda1 near the glued fields' value, so that margins of
         # either sign occur
-        out = sv.poincare_check(bolt_problem, 39.0, n_fields=4, seed=11)
-        _assert_same_bits(out["margins"], _ref_poincare_margins(bolt_problem, 39.0, 4, 11))
+        out = sv.poincare_check(bolt_problem, 39.0)
+        _assert_same_bits(out["margins"], _ref_poincare_margins(bolt_problem, 39.0, 20, 11))
 
 
 # ---------------------------------------------------------------------------
@@ -823,6 +830,35 @@ def _ref_sobolev_l22_norm(f, dx, weight=None):
     return float(np.sqrt(total))
 
 
+def _ref_hessian_components(f, dx):
+    for i in range(4):
+        for j in range(i, 4):
+            yield sv._second_diff(f, i, dx) if i == j else _ref_mixed(f, i, j, dx)
+
+
+def _ref_y_norm(problem, params, f):
+    a = problem.model.a
+    f = f - sv.weighted_mean(problem, f)
+    # the power, not np.sqrt, which can differ in the last bit
+    l2 = float(np.sum(problem.weight * f**2) ** 0.5)
+    rb = max(a, 2.0 * problem.spacing)
+    holder = float(np.max(np.abs(f))) + _ref_holder_seminorm(f, problem.spacing, params.alpha, rb)
+    return a ** (-4.0 + params.resolved_eps()) * l2 + holder
+
+
+def _ref_x_norm(problem, params, f):
+    a, dx = problem.model.a, problem.spacing
+    f = f - sv.weighted_mean(problem, f)
+    rb = max(a, 2.0 * dx)
+    hess = list(_ref_hessian_components(f, dx))
+    holder = (float(np.max(np.abs(f)))
+              + max(float(np.max(np.abs(g))) for g in sv.gradient_components(f, dx))
+              + max(float(np.max(np.abs(h))) for h in hess)
+              + max(_ref_holder_seminorm(h, dx, params.alpha, rb) for h in hess))
+    sobolev = _ref_sobolev_l22_norm(f, dx, problem.weight)
+    return a ** (-4.0 + params.resolved_eps()) * sobolev + a**params.alpha * holder
+
+
 def _ref_bochner_ratio(grid, u):
     dx = grid.spacing
     hess = 0.0
@@ -884,6 +920,17 @@ class TestNormLayerEquivalence:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         assert np.array_equal(sv.random_smooth_field(grid, rng), _ref_random_smooth_field(grid, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("zeta", [1.0 / 9.0, 4.0 / 9.0])
+    def test_y_and_x_norms_match_reference_sums(self, params, zeta):
+        # n=8 keeps the reference offset sweep over the ten Hessian
+        # components fast
+        problem = sv.Problem.build(km.GluedModel(a=0.05, zeta=zeta), km.TorusGrid(8))
+        rng = np.random.default_rng(47)
+        smooth = sv.project_mean_zero(problem, sv.random_smooth_field(problem.grid, rng))
+        for f in (problem.ea, smooth):
+            assert sv.y_norm(problem, params, f) == _ref_y_norm(problem, params, f)
+            assert sv.x_norm(problem, params, f) == _ref_x_norm(problem, params, f)
 
     def test_sobolev_and_bochner_match_loops(self, resolved_problem, grid16):
         rng = np.random.default_rng(23)
