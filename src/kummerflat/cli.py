@@ -16,6 +16,7 @@ and a grid whose memory estimate exceeds physical memory is refused.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import math
@@ -231,10 +232,8 @@ def _print_report(report, path):
             print(f"SKIP {c['check']}: {c['note']}")
             continue
         status = "PASS" if c["pass"] else "FAIL"
-        print(
-            f"{status} {c['check']}: max residual %.17g (tolerance %.17g)"
-            % (c["max_residual"], c["tolerance"])
-        )
+        print(f"{status} {c['check']}: max residual {c['max_residual']!r} "
+              f"(tolerance {c['tolerance']!r})")
         if not c["pass"]:
             failed.append(c["check"])
     print(f"wrote {path}")
@@ -467,16 +466,15 @@ def cmd_scaling(cfg, models):
     rows = scaling_rows(cfg, models)
     footer = scaling_footer(rows)
     path = cfg.out / "scaling.csv"
+    columns = ("a", "sup_ea", "y_norm_ea", "lambda")
     with open(path, "w", newline="") as fh:
-        fh.write("a,sup_ea,y_norm_ea,lambda\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
         for r in rows:
-            fh.write(",".join("%.17g" % r[k] for k in ("a", "sup_ea", "y_norm_ea", "lambda")) + "\n")
+            writer.writerow([r[k] for k in columns])
         fh.write("# " + solver.json_text(footer, indent=None) + "\n")
     for r in rows:
-        print(
-            "a=%.17g sup_ea=%.17g y_norm_ea=%.17g lambda=%.17g"
-            % (r["a"], r["sup_ea"], r["y_norm_ea"], r["lambda"])
-        )
+        print(" ".join(f"{k}={float(r[k])!r}" for k in columns))
     print("slopes: " + solver.json_text(footer, indent=None))
     print(f"wrote {path}")
     return 0
@@ -503,8 +501,8 @@ def cmd_solve(cfg, model, ball_guard):
         extra={k: getattr(cfg, k) for k in ("a", "zeta", "grid_n", "alpha", "p", "seed")},
     )
     print("converged=%s iterations=%d" % (str(summary["converged"]).lower(), summary["iterations"]))
-    print("residual_ratio=%.17g" % summary["residual_ratio"])
-    print("min_eigenvalue=%.17g" % summary["min_eigenvalue"])
+    for k in ("residual_ratio", "min_eigenvalue"):
+        print(f"{k}={float(summary[k])!r}")
     for p in (trace_path, field_path, out / "solve_summary.json"):
         print(f"wrote {p}")
     # banach_solve raises unless the solve converged to a positive form
@@ -548,7 +546,7 @@ def lambda1_report(cfg, models):
 def cmd_lambda1(cfg, models):
     report = lambda1_report(cfg, models)
     for v in report["values"]:
-        print("a=%.17g lambda1=%.17g" % (v["a"], v["lambda1"]))
+        print(f"a={float(v['a'])!r} lambda1={float(v['lambda1'])!r}")
     return _print_report(report, cfg.out / "lambda1.json")
 
 
@@ -631,7 +629,7 @@ def main(argv=None):
             return cmd_lambda1(cfg, models)
         if args.command == "uniqueness":
             return cmd_uniqueness(cfg, models[0], ball_guard=not args.no_ball_guard)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command}")

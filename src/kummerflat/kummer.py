@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -501,13 +502,11 @@ def load_field(path):
         if not (np.isfinite(a) and np.isfinite(zeta) and not np.isinf(lam)):
             raise ValueError(f"non-finite field parameters a={a}, zeta={zeta}, lambda={lam}")
         expect = n**4 * 4 * 16
-        # one byte past the expected size tells an oversized file apart
-        # without reading all of it
-        body = fh.read(expect + 1)
-    if len(body) < expect:
-        raise ValueError(f"field body has {len(body)} bytes, expected {expect}")
-    if len(body) > expect:
-        raise ValueError(f"field body has more than the expected {expect} bytes")
+        # sized before it is read, so a header with a huge n allocates nothing
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != expect:
+            raise ValueError(f"field body has {size} bytes, expected {expect}")
+        body = fh.read()
     m = np.frombuffer(body, dtype="<c16").reshape((n,) * 4 + (2, 2))
     if not np.all(np.isfinite(m)):
         raise ValueError("field body has non-finite entries")

@@ -981,53 +981,18 @@ def potential_gap(problem, state_a, state_b):
 TRACE_COLUMNS = ["iter", "y_norm_psi", "lipschitz_sample_max", "ma_sup_residual", "min_eigenvalue"]
 
 
-def _fmt(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % x
-
-
-def json_text(obj, indent=2):
-    """Deterministic JSON: sorted keys, floats at 17 significant digits
-    so identical runs produce identical bytes; indent=None renders a
-    single line."""
-    return _render_json(obj, indent, 0)
-
-
-def _render_json(obj, indent, level):
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            raise ValueError(f"non-finite number in JSON artifact: {x}")
-        return "%.17g" % x
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, dict):
-        items = [
-            json.dumps(str(k)) + ": " + _render_json(obj[k], indent, level + 1)
-            for k in sorted(obj)
-        ]
-        return _join_json("{", items, "}", indent, level)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        items = [_render_json(v, indent, level + 1) for v in seq]
-        return _join_json("[", items, "]", indent, level)
+def _plain(obj):
+    """numpy scalars and arrays as the Python values json writes."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot render {type(obj).__name__} in a JSON artifact")
 
 
-def _join_json(opening, items, closing, indent, level):
-    if not items:
-        return opening + closing
-    if indent is None:
-        return opening + ", ".join(items) + closing
-    pad = " " * (indent * (level + 1))
-    return opening + "\n" + ",\n".join(pad + it for it in items) + "\n" + " " * (indent * level) + closing
+def json_text(obj, indent=2):
+    """Deterministic JSON through json.dumps: sorted keys, floats in
+    Python's shortest round-trip form, numpy values as plain ones, and
+    ValueError on NaN or infinity; indent=None renders a single line."""
+    return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False, default=_plain)
 
 
 def dump_json(obj, path):
@@ -1039,10 +1004,10 @@ def dump_json(obj, path):
 
 def write_trace_csv(state, path):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
         for row in state.trace_rows:
-            writer.writerow([_fmt(row[c]) for c in TRACE_COLUMNS])
+            writer.writerow([row[c] for c in TRACE_COLUMNS])
 
 
 def write_summary_json(state, path, extra):

@@ -306,6 +306,15 @@ class TestVerifyGh:
             run(["verify-gh", "--c", "0", "--out", str(tmp_path)])
         assert err.value.code == 2
 
+    # finite and positive, so the option table accepts them; the sample
+    # points then overflow.  The overflow warnings on the way are expected
+    # here: the test is about the ArithmeticError that follows them.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("c", ["1e200", "1e308"])
+    def test_overflowing_constant_reports_error(self, tmp_path, capsys, c):
+        assert run(["verify-gh", "--c", c, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_nan_potential_constant_fails_checks(self):
         # the builtin max dropped a NaN that followed a number, so these
         # checks passed with residual 0
@@ -331,6 +340,13 @@ class TestScaling:
         assert abs(footer["y_norm_ea_slope"] - 4.0 / 3.0) < 0.4
         sup = [float(ln.split(",")[1]) for ln in lines[1:4]]
         assert sup[0] < sup[1] < sup[2]
+
+    def test_lines_end_in_lf(self, tmp_path):
+        assert run(["scaling", "--zeta", ZETA_RESOLVED, "--a-list", "0.02,0.04",
+                    "--out", str(tmp_path)]) == 0
+        raw = (tmp_path / "scaling.csv").read_bytes()
+        assert b"\r" not in raw
+        assert raw.count(b"\n") == 4 and raw.endswith(b"\n")
 
     def test_single_value_omits_slope(self, tmp_path):
         out = tmp_path / "run"
@@ -379,6 +395,17 @@ class TestSolve:
         # blind reference grid: the volume ratio is exactly one half
         assert loaded.lam == 0.5
         assert loaded.min_eigenvalue() > 0
+
+    def test_stdout_numbers_read_back_as_the_summary(self, tmp_path, capsys):
+        assert run(["solve", "--zeta", ZETA_RESOLVED, "--grid-n", "8", "--no-ball-guard",
+                    "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "np.float64(" not in out
+        printed = dict(ln.split("=", 1) for ln in out.splitlines()
+                       if ln.startswith(("residual_ratio=", "min_eigenvalue=")))
+        summary = json.loads((tmp_path / "solve_summary.json").read_text())
+        for key in ("residual_ratio", "min_eigenvalue"):
+            assert float(printed[key]) == summary[key]
 
     def test_corrected_field_built_only_inside_the_solve(self, tmp_path, monkeypatch):
         outside = []

@@ -581,6 +581,9 @@ class TestLoadFieldRejects:
         ({"a": float("nan")}, "non-finite"),
         ({"zeta": float("inf")}, "non-finite"),
         ({"lam": float("-inf")}, "non-finite"),
+        # bodies far too large to allocate: rejected by size, not read
+        ({"n": 1000}, "expected"),
+        ({"n": 1 << 20}, "expected"),
     ])
     def test_bad_header_values(self, valid_kmf, fields, match):
         raw, root = valid_kmf

@@ -450,11 +450,40 @@ class TestArtifacts:
     def test_summary_json(self, flat_problem, params, tmp_path):
         state = sv.banach_solve(flat_problem, params)
         path = tmp_path / "summary.json"
-        summary = sv.write_summary_json(state, path, extra={"n": 16})
+        summary = sv.write_summary_json(state, path, extra={"n": 16, "p": params.p})
         loaded = json.loads(path.read_text())
         assert loaded["converged"] is True
         assert loaded["n"] == 16
-        assert loaded == summary or loaded.keys() == summary.keys()
+        assert loaded == summary
+        # an integral float keeps its decimal point
+        assert type(loaded["p"]) is float and loaded["p"] == 6.0
+
+    def test_trace_csv_lines_end_in_lf(self, flat_problem, params, tmp_path):
+        state = sv.banach_solve(flat_problem, params)
+        path = tmp_path / "trace.csv"
+        sv.write_trace_csv(state, path)
+        raw = path.read_bytes()
+        assert b"\r" not in raw
+        assert raw.count(b"\n") == 1 + state.iterations and raw.endswith(b"\n")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    def test_json_text_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            sv.json_text({"x": [1.0, bad]})
+
+    def test_json_text_renders_numpy_values_as_plain_json(self):
+        obj = {"f": np.float64(0.1), "i": np.int64(3), "b": np.bool_(True),
+               "a": np.array([[0.5, 2.0], [1e-300, 3.0]])}
+        text = sv.json_text(obj)
+        assert text == sv.json_text({"f": 0.1, "i": 3, "b": True,
+                                     "a": [[0.5, 2.0], [1e-300, 3.0]]})
+        assert json.loads(text) == {"f": 0.1, "i": 3, "b": True,
+                                    "a": [[0.5, 2.0], [1e-300, 3.0]]}
+        assert sv.json_text({"a": [1.5, 2]}, indent=None) == '{"a": [1.5, 2]}'
+
+    def test_json_text_rejects_other_objects(self):
+        with pytest.raises(TypeError):
+            sv.json_text({"x": object()})
 
     def test_rerun_bytes_identical(self, flat_problem, params, tmp_path):
         state = sv.banach_solve(flat_problem, params)
