@@ -1,16 +1,15 @@
 """Command-line driver for the verification suites, scaling sweeps,
 Monge-Ampere solves, and spectral checks.
 
-Subcommands: verify-eh, verify-gh, scaling, solve, lambda1,
-uniqueness.  Options come from flags with an optional JSON config
-file (explicit flags win); every command is deterministic given its
-configuration, prints one line per executed check, writes artifacts
-under the output directory, and exits 0 exactly when every executed
-check passes.  Invalid configurations are rejected before any
-computation with exit status 2: flags and config values pass one
-option table (config values must be JSON numbers for numeric options,
-integers for integer ones and strings for out and a_list, never bools),
-and a grid whose memory estimate exceeds physical memory is refused.
+Each subcommand is a row of the command table _COMMANDS, which names
+the options it reads from flags or a JSON config file (flags win); it
+takes no other flag and ignores the other options' config keys.  Every
+command is deterministic given its configuration, prints one line per
+executed check, writes artifacts under the output directory, and exits
+0 exactly when every executed check passes.  Invalid configurations
+exit 2 before any computation: flags and config values pass one typed,
+range-checked option table, a excludes a_list, and a grid whose memory
+estimate exceeds physical memory is refused.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated options; those the command does not take keep their defaults."""
+    """Validated options and switches; the rest keep their defaults."""
 
     command: str
     a: float = 0.05
@@ -58,6 +57,8 @@ class RunConfig:
     a_list: tuple | None = None
     c: float = 0.5
     eps_gh: float = 0.0
+    no_ball_guard: bool = False
+    inject_sigma2_sign_error: bool = False
 
     def norm_params(self):
         return solver.NormParams(alpha=self.alpha, p=self.p)
@@ -93,7 +94,6 @@ class _Option:
     help: str
     rule: Callable = lambda value: True
     rule_text: str = ""
-    commands: tuple = ()  # the commands taking the option; () for all
 
 
 _OPTIONS = (
@@ -107,15 +107,14 @@ _OPTIONS = (
     _Option("seed", int, "integer", "sampling seed", lambda v: v >= 0, "must be non-negative"),
     _Option("out", Path, "string", "artifact directory"),
     _Option("a_list", _float_list, "string", "comma-separated deformation parameters",
-            lambda v: 0 < len(v) == len(set(v)), "must be non-empty without duplicates",
-            commands=("scaling", "lambda1")),
-    _Option("c", _finite_float, "number", "half-separation of the two centers", commands=("verify-gh",)),
-    _Option("eps_gh", _finite_float, "number", "additive potential constant", commands=("verify-gh",)),
+            lambda v: 0 < len(v) == len(set(v)), "must be non-empty without duplicates"),
+    _Option("c", _finite_float, "number", "half-separation of the two centers"),
+    _Option("eps_gh", _finite_float, "number", "additive potential constant"),
 )
 
 
 def _command_options(command):
-    return [opt for opt in _OPTIONS if not opt.commands or command in opt.commands]
+    return [opt for opt in _OPTIONS if opt.name in _COMMANDS[command].options]
 
 
 def _read_config_file(path, parser):
@@ -132,10 +131,10 @@ def _read_config_file(path, parser):
 
 
 def build_run_config(args, parser):
-    """Resolve each option the command takes from its flag, else the
+    """Resolve each option the command reads from its flag, else the
     config file, else the RunConfig default, checked against its row."""
     file_cfg = _read_config_file(args.config, parser) if args.config else {}
-    values = {}
+    values = {name: getattr(args, name) for name, _ in _COMMANDS[args.command].switches}
     for opt in _command_options(args.command):
         raw = getattr(args, opt.name)
         source = "--" + opt.name.replace("_", "-")
@@ -153,6 +152,8 @@ def build_run_config(args, parser):
         if not opt.rule(value):
             parser.error(f"{source} {opt.rule_text}, got {raw!r}")
         values[opt.name] = value
+    if "a" in values and "a_list" in values:
+        parser.error("a and a_list exclude each other; give one")
     return RunConfig(command=args.command, **values)
 
 
@@ -180,24 +181,25 @@ def _physical_memory():
 
 
 def _validate(cfg, parser):
-    """Re-run the library invariant guards at parse time, and refuse a
-    grid larger than physical memory.
+    """Re-run the library invariant guards of the options the command
+    reads at parse time, and refuse a grid larger than physical memory.
 
     Returns the glued models the command runs on, one per deformation
-    parameter, so that each is built (and its regime logged) once."""
+    parameter (none without a), so each is built and logged once."""
+    options = _COMMANDS[cfg.command].options
     models = []
     try:
-        if cfg.command in ("scaling", "solve", "lambda1", "uniqueness"):
+        if "alpha" in options:
             cfg.norm_params()
+        if "grid_n" in options:
             cfg.grid()
             need, have = cfg.grid_n**4 * _BYTES_PER_NODE, _physical_memory()
             if need > have:
-                raise ValueError(
-                    f"grid_n={cfg.grid_n} needs about {need / 1e9:.3g} GB, "
-                    f"more than the {have / 1e9:.3g} GB of physical memory"
-                )
+                raise ValueError(f"grid_n={cfg.grid_n} needs about {need / 1e9:.3g} GB, "
+                                 f"more than the {have / 1e9:.3g} GB of physical memory")
+        if "a" in options:
             models = [kummer.GluedModel(a=a, zeta=cfg.zeta) for a in cfg.a_list or (cfg.a,)]
-        if cfg.command == "verify-gh":
+        if "c" in options:
             gh.two_center_config(cfg.c, cfg.eps_gh)
     except ValueError as exc:
         parser.error(str(exc))
@@ -359,8 +361,8 @@ def verify_eh_checks(seed=0, inject_sigma2=False):
     ]
 
 
-def cmd_verify_eh(cfg, inject_sigma2):
-    checks = verify_eh_checks(seed=cfg.seed, inject_sigma2=inject_sigma2)
+def cmd_verify_eh(cfg, models):
+    checks = verify_eh_checks(seed=cfg.seed, inject_sigma2=cfg.inject_sigma2_sign_error)
     return _print_report(checks, cfg.out / "verify_eh.json")
 
 
@@ -421,7 +423,7 @@ def verify_gh_checks(c, eps_gh, seed=0):
     return checks
 
 
-def cmd_verify_gh(cfg):
+def cmd_verify_gh(cfg, models):
     checks = verify_gh_checks(cfg.c, cfg.eps_gh, seed=cfg.seed)
     return _print_report(checks, cfg.out / "verify_gh.json")
 
@@ -484,22 +486,17 @@ def cmd_scaling(cfg, models):
 # solve, spectrum, uniqueness
 
 
-def cmd_solve(cfg, model, ball_guard):
-    prob = solver.Problem.build(model, cfg.grid())
-    params = cfg.norm_params()
-    state = solver.banach_solve(
-        prob, params, tol=cfg.tol, max_iter=cfg.max_iter, enforce_ball=ball_guard
-    )
+def cmd_solve(cfg, models):
+    prob = solver.Problem.build(models[0], cfg.grid())
+    state = solver.banach_solve(prob, cfg.norm_params(), tol=cfg.tol, max_iter=cfg.max_iter,
+                                enforce_ball=not cfg.no_ball_guard)
     out = cfg.out
     trace_path = out / "solve_trace.csv"
     solver.write_trace_csv(state, trace_path)
     field_path = out / "corrected_field.kmf"
     kummer.save_field(state.corrected, field_path)
-    summary = solver.write_summary_json(
-        state,
-        out / "solve_summary.json",
-        extra={k: getattr(cfg, k) for k in ("a", "zeta", "grid_n", "alpha", "p", "seed")},
-    )
+    extra = {k: getattr(cfg, k) for k in ("a", "zeta", "grid_n", "alpha", "p", "seed")}
+    summary = solver.write_summary_json(state, out / "solve_summary.json", extra=extra)
     print("converged=%s iterations=%d" % (str(summary["converged"]).lower(), summary["iterations"]))
     for k in ("residual_ratio", "min_eigenvalue"):
         print(f"{k}={float(summary[k])!r}")
@@ -550,13 +547,13 @@ def cmd_lambda1(cfg, models):
     return _print_report(report, cfg.out / "lambda1.json")
 
 
-def cmd_uniqueness(cfg, model, ball_guard):
-    prob = solver.Problem.build(model, cfg.grid())
+def cmd_uniqueness(cfg, models):
+    prob = solver.Problem.build(models[0], cfg.grid())
     params = cfg.norm_params()
 
     def solve(psi0=None):
         return solver.banach_solve(prob, params, tol=cfg.tol, max_iter=cfg.max_iter,
-                                   psi0=psi0, enforce_ball=ball_guard)
+                                   psi0=psi0, enforce_ball=not cfg.no_ball_guard)
 
     # the zero-seed solve is both the first seed and the first rerun;
     # only its psi and phi are compared, so its corrected field is
@@ -573,14 +570,38 @@ def cmd_uniqueness(cfg, model, ball_guard):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# command table and argument parsing
 
 
-def _add_options(sp, command):
-    sp.add_argument("--config", type=Path, default=None,
-                    help="JSON file with option defaults; explicit flags win")
-    for opt in _command_options(command):
-        sp.add_argument("--" + opt.name.replace("_", "-"), default=None, help=opt.help)
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its help text, handler(cfg, models) and options."""
+
+    help: str
+    handler: Callable
+    options: tuple  # the _OPTIONS names it reads
+    switches: tuple = ()  # store_true (RunConfig field, help) pairs, with no config key
+
+
+_NO_BALL_GUARD = ("no_ball_guard", "disable the fixed-point ball containment guard")
+
+_COMMANDS = {
+    "verify-eh": _Command("Eguchi-Hanson identity suite", cmd_verify_eh, ("seed", "out"),
+                          (("inject_sigma2_sign_error", argparse.SUPPRESS),)),
+    "verify-gh": _Command("Gibbons-Hawking ansatz suite", cmd_verify_gh, ("c", "eps_gh", "seed", "out")),
+    # the sweep samples nothing; it takes --seed only because the
+    # benchmark's scaling_sweep op (perfbench/workloads.py) passes one
+    "scaling": _Command("error-density scaling sweep", cmd_scaling,
+                        ("a", "a_list", "zeta", "grid_n", "alpha", "p", "seed", "out")),
+    "solve": _Command("run the fixed-point solve", cmd_solve,
+                      ("a", "zeta", "grid_n", "alpha", "p", "tol", "max_iter", "seed", "out"),
+                      (_NO_BALL_GUARD,)),
+    "lambda1": _Command("smallest nonzero Laplacian eigenvalue", cmd_lambda1,
+                        ("a", "a_list", "zeta", "grid_n", "tol", "seed", "out")),
+    "uniqueness": _Command("two-seed fixed-point agreement", cmd_uniqueness,
+                           ("a", "zeta", "grid_n", "alpha", "p", "tol", "max_iter", "out"),
+                           (_NO_BALL_GUARD,)),
+}
 
 
 def build_parser():
@@ -589,22 +610,14 @@ def build_parser():
         description="Verification suites and Monge-Ampere solves for the glued Kummer structure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in (
-        ("verify-eh", "Eguchi-Hanson identity suite"),
-        ("verify-gh", "Gibbons-Hawking ansatz suite"),
-        ("scaling", "error-density scaling sweep"),
-        ("solve", "run the fixed-point solve"),
-        ("lambda1", "smallest nonzero Laplacian eigenvalue"),
-        ("uniqueness", "two-seed fixed-point agreement"),
-    ):
-        sp = sub.add_parser(command, help=text)
-        _add_options(sp, command)
-        if command == "verify-eh":
-            sp.add_argument("--inject-sigma2-sign-error", action="store_true",
-                            help=argparse.SUPPRESS)
-        if command in ("solve", "uniqueness"):
-            sp.add_argument("--no-ball-guard", action="store_true",
-                            help="disable the fixed-point ball containment guard")
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        sp.add_argument("--config", type=Path, default=None,
+                        help="JSON file with option defaults; explicit flags win")
+        for opt in _command_options(name):
+            sp.add_argument("--" + opt.name.replace("_", "-"), default=None, help=opt.help)
+        for switch, text in command.switches:
+            sp.add_argument("--" + switch.replace("_", "-"), action="store_true", help=text)
     return parser
 
 
@@ -615,24 +628,11 @@ def main(argv=None):
     cfg = build_run_config(args, parser)
     models = _validate(cfg, parser)
     _make_out_dir(cfg, parser)
-
     try:
-        if args.command == "verify-eh":
-            return cmd_verify_eh(cfg, inject_sigma2=args.inject_sigma2_sign_error)
-        if args.command == "verify-gh":
-            return cmd_verify_gh(cfg)
-        if args.command == "scaling":
-            return cmd_scaling(cfg, models)
-        if args.command == "solve":
-            return cmd_solve(cfg, models[0], ball_guard=not args.no_ball_guard)
-        if args.command == "lambda1":
-            return cmd_lambda1(cfg, models)
-        if args.command == "uniqueness":
-            return cmd_uniqueness(cfg, models[0], ball_guard=not args.no_ball_guard)
+        return _COMMANDS[cfg.command].handler(cfg, models)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

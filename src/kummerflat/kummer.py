@@ -28,7 +28,7 @@ import json
 import logging
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +65,11 @@ def involution(x):
 def fixed_points():
     """The sixteen half-lattice points fixed by the involution."""
     return np.array(list(itertools.product((0.0, 0.5), repeat=4)))
+
+
+# the sixteen gluing sites, shared by every GluedModel; read-only
+SITES = fixed_points()
+SITES.flags.writeable = False
 
 
 def wrap_displacement(delta):
@@ -286,7 +291,6 @@ class GluedModel:
 
     a: float
     zeta: float = 1.0 / 9.0
-    sites: np.ndarray = field(default_factory=fixed_points)
 
     def __post_init__(self):
         if not (0.0 < self.zeta < 0.5):
@@ -372,7 +376,7 @@ def omega0_at(model, x):
     at a torus point."""
     x = np.asarray(x, dtype=float)
     h = np.array([0.5, 0.5, 0.0, 0.0])
-    for site in model.sites:
+    for site in SITES:
         v = wrap_displacement(x - site)
         if np.linalg.norm(v) == 0.0:
             raise ValueError(
@@ -400,7 +404,7 @@ def build_omega0(model, grid):
     h = np.zeros((4,) + shape)
     h[:2] = 0.5
     touched = False
-    for site in model.sites:
+    for site in SITES:
         d = wrap_displacement(ax[:, None] - site)
         idx = [np.flatnonzero(np.abs(d[:, k]) < model.zeta / 2.0) for k in range(4)]
         box = np.ix_(*idx)

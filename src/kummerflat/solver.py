@@ -516,18 +516,6 @@ def _second_differences(f, dx):
                 yield 2.0, _central_diff(along_i, j, dx)
 
 
-def sobolev_l22_norm(f, dx, weight):
-    """Two-derivative Sobolev norm: the weighted L2 norms of f, its
-    gradient, and its Hessian, via central differences."""
-    f = _require_finite(f, "norm input")
-    total = float(np.sum(weight * f**2))
-    for g in gradient_components(f, dx):
-        total += float(np.sum(weight * g**2))
-    for m, h in _second_differences(f, dx):
-        total += float(np.sum(weight * (m * h**2)))
-    return float(np.sqrt(total))
-
-
 def _lattice_box(reach):
     """The points of {-reach, ..., reach}^4 as rows in lexicographic
     order; the origin is the middle row, and row i is minus row -1-i."""
@@ -598,19 +586,26 @@ def _norm_parts(problem, params, f):
 
 def x_norm(problem, params, f):
     """Solution norm: a^(-4+eps) L2-Sobolev part plus a^alpha C^{2,alpha},
-    where C^{2,alpha} is the sup of f, the largest sup of a gradient and
-    of a Hessian component, and the largest Hölder seminorm of a Hessian
-    component, summed in that order."""
+    in one pass that builds each derivative once: the weighted squares
+    of f, its gradient and its Hessian, and the sup of f, the largest
+    sup of a gradient and of a Hessian component and the largest Hölder
+    seminorm of a Hessian component, each summed in that order."""
     f, l2_weight, rb = _norm_parts(problem, params, f)
-    dx = problem.spacing
-    sup01 = float(np.max(np.abs(f))) + max(float(np.max(np.abs(g))) for g in gradient_components(f, dx))
-    # one Hessian component at a time: its sup and its seminorm
+    dx, w = problem.spacing, problem.weight
+    l22 = float(np.sum(w * f**2))
+    grad_sups = []
+    for g in gradient_components(f, dx):
+        l22 += float(np.sum(w * g**2))
+        grad_sups.append(float(np.max(np.abs(g))))
+    del g  # no gradient stays alive through the Hessian loop
+    # one Hessian component at a time: its square, its sup and its seminorm
     sups, semis = [], []
-    for _, h in _second_differences(f, dx):
+    for m, h in _second_differences(f, dx):
+        l22 += float(np.sum(w * (m * h**2)))
         sups.append(float(np.max(np.abs(h))))
         semis.append(holder_seminorm(h, dx, params.alpha, rb))
-    holder = sup01 + max(sups) + max(semis)
-    return l2_weight * sobolev_l22_norm(f, dx, problem.weight) + problem.model.a**params.alpha * holder
+    holder = float(np.max(np.abs(f))) + max(grad_sups) + max(sups) + max(semis)
+    return l2_weight * float(np.sqrt(l22)) + problem.model.a**params.alpha * holder
 
 
 def y_norm(problem, params, f):

@@ -137,7 +137,7 @@ def test_criterion_07_support_and_scaling(capfd):
             grid = KM.TorusGrid(n)
             model = KM.GluedModel(a=0.05, zeta=zeta)
             prob = SV.Problem.build(model, grid)
-            dist = _min_site_distance(grid.nodes(), np.asarray(model.sites))
+            dist = _min_site_distance(grid.nodes(), KM.SITES)
             outside = dist > zeta / 2.0
             sups[n] = float(np.max(np.abs(prob.ea.reshape(-1)[outside])))
         estimate = abs(sups[16] - sups[8])

@@ -106,10 +106,30 @@ class TestHostileOptions:
 
     @pytest.mark.parametrize("command, flag, entry", [c for c in HOSTILE_OPTIONS if c[1]])
     def test_flag_rejected(self, tmp_path, command, flag, entry):
+        # the resolved radius only where the command reads one, so that
+        # the hostile flag is what gets rejected
+        zeta = ["--zeta", ZETA_RESOLVED] if "zeta" in COMMAND_OPTIONS[command] else []
         with pytest.raises(SystemExit) as err:
-            run([command, "--zeta", ZETA_RESOLVED, flag, "--out", str(tmp_path / "run")])
+            run([command, *zeta, flag, "--out", str(tmp_path / "run")])
         assert err.value.code == 2
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["scaling", "lambda1"])
+    @pytest.mark.parametrize("flags, entry", [
+        (["--a=0.03", "--a-list=0.02,0.04"], {}),
+        (["--a-list=0.02,0.04"], {"a": 0.03}),
+        ([], {"a": 0.03, "a_list": "0.02,0.04"}),
+    ])
+    def test_a_with_a_list_rejected(self, tmp_path, monkeypatch, capsys, command, flags, entry):
+        # either one names the deformation parameters; given both, a was
+        # silently dropped
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": "run", **entry}))
+        with pytest.raises(SystemExit) as err:
+            run([command, "--config", "cfg.json", *flags])
+        assert err.value.code == 2
+        assert "a and a_list exclude each other" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("command, flag, entry", HOSTILE_OPTIONS)
     def test_config_entry_rejected(self, tmp_path, monkeypatch, command, flag, entry):
@@ -154,14 +174,26 @@ def _accepting_out_dir(cfg, parser):
 
 
 FLOAT_OPTIONS = ("a", "zeta", "alpha", "p", "tol", "c", "eps_gh")
-SHARED_OPTIONS = ("a", "zeta", "grid_n", "alpha", "p", "tol", "max_iter", "seed")
+# the options each command reads, besides out
 COMMAND_OPTIONS = {
-    "verify-eh": SHARED_OPTIONS,
-    "verify-gh": SHARED_OPTIONS + ("c", "eps_gh"),
-    "scaling": SHARED_OPTIONS + ("a_list",),
-    "solve": SHARED_OPTIONS,
-    "lambda1": SHARED_OPTIONS + ("a_list",),
-    "uniqueness": SHARED_OPTIONS,
+    "verify-eh": ("seed",),
+    "verify-gh": ("c", "eps_gh", "seed"),
+    "scaling": ("a", "a_list", "zeta", "grid_n", "alpha", "p", "seed"),
+    "solve": ("a", "zeta", "grid_n", "alpha", "p", "tol", "max_iter", "seed"),
+    "lambda1": ("a", "a_list", "zeta", "grid_n", "tol", "seed"),
+    "uniqueness": ("a", "zeta", "grid_n", "alpha", "p", "tol", "max_iter"),
+}
+COMMAND_SWITCHES = {
+    "verify-eh": ("inject_sigma2_sign_error",),
+    "solve": ("no_ball_guard",),
+    "uniqueness": ("no_ball_guard",),
+}
+# a flag text each option accepts alone, off its default, and its value
+ACCEPTED = {
+    "a": ("0.02", 0.02), "zeta": (ZETA_RESOLVED, 4.0 / 9.0), "grid_n": ("8", 8),
+    "alpha": ("0.05", 0.05), "p": ("8", 8.0), "tol": ("1e-6", 1e-6), "max_iter": ("5", 5),
+    "seed": ("3", 3), "a_list": ("0.02,0.04", (0.02, 0.04)), "c": ("2", 2.0),
+    "eps_gh": ("1.0", 1.0),
 }
 # values each option accepts alone, so that whole inputs are often accepted
 TYPICAL = {
@@ -212,6 +244,51 @@ def _command_inputs(draw):
     command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
     names = draw(st.lists(st.sampled_from(COMMAND_OPTIONS[command]), unique=True, max_size=3))
     return command, {name: draw(_value(name)) for name in names}
+
+
+class TestCommandOptions:
+    """Each command takes exactly the options and switches it reads: any
+    other flag exits 2 before a directory is made or a field built."""
+
+    @pytest.fixture(autouse=True)
+    def no_field_build(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("field built while resolving options")
+
+        monkeypatch.setattr(km, "build_omega0", no_build)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    @pytest.mark.parametrize("name", sorted(ACCEPTED))
+    def test_option(self, tmp_path, monkeypatch, command, name):
+        text, value = ACCEPTED[name]
+        argv = [command, "--" + name.replace("_", "-"), text, "--out", str(tmp_path / "run")]
+        self._check(monkeypatch, tmp_path, argv, name in COMMAND_OPTIONS[command], name, value)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    @pytest.mark.parametrize("name", ["inject_sigma2_sign_error", "no_ball_guard"])
+    def test_switch(self, tmp_path, monkeypatch, command, name):
+        argv = [command, "--" + name.replace("_", "-"), "--out", str(tmp_path / "run")]
+        self._check(monkeypatch, tmp_path, argv, name in COMMAND_SWITCHES.get(command, ()), name, True)
+
+    def test_abbreviated_flag_rejected(self, tmp_path):
+        # a prefix of a flag is not that flag
+        with pytest.raises(SystemExit) as err:
+            run(["verify-gh", "--eps", "1.0", "--out", str(tmp_path / "run")])
+        assert err.value.code == 2
+        assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def _check(monkeypatch, tmp_path, argv, reads, name, value):
+        if reads:
+            monkeypatch.setattr(cli, "_make_out_dir", _accepting_out_dir)
+            with pytest.raises(Accepted) as acc:
+                run(argv)
+            assert getattr(acc.value.cfg, name) == value
+        else:
+            with pytest.raises(SystemExit) as err:
+                run(argv)
+            assert err.value.code == 2
+        assert os.listdir(tmp_path) == []
 
 
 class TestOptionResolution:

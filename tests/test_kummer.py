@@ -255,7 +255,15 @@ class TestGluedModel:
     def test_defaults(self):
         model = km.GluedModel(a=0.01)
         assert model.zeta == pytest.approx(1.0 / 9.0)
-        assert model.sites.shape == (16, 4)
+        assert np.array_equal(km.SITES, km.fixed_points())
+        assert not km.SITES.flags.writeable
+
+    def test_equal_models_compare_and_hash_alike(self):
+        # an ndarray field made == raise ValueError and hash() TypeError
+        assert km.GluedModel(0.05) == km.GluedModel(0.05)
+        assert hash(km.GluedModel(0.05)) == hash(km.GluedModel(0.05))
+        assert km.GluedModel(0.05) != km.GluedModel(0.04)
+        assert len({km.GluedModel(0.05), km.GluedModel(0.05, zeta=0.25)}) == 2
 
 
 class TestGluedField:
@@ -392,7 +400,7 @@ def _all_nodes_build(model, grid):
     nodes = grid.nodes()
     h = np.zeros((4, grid.node_count()))
     h[:2] = 0.5
-    for site in model.sites:
+    for site in km.SITES:
         h += km.site_contribution(model, km.wrap_displacement(nodes - site))
     mineig = km.hermitian_min_eig(h)
     flat_idx = int(np.argmin(mineig))

@@ -217,7 +217,7 @@ class TestNorms:
         f = np.sin(2 * np.pi * X[0])
         w = 2 * np.pi
         continuum = np.sqrt(0.5 * (1 + w**2 + w**4))
-        discrete = sv.sobolev_l22_norm(f, grid16.spacing, np.full(f.shape, 1 / f.size))
+        discrete = _ref_sobolev_l22_norm(f, grid16.spacing, np.full(f.shape, 1 / f.size))
         assert abs(discrete - continuum) / continuum < 0.02
 
     def test_holder_seminorm_tracks_roughness(self, grid16):
@@ -875,7 +875,7 @@ def _ref_y_norm(problem, params, f):
     return a ** (-4.0 + params.resolved_eps()) * l2 + holder
 
 
-def _ref_x_norm(problem, params, f):
+def _ref_x_norm(problem, params, f, seminorm=_ref_holder_seminorm):
     a, dx = problem.model.a, problem.spacing
     f = f - sv.weighted_mean(problem, f)
     rb = max(a, 2.0 * dx)
@@ -883,7 +883,7 @@ def _ref_x_norm(problem, params, f):
     holder = (float(np.max(np.abs(f)))
               + max(float(np.max(np.abs(g))) for g in sv.gradient_components(f, dx))
               + max(float(np.max(np.abs(h))) for h in hess)
-              + max(_ref_holder_seminorm(h, dx, params.alpha, rb) for h in hess))
+              + max(seminorm(h, dx, params.alpha, rb) for h in hess))
     sobolev = _ref_sobolev_l22_norm(f, dx, problem.weight)
     return a ** (-4.0 + params.resolved_eps()) * sobolev + a**params.alpha * holder
 
@@ -961,13 +961,15 @@ class TestNormLayerEquivalence:
             assert sv.y_norm(problem, params, f) == _ref_y_norm(problem, params, f)
             assert sv.x_norm(problem, params, f) == _ref_x_norm(problem, params, f)
 
-    def test_sobolev_and_bochner_match_loops(self, resolved_problem, grid16):
+    def test_sobolev_and_bochner_match_loops(self, flat_problem, resolved_problem, params, grid16):
+        # x_norm's L2-Sobolev sum against the reference loop at n=16, on
+        # a uniform and a resolved weight; the Hölder seminorm, checked
+        # against its full sweep above, is the library's on both sides
         rng = np.random.default_rng(23)
-        dx = grid16.spacing
         for f in (sv.random_smooth_field(grid16, rng), rng.standard_normal((16,) * 4)):
-            assert sv.sobolev_l22_norm(f, dx, np.full(f.shape, 1 / f.size)) == _ref_sobolev_l22_norm(f, dx)
-            assert sv.sobolev_l22_norm(f, dx, resolved_problem.weight) == _ref_sobolev_l22_norm(
-                f, dx, resolved_problem.weight)
+            for problem in (flat_problem, resolved_problem):
+                g = sv.project_mean_zero(problem, f)
+                assert sv.x_norm(problem, params, g) == _ref_x_norm(problem, params, g, sv.holder_seminorm)
             assert sv.bochner_ratio(grid16, f) == _ref_bochner_ratio(grid16, f)
 
 
