@@ -9,7 +9,10 @@ executed check, writes artifacts under the output directory, and exits
 0 exactly when every executed check passes.  Invalid configurations
 exit 2 before any computation: flags and config values pass one typed,
 range-checked option table, a excludes a_list, and a grid whose memory
-estimate exceeds physical memory is refused.
+estimate exceeds physical memory is refused.  solve, uniqueness and
+scaling run on the quotient of the grid_n^4 torus grid by the
+half-period translations, with (grid_n/2)^4 nodes; lambda1 runs on the
+grid_n^4 grid.
 """
 
 from __future__ import annotations
@@ -64,7 +67,11 @@ class RunConfig:
         return solver.NormParams(alpha=self.alpha, p=self.p)
 
     def grid(self):
-        return kummer.TorusGrid(self.grid_n)
+        """The grid the command runs on: the quotient of the grid_n^4
+        unit-torus grid for a command whose fields are all invariant
+        under the half-period translations, else that grid itself."""
+        grid = kummer.TorusGrid(self.grid_n)
+        return grid.quotient() if _COMMANDS[self.command].on_quotient else grid
 
 
 def _finite_float(x):
@@ -168,11 +175,13 @@ def _make_out_dir(cfg, parser):
         parser.error(f"output directory {cfg.out} is not writable")
 
 
-# Peak resident memory per grid node of the heaviest command, rounded
-# up.  A resolved solve peaks at 186 B/node at n=32 and 157 B/node at
-# n=48 (195 MB and 832 MB); lambda1 keeps its Krylov basis and its
-# operator images, up to 17 fields each, and peaks at 271 B/node at
-# n=32 (284 MB).
+# Peak resident memory per node of the grid the command runs on
+# (RunConfig.grid), for the heaviest command, rounded up.  On the
+# quotient grid, at grid_n=64 (32^4 nodes), a resolved solve peaks at
+# 176 B/node (its .kmf slab of 64^3 matrices included), uniqueness at
+# 205 and scaling at 152; lambda1 keeps its Krylov basis and its
+# operator images, up to 17 fields each, and peaks at 271 B/node on
+# the unit grid at grid_n=32.
 _BYTES_PER_NODE = 300
 
 
@@ -192,8 +201,7 @@ def _validate(cfg, parser):
         if "alpha" in options:
             cfg.norm_params()
         if "grid_n" in options:
-            cfg.grid()
-            need, have = cfg.grid_n**4 * _BYTES_PER_NODE, _physical_memory()
+            need, have = cfg.grid().node_count() * _BYTES_PER_NODE, _physical_memory()
             if need > have:
                 raise ValueError(f"grid_n={cfg.grid_n} needs about {need / 1e9:.3g} GB, "
                                  f"more than the {have / 1e9:.3g} GB of physical memory")
@@ -581,6 +589,9 @@ class _Command:
     handler: Callable
     options: tuple  # the _OPTIONS names it reads
     switches: tuple = ()  # store_true (RunConfig field, help) pairs, with no config key
+    # runs on the quotient grid: every field it builds is invariant under
+    # the half-period translations, which permute the sixteen sites
+    on_quotient: bool = False
 
 
 _NO_BALL_GUARD = ("no_ball_guard", "disable the fixed-point ball containment guard")
@@ -592,16 +603,29 @@ _COMMANDS = {
     # the sweep samples nothing; it takes --seed only because the
     # benchmark's scaling_sweep op (perfbench/workloads.py) passes one
     "scaling": _Command("error-density scaling sweep", cmd_scaling,
-                        ("a", "a_list", "zeta", "grid_n", "alpha", "p", "seed", "out")),
+                        ("a", "a_list", "zeta", "grid_n", "alpha", "p", "seed", "out"),
+                        on_quotient=True),
     "solve": _Command("run the fixed-point solve", cmd_solve,
                       ("a", "zeta", "grid_n", "alpha", "p", "tol", "max_iter", "seed", "out"),
-                      (_NO_BALL_GUARD,)),
+                      (_NO_BALL_GUARD,), on_quotient=True),
     "lambda1": _Command("smallest nonzero Laplacian eigenvalue", cmd_lambda1,
                         ("a", "a_list", "zeta", "grid_n", "tol", "seed", "out")),
     "uniqueness": _Command("two-seed fixed-point agreement", cmd_uniqueness,
                            ("a", "zeta", "grid_n", "alpha", "p", "tol", "max_iter", "out"),
-                           (_NO_BALL_GUARD,)),
+                           (_NO_BALL_GUARD,), on_quotient=True),
 }
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  It rejects an unknown flag itself, with its
+    own usage line, where argparse would pass it up to the top-level
+    parser, whose usage lists only the subcommands."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
 
 
 def build_parser():
@@ -609,7 +633,7 @@ def build_parser():
         prog="kummerflat",
         description="Verification suites and Monge-Ampere solves for the glued Kummer structure.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, command in _COMMANDS.items():
         sp = sub.add_parser(name, help=command.help, allow_abbrev=False)
         sp.add_argument("--config", type=Path, default=None,

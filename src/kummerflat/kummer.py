@@ -12,13 +12,21 @@ Conventions: the flat form carries coefficient matrix identity/2, the
 2-form density of a coefficient field h is 8 det h per coordinate
 volume, and the complex volume form density is the constant 4.
 
+The grid is the unit torus or its quotient of side 1/2 by the
+half-period translations (Z/2)^4 (TorusGrid.quotient), which permute the
+sixteen sites and under which the glued field is invariant.
+build_omega0 keeps all sixteen sites through wrap_displacement on the
+unit torus, so on the quotient it is the unit-torus field restricted to
+the first n/2 nodes per axis, bit for bit.
+
 A Hermitian 2x2 field is stored as its four real components
 (h11, h22, Re h12, Im h12) along a leading axis of length 4; on the
 grid that is one float64 array of shape (4, n, n, n, n), 32 bytes per
 node.  hermitian_det and hermitian_min_eig work on any such array.  The
-complex (n, n, n, n, 2, 2) form exists only in the KMF1 file body,
-which save_field assembles from the components and load_field checks
-and converts back.
+complex (N, N, N, N, 2, 2) form on the unit torus exists only in the
+KMF1 file body, which save_field assembles from the components, slab by
+slab and extended periodically from a quotient field, and load_field
+checks and converts back.
 """
 
 from __future__ import annotations
@@ -80,25 +88,53 @@ def wrap_displacement(delta):
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Cell-centered n^4 sampling of the unit torus.
+    """Cell-centered sampling of the torus of side 1 or 1/2, n nodes per
+    axis at spacing side/n.
 
-    Nodes sit at (k + 1/2)/n per axis, so no node ever coincides with a
+    The unit torus (side 1) needs n even and at least 8; its nodes sit
+    at (k + 1/2)/n per axis, so no node ever coincides with a
     half-lattice fixed point while the node set stays invariant under
-    the involution.
+    the involution and under the half-period translations (Z/2)^4.
+
+    The quotient torus (side 1/2, from quotient()) is the unit torus
+    modulo those translations, which permute the sixteen sites onto one.
+    Its n >= 4 nodes, odd n included, are the first n nodes per axis of
+    the unit-torus grid with unit_n = 2n nodes per axis, at the same
+    coordinates bit for bit, so a (Z/2)^4-invariant field on that grid
+    is its restriction to these nodes.
     """
 
     n: int
+    side: float = 1.0
 
     def __post_init__(self):
-        if self.n % 2 != 0 or self.n < 8:
-            raise ValueError(f"grid resolution must be even and at least 8, got {self.n}")
+        if self.side == 1.0:
+            if self.n % 2 != 0 or self.n < 8:
+                raise ValueError(f"grid resolution must be even and at least 8, got {self.n}")
+        elif self.side == 0.5:
+            if self.n < 4:
+                raise ValueError(f"quotient grid needs at least 4 nodes per axis, got {self.n}")
+        else:
+            raise ValueError(f"torus side must be 1 or 1/2, got {self.side}")
+
+    def quotient(self):
+        """The grid on the quotient torus of side 1/2, with n/2 nodes per
+        axis at this grid's first n/2 coordinates."""
+        if self.side != 1.0:
+            raise ValueError("only the unit-torus grid has a quotient")
+        return TorusGrid(self.n // 2, side=0.5)
+
+    @property
+    def unit_n(self):
+        """Nodes per axis of the unit-torus grid these nodes belong to."""
+        return round(self.n / self.side)
 
     @property
     def spacing(self):
-        return 1.0 / self.n
+        return self.side / self.n
 
     def axis_coordinates(self):
-        return (np.arange(self.n) + 0.5) / self.n
+        return (np.arange(self.n) + 0.5) / self.unit_n
 
     def nodes(self):
         ax = self.axis_coordinates()
@@ -321,11 +357,11 @@ def hermitian_min_eig(h):
 
 @dataclass
 class Field11:
-    """Grid samples of a Hermitian 2x2 coefficient field h_{i jbar}, as
-    the components (h11, h22, Re h12, Im h12) in a (4, n, n, n, n)
+    """Samples of a Hermitian 2x2 coefficient field h_{i jbar} on a grid,
+    as the components (h11, h22, Re h12, Im h12) in a (4, n, n, n, n)
     float array."""
 
-    n: int
+    grid: TorusGrid
     a: float
     zeta: float
     data: np.ndarray
@@ -335,6 +371,10 @@ class Field11:
         shape = (4,) + (self.n,) * 4
         if self.data.shape != shape:
             raise ValueError(f"field data must have shape {shape}, got {self.data.shape}")
+
+    @property
+    def n(self):
+        return self.grid.n
 
     def det(self):
         return hermitian_det(self.data)
@@ -415,7 +455,7 @@ def build_omega0(model, grid):
     if not touched:
         log.info(
             "grid n=%d has no nodes inside any gluing ball (zeta=%.4g): field is exactly flat",
-            grid.n, model.zeta,
+            grid.unit_n, model.zeta,
         )
     mineig = hermitian_min_eig(h)
     worst = np.unravel_index(np.argmin(mineig), shape)
@@ -425,7 +465,7 @@ def build_omega0(model, grid):
             f"glued form not positive definite: min eigenvalue {mineig[worst]:.6g} at node "
             f"{node}; the deformation parameter a={model.a} is too large for zeta={model.zeta}"
         )
-    return Field11(grid.n, model.a, model.zeta, h)
+    return Field11(grid, model.a, model.zeta, h)
 
 
 def volume_ratio_lambda(dets):
@@ -458,31 +498,36 @@ _HEADER = struct.Struct("<4sii3d")
 
 def save_field(field_, path):
     """Write the field as magic/version/N/a/zeta/lambda header plus a
-    row-major complex128 (n, n, n, n, 2, 2) body, with a JSON sidecar;
-    byte-stable."""
+    row-major complex128 (N, N, N, N, 2, 2) body on the unit-torus grid
+    with N = field_.grid.unit_n nodes per axis, with a JSON sidecar;
+    byte-stable.  A field on the quotient grid is written as its
+    (Z/2)^4-periodic extension, so the file is that of the unit torus."""
     lam = field_.lam if field_.lam is not None else float("nan")
-    header = _HEADER.pack(_MAGIC, _VERSION, field_.n, field_.a, field_.zeta, lam)
+    n, N = field_.n, field_.grid.unit_n
+    header = _HEADER.pack(_MAGIC, _VERSION, N, field_.a, field_.zeta, lam)
     # the body is assembled and written one axis-0 slab at a time, so
-    # the complex layout is never held whole
-    slab = np.empty(field_.data.shape[2:] + (2, 2), dtype="<c16")
+    # neither the complex layout nor the extended field is held whole;
+    # each slab axis is split into its N // n periodic copies of n nodes
+    slab = np.empty((N,) * 3 + (2, 2), dtype="<c16")
+    copies = slab.reshape((N // n, n) * 3 + (2, 2))
     with open(path, "wb") as fh:
         fh.write(header)
-        for i in range(field_.n):
-            h = field_.data[:, i]
-            slab[..., 0, 0] = h[0]
-            slab[..., 1, 1] = h[1]
-            slab[..., 0, 1] = h[2] + 1j * h[3]
-            slab[..., 1, 0] = h[2] - 1j * h[3]
+        for i in range(N):
+            h = field_.data[:, i % n, None, :, None, :, None, :]
+            copies[..., 0, 0] = h[0]
+            copies[..., 1, 1] = h[1]
+            copies[..., 0, 1] = h[2] + 1j * h[3]
+            copies[..., 1, 0] = h[2] - 1j * h[3]
             fh.write(memoryview(slab).cast("B"))
     sidecar = {
         "magic": _MAGIC.decode(),
         "version": _VERSION,
-        "n": field_.n,
+        "n": N,
         "a": field_.a,
         "zeta": field_.zeta,
         "lambda": None if field_.lam is None else field_.lam,
         "dtype": "complex128",
-        "shape": [field_.n] * 4 + [2, 2],
+        "shape": [N] * 4 + [2, 2],
     }
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -502,7 +547,7 @@ def load_field(path):
             raise ValueError(f"not a coefficient-field file: bad magic {magic!r}")
         if version != _VERSION:
             raise ValueError(f"unsupported field file version {version}")
-        TorusGrid(n)  # the grid-size rule: even and at least 8
+        grid = TorusGrid(n)  # the grid-size rule: even and at least 8
         if not (np.isfinite(a) and np.isfinite(zeta) and not np.isinf(lam)):
             raise ValueError(f"non-finite field parameters a={a}, zeta={zeta}, lambda={lam}")
         expect = n**4 * 4 * 16
@@ -517,4 +562,4 @@ def load_field(path):
     if not np.array_equal(m, np.conj(np.swapaxes(m, -1, -2))):
         raise ValueError("field body is not Hermitian")
     data = np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag])
-    return Field11(n, a, zeta, data, lam=None if np.isnan(lam) else lam)
+    return Field11(grid, a, zeta, data, lam=None if np.isnan(lam) else lam)

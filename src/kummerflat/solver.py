@@ -13,9 +13,20 @@ a^(-4+eps) L2_2 + a^alpha C^{2,alpha}, both on mean-zero fields and
 rejecting non-finite input before any arithmetic.
 
 Scalar fields live on the cell-centered torus grid as real (n,n,n,n)
-arrays.  The complex Hessian stencil P(u) = 2 u_{i jbar} uses 3-point
-second differences on the diagonal and central-central mixed
-differences; with the 2x2 identity det(h+P) = det h + [h:P] + det P
+arrays.  The grid (kummer.TorusGrid) is the unit torus or its quotient
+of side 1/2 by the half-period translations (Z/2)^4, which permute the
+sixteen sites; the stencils, sums and Hölder sweep need only the
+spacing and the periodic wrap, and the preconditioner's symbol scales
+by 1/side^2, so the same code solves either.  The glued field, e_a, the
+weights and the fixed point are (Z/2)^4-invariant, so a solve on the
+quotient's (n/2)^4 nodes is the unit-torus solve restricted to them, up
+to the rounding of sums over fewer terms.  The random fields behind
+lambda1_estimate, poincare_check and the sampled diagnostics are not
+invariant; those run on the unit torus.
+
+The complex Hessian stencil P(u) = 2 u_{i jbar} uses 3-point second
+differences on the diagonal and central-central mixed differences; with
+the 2x2 identity det(h+P) = det h + [h:P] + det P
 this makes the Monge-Ampere residual of a solved potential collapse to
 the solver tolerances instead of an extra discretization error.  The
 stencil returns P in the layout of kummer.Field11 data, the four real
@@ -38,7 +49,9 @@ checks drop it before its Y-norms run.  Each other n^4 field lives only
 as long as it is needed: the work vectors die with the BiCGStab loop,
 the residual checks and the fixed-point image are computed in place,
 and hessian_parts keeps its intermediates in the slots of its result; a
-solve peaks at 11-13 fields (n=24 and n=16) on top of its Problem's 7.
+solve peaks at 11-14 fields on top of its Problem's 7, 11.1 at 24^4 nodes
+and 13.7 at 16^4 (traced, on either grid: 24^4 nodes are the unit grid
+at n=24 or the quotient at n=48).
 """
 
 from __future__ import annotations
@@ -157,7 +170,7 @@ class Problem:
         """The flat preconditioner on the real-FFT half spectrum, made on
         first use: the flat operator is -(1/4) x the standard Laplacian,
         and its inverse kills the constant mode."""
-        symbol = flat_symbol(self.grid.n)
+        symbol = flat_symbol(self.grid)
         with np.errstate(divide="ignore"):
             return np.where(symbol > 0, 4.0 / symbol, 0.0)
 
@@ -348,10 +361,15 @@ def flat_axis_symbol(n):
     return 4.0 * n**2 * np.sin(np.pi * k / n) ** 2
 
 
-def flat_symbol(n):
+def flat_symbol(grid):
     """Eigenvalues of minus the flat grid Laplacian on the real-FFT half
-    spectrum, shape (n, n, n, n // 2 + 1)."""
-    s = flat_axis_symbol(n)
+    spectrum, shape (n, n, n, n // 2 + 1).
+
+    On the torus of side L the axis symbol is flat_axis_symbol(n) / L^2,
+    (4 / spacing^2) sin^2(pi k / n); the division is exact for L = 1
+    and 1/2."""
+    n = grid.n
+    s = flat_axis_symbol(n) / grid.side**2
     h = s[: n // 2 + 1]
     return (
         s[:, None, None, None]
@@ -495,7 +513,11 @@ def _bicgstab(problem, u, r, scale, tol, max_iter, history):
 
 def l2_norm(f, weight):
     """Weighted L2 norm."""
-    f = _require_finite(f, "norm input")
+    return _weighted_l2(_require_finite(f, "norm input"), weight)
+
+
+def _weighted_l2(f, weight):
+    """Weighted L2 norm of a float array already checked to be finite."""
     return float(np.sum(weight * f**2) ** 0.5)
 
 
@@ -613,7 +635,7 @@ def y_norm(problem, params, f):
     its Hölder seminorm."""
     f, l2_weight, rb = _norm_parts(problem, params, f)
     holder = float(np.max(np.abs(f))) + holder_seminorm(f, problem.spacing, params.alpha, rb)
-    return l2_weight * l2_norm(f, problem.weight) + holder
+    return l2_weight * _weighted_l2(f, problem.weight) + holder
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +669,7 @@ def _corrected(problem, P):
     """The corrected field h + P for a stencil field P, written into P."""
     h = problem.field_
     P += h.data
-    return kummer.Field11(h.n, h.a, h.zeta, P, lam=problem.lam)
+    return kummer.Field11(h.grid, h.a, h.zeta, P, lam=problem.lam)
 
 
 def ma_residual(problem, corrected):
@@ -696,8 +718,12 @@ def banach_solve(
     Y-norm increment falls below tol times the first increment.
 
     Raises if an iterate leaves the radius-R ball (advice: shrink a),
-    if the corrected form loses positivity, or on non-convergence.
+    if the corrected form loses positivity, or on non-convergence; and
+    up front for a psi0 not shaped like the problem's grid, such as a
+    unit-torus field given to a problem on the quotient grid.
     """
+    if psi0 is not None and np.shape(psi0) != problem.shape:
+        raise ValueError(f"psi0 has shape {np.shape(psi0)}, but the problem's grid has shape {problem.shape}")
     R = params.ball_radius(problem.model.a)
     psi = np.zeros(problem.shape) if psi0 is None else project_mean_zero(problem, np.asarray(psi0, dtype=float))
     y0 = y_norm(problem, params, psi)

@@ -84,10 +84,13 @@ HOSTILE_OPTIONS = [
     ("verify-gh", "--c=inf", {"c": float("inf")}),
     ("verify-gh", "--eps-gh=nan", {"eps_gh": float("nan")}),
     # above the memory limit the fixture below sets
-    ("solve", "--grid-n=48", {"grid_n": 48}),
+    ("solve", "--grid-n=96", {"grid_n": 96}),
     ("lambda1", "--grid-n=64", {"grid_n": 64}),
 ]
-MEMORY_LIMIT = 10**9  # bytes; a grid_n=32 solve needs 0.3 GB, grid_n=48 1.6 GB
+# bytes; at 300 B per node a solve, which runs on the (n/2)^4 quotient
+# grid, needs 0.1 GB at grid_n=48 and 1.59 GB at 96, and lambda1, on the
+# n^4 unit grid, 5.03 GB at 64
+MEMORY_LIMIT = 10**9
 
 
 class TestHostileOptions:
@@ -158,6 +161,18 @@ class TestHostileOptions:
         with pytest.raises(Accepted) as acc:
             run(["solve", "--zeta", ZETA_RESOLVED, "--grid-n=32", "--out", str(tmp_path)])
         assert acc.value.cfg.grid_n == 32
+
+    @pytest.mark.parametrize("command", ["solve", "uniqueness", "scaling"])
+    def test_guard_counts_the_nodes_the_command_allocates(self, tmp_path, monkeypatch, command):
+        # the quotient commands allocate 24^4 nodes at grid_n=48, while
+        # lambda1 allocates 64^4 at grid_n=64
+        monkeypatch.setattr(cli, "_make_out_dir", _accepting_out_dir)
+        with pytest.raises(Accepted) as acc:
+            run([command, "--grid-n=48", "--out", str(tmp_path)])
+        assert acc.value.cfg.grid() == km.TorusGrid(24, side=0.5)
+        with pytest.raises(SystemExit) as err:
+            run(["lambda1", "--grid-n=64", "--out", str(tmp_path)])
+        assert err.value.code == 2
 
 
 class Accepted(Exception):
@@ -269,6 +284,17 @@ class TestCommandOptions:
     def test_switch(self, tmp_path, monkeypatch, command, name):
         argv = [command, "--" + name.replace("_", "-"), "--out", str(tmp_path / "run")]
         self._check(monkeypatch, tmp_path, argv, name in COMMAND_SWITCHES.get(command, ()), name, True)
+
+    def test_unknown_flag_reported_with_the_command_usage(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["verify-eh", "--grid-n", "8", "--out", str(tmp_path / "run")])
+        assert err.value.code == 2
+        text = capsys.readouterr().err
+        # the usage line lists the flags verify-eh takes
+        assert text.startswith("usage: kummerflat verify-eh ")
+        assert "--seed SEED" in text
+        assert text.endswith("kummerflat verify-eh: error: unrecognized arguments: --grid-n 8\n")
+        assert os.listdir(tmp_path) == []
 
     def test_abbreviated_flag_rejected(self, tmp_path):
         # a prefix of a flag is not that flag

@@ -63,6 +63,26 @@ class TestGrid:
         assert grid.spacing == 0.125
         assert grid.node_count() == 8**4
 
+    @pytest.mark.parametrize("n", [8, 10, 16, 24, 48])
+    def test_quotient_is_the_first_half_of_each_axis(self, n):
+        grid = km.TorusGrid(n)
+        quotient = grid.quotient()
+        assert (quotient.n, quotient.side, quotient.unit_n) == (n // 2, 0.5, n)
+        assert quotient.spacing == grid.spacing
+        assert np.array_equal(quotient.axis_coordinates(), grid.axis_coordinates()[: n // 2])
+        assert quotient.node_count() * 16 == grid.node_count()
+
+    def test_quotient_sides_and_sizes(self):
+        # odd node counts are fine on the quotient: translation by half a
+        # period maps node k of the unit grid to node k + n/2
+        assert km.TorusGrid(5, side=0.5).unit_n == 10
+        with pytest.raises(ValueError, match="at least 4"):
+            km.TorusGrid(3, side=0.5)
+        with pytest.raises(ValueError, match="side must be 1 or 1/2"):
+            km.TorusGrid(8, side=0.25)
+        with pytest.raises(ValueError, match="only the unit-torus grid"):
+            km.TorusGrid(8).quotient().quotient()
+
 
 class TestBlowupCharts:
     def test_transition_example(self):
@@ -429,6 +449,17 @@ class TestBoxAssembly:
         model, grid = km.GluedModel(a=a, zeta=zeta), km.TorusGrid(n)
         assert np.array_equal(km.build_omega0(model, grid).data, _all_nodes_build(model, grid))
 
+    @pytest.mark.parametrize("n", [10, 16, 24, 32])
+    @pytest.mark.parametrize("a", [0.05, 0.08])
+    def test_quotient_field_is_the_restriction(self, n, a):
+        # every site is kept through wrap_displacement on the unit torus,
+        # so the quotient nodes see exactly the unit grid's arithmetic
+        model, grid = km.GluedModel(a=a, zeta=4.0 / 9.0), km.TorusGrid(n)
+        quotient = km.build_omega0(model, grid.quotient())
+        assert quotient.grid == grid.quotient()
+        m = n // 2
+        assert np.array_equal(quotient.data, km.build_omega0(model, grid).data[:, :m, :m, :m, :m])
+
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.sampled_from([8, 16]),
@@ -535,6 +566,22 @@ class TestFieldSerialization:
         expected = complex_matrix(field_.data).astype("<c16")
         assert expected.shape == (8, 8, 8, 8, 2, 2)
         assert body == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_quotient_field_written_as_its_periodic_extension(self, tmp_path, n):
+        # the file is that of the unit torus: the quotient components
+        # repeated along each axis, assembled slab by slab
+        model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)
+        quotient = km.build_omega0(model, km.TorusGrid(n).quotient())
+        full = km.build_omega0(model, km.TorusGrid(n))
+        path = tmp_path / "field.kmf"
+        km.save_field(quotient, path)
+        back = km.load_field(path)
+        assert back.grid == km.TorusGrid(n)
+        assert np.array_equal(back.data, np.tile(quotient.data, (1, 2, 2, 2, 2)))
+        assert float(np.max(np.abs(back.data - full.data))) <= 1e-15
+        sidecar = json.loads((path.with_suffix(".kmf.json")).read_text())
+        assert (sidecar["n"], sidecar["shape"]) == (n, [n] * 4 + [2, 2])
 
     def test_missing_lambda_round_trip(self, tmp_path):
         field_ = self._small_field()

@@ -248,6 +248,19 @@ class TestNorms:
             sv.l2_norm(np.full((16,) * 4, np.inf), np.full((16,) * 4, 1 / 16**4))
 
     @pytest.mark.parametrize("norm", [sv.y_norm, sv.x_norm])
+    def test_one_finite_check_per_norm(self, flat_problem, params, monkeypatch, norm):
+        calls = []
+        require_finite = sv._require_finite
+
+        def counting_require_finite(f, what):
+            calls.append(what)
+            return require_finite(f, what)
+
+        monkeypatch.setattr(sv, "_require_finite", counting_require_finite)
+        norm(flat_problem, params, flat_problem.ea)
+        assert calls == ["norm input"]
+
+    @pytest.mark.parametrize("norm", [sv.y_norm, sv.x_norm])
     def test_nonfinite_entry_rejected_before_arithmetic(self, flat_problem, params, norm):
         # one inf entry must raise the finiteness error, not a
         # RuntimeWarning from inf - inf in the mean subtraction
@@ -601,7 +614,7 @@ class TestStencilEquivalence:
 
 
 def _inverse_half_symbol(n):
-    half = sv.flat_symbol(n)
+    half = sv.flat_symbol(km.TorusGrid(n))
     assert half.shape == (n, n, n, n // 2 + 1)
     with np.errstate(divide="ignore"):
         return np.where(half > 0, 1.0 / half, 0.0)
@@ -616,6 +629,13 @@ class TestPreconditioner:
         with np.errstate(divide="ignore", invalid="ignore"):
             ref = np.real(np.fft.ifftn(np.where(full > 0, np.fft.fftn(r) / full, 0.0)))
         _assert_close(sv._flat_inverse(r, _inverse_half_symbol(n)), ref)
+
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_quotient_symbol_is_the_unit_symbol_at_even_frequencies(self, n):
+        # the invariant modes of the unit torus are its even frequencies,
+        # and the 1/L^2 scaling reproduces them bit for bit
+        unit = sv.flat_symbol(km.TorusGrid(n))
+        assert np.array_equal(sv.flat_symbol(km.TorusGrid(n).quotient()), unit[::2, ::2, ::2, ::2])
 
     def test_constants_map_to_zero(self, grid16):
         n = grid16.n
@@ -1103,9 +1123,9 @@ def test_preconditioner_symbol_made_once_per_problem(monkeypatch):
     calls = []
     symbol = sv.flat_symbol
 
-    def counting_symbol(n):
-        calls.append(n)
-        return symbol(n)
+    def counting_symbol(grid):
+        calls.append(grid)
+        return symbol(grid)
 
     monkeypatch.setattr(sv, "flat_symbol", counting_symbol)
     problem = sv.Problem.build(km.GluedModel(a=0.05, zeta=4.0 / 9.0), km.TorusGrid(8))
@@ -1113,4 +1133,73 @@ def test_preconditioner_symbol_made_once_per_problem(monkeypatch):
     f = sv.project_mean_zero(problem, sv.random_smooth_field(problem.grid, np.random.default_rng(3)))
     for _ in range(2):
         sv.invert_laplacian(problem, f)
-    assert calls == [8]
+    assert calls == [km.TorusGrid(8)]
+
+
+# ---------------------------------------------------------------------------
+# the solve on the (Z/2)^4 quotient grid against the unit torus
+
+
+@pytest.fixture(scope="module", params=[(10, 0.05), (10, 0.08), (16, 0.05), (16, 0.08),
+                                        (24, 0.05), (24, 0.08)],
+                ids=lambda p: f"n{p[0]}-a{p[1]}")
+def unit_and_quotient_solves(request, params):
+    """Resolved solves (zeta 4/9, no ball guard) of one model on the unit
+    grid and on its quotient; n=10 has an odd quotient side."""
+    n, a = request.param
+    model, grid = km.GluedModel(a=a, zeta=4.0 / 9.0), km.TorusGrid(n)
+    unit = sv.Problem.build(model, grid)
+    quotient = sv.Problem.build(model, grid.quotient())
+    return (unit, sv.banach_solve(unit, params, enforce_ball=False),
+            quotient, sv.banach_solve(quotient, params, enforce_ball=False))
+
+
+class TestQuotientSolve:
+    def test_picard_steps_agree(self, unit_and_quotient_solves):
+        # the quotient field is the unit field's restriction bit for bit
+        # (tests/test_kummer.py); the sums over m^4 nodes round apart
+        _, unit_state, _, state = unit_and_quotient_solves
+        assert state.iterations == unit_state.iterations
+
+    def test_potential_agrees(self, unit_and_quotient_solves):
+        unit, unit_state, quotient, state = unit_and_quotient_solves
+        m = quotient.grid.n
+        gap = float(np.max(np.abs(unit_state.phi[:m, :m, :m, :m] - state.phi)))
+        assert gap <= 1e-12 * float(np.max(np.abs(unit_state.phi)))
+
+    def test_norms_eigenvalues_and_residuals_agree(self, unit_and_quotient_solves):
+        _, unit_state, _, state = unit_and_quotient_solves
+        assert state.final_min_eigenvalue == pytest.approx(unit_state.final_min_eigenvalue, rel=1e-12, abs=0)
+        for row, unit_row in zip(state.trace_rows, unit_state.trace_rows):
+            for key in ("y_norm_psi", "min_eigenvalue"):
+                assert row[key] == pytest.approx(unit_row[key], rel=1e-12, abs=0)
+            assert abs(row["ma_sup_residual"] - unit_row["ma_sup_residual"]) <= 1e-14
+        for key in ("initial_ma_sup", "final_ma_sup"):
+            assert abs(getattr(state, key) - getattr(unit_state, key)) <= 1e-14
+
+    def test_field_file_is_the_unit_corrected_field(self, unit_and_quotient_solves, tmp_path):
+        unit, unit_state, _, state = unit_and_quotient_solves
+        km.save_field(state.corrected, tmp_path / "corrected.kmf")
+        loaded = km.load_field(tmp_path / "corrected.kmf")
+        assert loaded.grid == unit.grid
+        assert float(np.max(np.abs(loaded.data - unit_state.corrected.data))) <= 1e-14
+
+
+def test_seed_shaped_for_another_grid_rejected(params):
+    # a unit-torus seed given to a quotient problem
+    quotient = sv.Problem.build(km.GluedModel(a=0.05, zeta=4.0 / 9.0), km.TorusGrid(10).quotient())
+    with pytest.raises(ValueError, match=r"psi0 has shape \(10, 10, 10, 10\).*shape \(5, 5, 5, 5\)"):
+        sv.banach_solve(quotient, params, psi0=np.zeros((10,) * 4), enforce_ball=False)
+
+
+def test_resolved_n48_quotient_solve_follows_the_eguchi_hanson_scale(params):
+    # the node nearest a site lies at r = 1/n, where the glued form's
+    # smaller eigenvalue is the Eguchi-Hanson radial one,
+    # r^2 / (2 sqrt(r^4 + a^4)); the correction keeps it within 1e-3
+    a, n = 0.05, 48
+    problem = sv.Problem.build(km.GluedModel(a=a, zeta=4.0 / 9.0), km.TorusGrid(n).quotient())
+    r = 1.0 / n
+    predicted = r**2 / (2.0 * np.sqrt(r**4 + a**4))
+    assert problem.field_.min_eigenvalue() == pytest.approx(predicted, rel=1e-12, abs=0)
+    state = sv.banach_solve(problem, params, enforce_ball=False)
+    assert state.final_min_eigenvalue == pytest.approx(predicted, rel=1e-3, abs=0)
