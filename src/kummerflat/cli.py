@@ -178,7 +178,7 @@ def _make_out_dir(cfg, parser):
 # Peak resident memory per node of the grid the command runs on
 # (RunConfig.grid), for the heaviest command, rounded up.  On the
 # quotient grid, at grid_n=64 (32^4 nodes), a resolved solve peaks at
-# 176 B/node (its .kmf slab of 64^3 matrices included), uniqueness at
+# 176 B/node (its .kmf write copies no field), uniqueness at
 # 205 and scaling at 152; lambda1 keeps its Krylov basis and its
 # operator images, up to 17 fields each, and peaks at 271 B/node on
 # the unit grid at grid_n=32.
@@ -432,7 +432,9 @@ def verify_gh_checks(c, eps_gh, seed=0):
 
 
 def cmd_verify_gh(cfg, models):
-    checks = verify_gh_checks(cfg.c, cfg.eps_gh, seed=cfg.seed)
+    # a huge c overflows the sample points: an error, not a warning
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        checks = verify_gh_checks(cfg.c, cfg.eps_gh, seed=cfg.seed)
     return _print_report(checks, cfg.out / "verify_gh.json")
 
 

@@ -22,11 +22,8 @@ the first n/2 nodes per axis, bit for bit.
 A Hermitian 2x2 field is stored as its four real components
 (h11, h22, Re h12, Im h12) along a leading axis of length 4; on the
 grid that is one float64 array of shape (4, n, n, n, n), 32 bytes per
-node.  hermitian_det and hermitian_min_eig work on any such array.  The
-complex (N, N, N, N, 2, 2) form on the unit torus exists only in the
-KMF1 file body, which save_field assembles from the components, slab by
-slab and extended periodically from a quotient field, and load_field
-checks and converts back.
+node.  hermitian_det and hermitian_min_eig work on any such array, and
+the field file body is that array as it is, on the grid it lives on.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ OMEGA_SQ_DENSITY_FACTOR = 8.0
 CHI_CHIBAR_DENSITY = 4.0
 
 _MAGIC = b"KMF1"
-_VERSION = 1
+_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -493,41 +490,30 @@ def error_density_ea(dets, lam):
 # serialization
 
 
-_HEADER = struct.Struct("<4sii3d")
+_HEADER = struct.Struct("<4sii4d")
 
 
 def save_field(field_, path):
-    """Write the field as magic/version/N/a/zeta/lambda header plus a
-    row-major complex128 (N, N, N, N, 2, 2) body on the unit-torus grid
-    with N = field_.grid.unit_n nodes per axis, with a JSON sidecar;
-    byte-stable.  A field on the quotient grid is written as its
-    (Z/2)^4-periodic extension, so the file is that of the unit torus."""
+    """Write the field as a magic/version/n/side/a/zeta/lambda header plus
+    its row-major little-endian float64 (4, n, n, n, n) components on the
+    grid it lives on, with a JSON sidecar; byte-stable."""
     lam = field_.lam if field_.lam is not None else float("nan")
-    n, N = field_.n, field_.grid.unit_n
-    header = _HEADER.pack(_MAGIC, _VERSION, N, field_.a, field_.zeta, lam)
-    # the body is assembled and written one axis-0 slab at a time, so
-    # neither the complex layout nor the extended field is held whole;
-    # each slab axis is split into its N // n periodic copies of n nodes
-    slab = np.empty((N,) * 3 + (2, 2), dtype="<c16")
-    copies = slab.reshape((N // n, n) * 3 + (2, 2))
+    grid = field_.grid
+    header = _HEADER.pack(_MAGIC, _VERSION, grid.n, grid.side, field_.a, field_.zeta, lam)
     with open(path, "wb") as fh:
         fh.write(header)
-        for i in range(N):
-            h = field_.data[:, i % n, None, :, None, :, None, :]
-            copies[..., 0, 0] = h[0]
-            copies[..., 1, 1] = h[1]
-            copies[..., 0, 1] = h[2] + 1j * h[3]
-            copies[..., 1, 0] = h[2] - 1j * h[3]
-            fh.write(memoryview(slab).cast("B"))
+        fh.write(memoryview(np.ascontiguousarray(field_.data, dtype="<f8")).cast("B"))
     sidecar = {
         "magic": _MAGIC.decode(),
         "version": _VERSION,
-        "n": N,
+        "n": grid.n,
+        "side": grid.side,
         "a": field_.a,
         "zeta": field_.zeta,
-        "lambda": None if field_.lam is None else field_.lam,
-        "dtype": "complex128",
-        "shape": [N] * 4 + [2, 2],
+        "lambda": field_.lam,
+        "dtype": "float64",
+        "components": ["h11", "h22", "Re h12", "Im h12"],
+        "shape": [4] + [grid.n] * 4,
     }
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -535,31 +521,26 @@ def save_field(field_, path):
 
 
 def load_field(path):
-    """Read a field written by save_field; any malformed header or body,
-    including one that is not exactly Hermitian, raises ValueError.  A
-    NaN lambda stands for no lambda."""
+    """Read a field written by save_field; any malformed header or body
+    raises ValueError.  A NaN lambda stands for no lambda."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
             raise ValueError(f"truncated field header: {len(raw)} bytes, expected {_HEADER.size}")
-        magic, version, n, a, zeta, lam = _HEADER.unpack(raw)
+        magic, version, n, side, a, zeta, lam = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise ValueError(f"not a coefficient-field file: bad magic {magic!r}")
         if version != _VERSION:
             raise ValueError(f"unsupported field file version {version}")
-        grid = TorusGrid(n)  # the grid-size rule: even and at least 8
+        grid = TorusGrid(n, side)  # the grid rules reject a bad n or side
         if not (np.isfinite(a) and np.isfinite(zeta) and not np.isinf(lam)):
             raise ValueError(f"non-finite field parameters a={a}, zeta={zeta}, lambda={lam}")
-        expect = n**4 * 4 * 16
+        expect = 32 * n**4
         # sized before it is read, so a header with a huge n allocates nothing
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != expect:
             raise ValueError(f"field body has {size} bytes, expected {expect}")
-        body = fh.read()
-    m = np.frombuffer(body, dtype="<c16").reshape((n,) * 4 + (2, 2))
-    if not np.all(np.isfinite(m)):
+        data = np.fromfile(fh, dtype="<f8").reshape((4,) + (n,) * 4)
+    if not np.all(np.isfinite(data)):
         raise ValueError("field body has non-finite entries")
-    if not np.array_equal(m, np.conj(np.swapaxes(m, -1, -2))):
-        raise ValueError("field body is not Hermitian")
-    data = np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag])
     return Field11(grid, a, zeta, data, lam=None if np.isnan(lam) else lam)

@@ -511,11 +511,6 @@ def _bicgstab(problem, u, r, scale, tol, max_iter, history):
 # norms
 
 
-def l2_norm(f, weight):
-    """Weighted L2 norm."""
-    return _weighted_l2(_require_finite(f, "norm input"), weight)
-
-
 def _weighted_l2(f, weight):
     """Weighted L2 norm of a float array already checked to be finite."""
     return float(np.sum(weight * f**2) ** 0.5)

@@ -410,13 +410,14 @@ class TestVerifyGh:
         assert err.value.code == 2
 
     # finite and positive, so the option table accepts them; the sample
-    # points then overflow.  The overflow warnings on the way are expected
-    # here: the test is about the ArithmeticError that follows them.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # points then overflow.  That is an error, with exit status 1, and no
+    # warning: under this filter a warning would escape main instead.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("c", ["1e200", "1e308"])
     def test_overflowing_constant_reports_error(self, tmp_path, capsys, c):
-        assert run(["verify-gh", "--c", c, "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        for eps_gh in ("0", "1.0"):
+            assert run(["verify-gh", "--c", c, "--eps-gh", eps_gh, "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err.startswith("error: overflow encountered")
 
     def test_nan_potential_constant_fails_checks(self):
         # the builtin max dropped a NaN that followed a number, so these
@@ -493,8 +494,12 @@ class TestSolve:
         trace = (out / "solve_trace.csv").read_text().splitlines()
         assert trace[0].split(",") == ["iter", "y_norm_psi", "lipschitz_sample_max",
                                        "ma_sup_residual", "min_eigenvalue"]
-        loaded = km.load_field(out / "corrected_field.kmf")
-        assert loaded.n == 16
+        path = out / "corrected_field.kmf"
+        loaded = km.load_field(path)
+        # the field of the grid that was solved: the default grid_n=16
+        # quotient, 32 bytes per node after the 44-byte header
+        assert loaded.grid == km.TorusGrid(16).quotient()
+        assert path.stat().st_size == 44 + 32 * 8**4
         # blind reference grid: the volume ratio is exactly one half
         assert loaded.lam == 0.5
         assert loaded.min_eigenvalue() > 0

@@ -515,20 +515,21 @@ class TestFieldSerialization:
         km.save_field(field_, path)
         assert path.read_bytes() == first
         back = km.load_field(path)
-        assert back.n == field_.n
+        assert back.grid == field_.grid
         assert back.a == field_.a
         assert back.zeta == field_.zeta
         assert back.lam == field_.lam
-        assert np.all(back.data == field_.data)
+        assert np.array_equal(back.data, field_.data)
 
     def test_sidecar_contents(self, tmp_path):
         field_ = self._small_field()
         path = tmp_path / "field.kmf"
         km.save_field(field_, path)
         sidecar = json.loads((path.with_suffix(".kmf.json")).read_text())
-        assert sidecar["n"] == 8
-        assert sidecar["shape"] == [8, 8, 8, 8, 2, 2]
-        assert sidecar["dtype"] == "complex128"
+        assert (sidecar["version"], sidecar["n"], sidecar["side"]) == (2, 8, 1.0)
+        assert sidecar["shape"] == [4, 8, 8, 8, 8]
+        assert sidecar["dtype"] == "float64"
+        assert sidecar["components"] == ["h11", "h22", "Re h12", "Im h12"]
         assert sidecar["lambda"] == field_.lam
 
     def test_rejects_corrupt_files(self, tmp_path):
@@ -550,38 +551,41 @@ class TestFieldSerialization:
         field_ = self._small_field()
         path = tmp_path / "field.kmf"
         km.save_field(field_, path)
-        header = path.read_bytes()[: struct.calcsize("<4sii3d")]
-        magic, version, n, a, zeta, lam = struct.unpack("<4sii3d", header)
+        header = path.read_bytes()[: struct.calcsize(HEADER)]
+        magic, version, n, side, a, zeta, lam = struct.unpack(HEADER, header)
         assert magic == b"KMF1"
-        assert (version, n) == (1, 8)
+        assert (version, n, side) == (2, 8, 1.0)
         assert (a, zeta, lam) == (field_.a, field_.zeta, field_.lam)
 
     def test_body_layout(self, tmp_path):
-        # the body is the row-major complex128 (n, n, n, n, 2, 2) matrix
-        # of the components, as before the component storage
+        # the body is the field's own row-major (4, n, n, n, n) components
         field_ = self._small_field()
         path = tmp_path / "field.kmf"
         km.save_field(field_, path)
-        body = path.read_bytes()[struct.calcsize("<4sii3d"):]
-        expected = complex_matrix(field_.data).astype("<c16")
-        assert expected.shape == (8, 8, 8, 8, 2, 2)
-        assert body == expected.tobytes()
+        body = path.read_bytes()[struct.calcsize(HEADER):]
+        assert body == field_.data.astype("<f8").tobytes()
+        assert len(body) == 32 * 8**4
 
     @pytest.mark.parametrize("n", [8, 10])
-    def test_quotient_field_written_as_its_periodic_extension(self, tmp_path, n):
-        # the file is that of the unit torus: the quotient components
-        # repeated along each axis, assembled slab by slab
+    def test_quotient_field_round_trip(self, tmp_path, n):
+        # the file holds the quotient grid's (n/2)^4 nodes, odd n/2 too,
+        # and loads back on that grid, bit for bit
         model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)
         quotient = km.build_omega0(model, km.TorusGrid(n).quotient())
-        full = km.build_omega0(model, km.TorusGrid(n))
         path = tmp_path / "field.kmf"
         km.save_field(quotient, path)
+        raw = path.read_bytes()
+        m = n // 2
+        assert struct.unpack(HEADER, raw[: struct.calcsize(HEADER)])[1:4] == (2, m, 0.5)
+        assert raw[struct.calcsize(HEADER):] == quotient.data.astype("<f8").tobytes()
         back = km.load_field(path)
-        assert back.grid == km.TorusGrid(n)
-        assert np.array_equal(back.data, np.tile(quotient.data, (1, 2, 2, 2, 2)))
-        assert float(np.max(np.abs(back.data - full.data))) <= 1e-15
+        assert back.grid == km.TorusGrid(n).quotient()
+        assert np.array_equal(back.data, quotient.data)
+        # which is the unit-torus field on the first m nodes per axis
+        full = km.build_omega0(model, km.TorusGrid(n))
+        assert np.array_equal(back.data, full.data[:, :m, :m, :m, :m])
         sidecar = json.loads((path.with_suffix(".kmf.json")).read_text())
-        assert (sidecar["n"], sidecar["shape"]) == (n, [n] * 4 + [2, 2])
+        assert (sidecar["n"], sidecar["side"], sidecar["shape"]) == (m, 0.5, [4] + [m] * 4)
 
     def test_missing_lambda_round_trip(self, tmp_path):
         field_ = self._small_field()
@@ -591,8 +595,12 @@ class TestFieldSerialization:
         assert km.load_field(path).lam is None
 
 
-def _header(n=8, a=0.05, zeta=4.0 / 9.0, lam=0.5):
-    return struct.pack("<4sii3d", b"KMF1", 1, n, a, zeta, lam)
+# magic, version, n, side, a, zeta, lambda
+HEADER = "<4sii4d"
+
+
+def _header(n=8, side=1.0, a=0.05, zeta=4.0 / 9.0, lam=0.5):
+    return struct.pack(HEADER, b"KMF1", 2, n, side, a, zeta, lam)
 
 
 @pytest.fixture(scope="module")
@@ -639,35 +647,30 @@ class TestLoadFieldRejects:
         # bodies far too large to allocate: rejected by size, not read
         ({"n": 1000}, "expected"),
         ({"n": 1 << 20}, "expected"),
+        ({"side": 0.3}, "side must be 1 or 1/2"),
+        ({"side": float("nan")}, "side must be 1 or 1/2"),
+        ({"n": 3, "side": 0.5}, "at least 4 nodes"),
     ])
     def test_bad_header_values(self, valid_kmf, fields, match):
         raw, root = valid_kmf
         with pytest.raises(ValueError, match=match):
             _load_bytes(root, _header(**fields) + raw[len(_header()):])
 
+    def test_version_1_refused(self, valid_kmf):
+        # the complex (n, n, n, n, 2, 2) unit-torus layout has no reader
+        raw, root = valid_kmf
+        v1 = struct.pack("<4sii3d", b"KMF1", 1, 8, 0.05, 4.0 / 9.0, 0.5) + bytes(16 * 4 * 8**4)
+        with pytest.raises(ValueError, match="unsupported field file version 1"):
+            _load_bytes(root, v1)
+
     def test_valid_file_loads(self, valid_kmf):
         raw, root = valid_kmf
         assert _load_bytes(root, raw).data.shape == (4, 8, 8, 8, 8)
 
-    @pytest.mark.parametrize("entry", [(0, 1), (1, 0), (0, 0), (1, 1)])
-    def test_non_hermitian_body(self, valid_kmf, entry):
-        # a hand-built body whose one node breaks Hermitian symmetry: a
-        # stray imaginary part on the diagonal or a non-conjugate
-        # off-diagonal pair
-        raw, root = valid_kmf
-        head = len(_header())
-        body = np.frombuffer(raw[head:], dtype="<c16").reshape((8,) * 4 + (2, 2)).copy()
-        body[3, 1, 4, 1][entry] += 1e-3j
-        with pytest.raises(ValueError, match="Hermitian"):
-            _load_bytes(root, raw[:head] + body.tobytes())
-        nan_a = _header(a=float("nan"))
-        with pytest.raises(ValueError):
-            _load_bytes(root, nan_a + body.tobytes())
-
     def test_non_finite_body(self, valid_kmf):
         raw, root = valid_kmf
         head = len(_header())
-        body = np.frombuffer(raw[head:], dtype="<c16").copy()
+        body = np.frombuffer(raw[head:], dtype="<f8").copy()
         body[77] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             _load_bytes(root, raw[:head] + body.tobytes())

@@ -210,7 +210,7 @@ class TestNonSymmetricInversion:
 class TestNorms:
     def test_constant_l2(self):
         c = np.full((16,) * 4, 3.0)
-        assert abs(sv.l2_norm(c, np.full(c.shape, 1 / c.size)) - 3.0) < 1e-12
+        assert abs(sv._weighted_l2(c, np.full(c.shape, 1 / c.size)) - 3.0) < 1e-12
 
     def test_sobolev_against_fourier(self, grid16):
         X = _coords(grid16)
@@ -243,9 +243,9 @@ class TestNorms:
         with pytest.raises(ValueError, match="mean-zero"):
             sv.y_norm(flat_problem, params, np.full(flat_problem.shape, 1.0))
 
-    def test_nonfinite_guard(self):
+    def test_nonfinite_guard(self, flat_problem, params):
         with pytest.raises(ValueError, match="finite"):
-            sv.l2_norm(np.full((16,) * 4, np.inf), np.full((16,) * 4, 1 / 16**4))
+            sv.y_norm(flat_problem, params, np.full(flat_problem.shape, np.inf))
 
     @pytest.mark.parametrize("norm", [sv.y_norm, sv.x_norm])
     def test_one_finite_check_per_norm(self, flat_problem, params, monkeypatch, norm):
@@ -1178,11 +1178,15 @@ class TestQuotientSolve:
             assert abs(getattr(state, key) - getattr(unit_state, key)) <= 1e-14
 
     def test_field_file_is_the_unit_corrected_field(self, unit_and_quotient_solves, tmp_path):
-        unit, unit_state, _, state = unit_and_quotient_solves
+        # the file holds the quotient field: the unit solve's corrected
+        # field on the first m nodes per axis, and, repeated twice along
+        # each axis, on every unit node
+        unit, unit_state, quotient, state = unit_and_quotient_solves
         km.save_field(state.corrected, tmp_path / "corrected.kmf")
         loaded = km.load_field(tmp_path / "corrected.kmf")
-        assert loaded.grid == unit.grid
-        assert float(np.max(np.abs(loaded.data - unit_state.corrected.data))) <= 1e-14
+        assert loaded.grid == quotient.grid == unit.grid.quotient()
+        extended = np.tile(loaded.data, (1, 2, 2, 2, 2))
+        assert float(np.max(np.abs(extended - unit_state.corrected.data))) <= 1e-14
 
 
 def test_seed_shaped_for_another_grid_rejected(params):
