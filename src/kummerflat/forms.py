@@ -189,10 +189,6 @@ class ChartMap:
         return J
 
 
-def identity_map(chart):
-    return ChartMap(chart, chart, lambda c: c, jac=lambda c: np.eye(DIM), name=f"id_{chart.name}")
-
-
 def compose(outer, inner):
     """The map ``outer after inner``; jacobians compose by the chain rule."""
     if inner.target is not outer.source:
@@ -329,10 +325,6 @@ class CoefficientForm:
             raise ValueError(f"chart mismatch: {self.chart.name} vs {other.chart.name}")
         if other.degree != degree:
             raise ValueError(f"degree mismatch: {degree} vs {other.degree}")
-
-
-def zero_form(chart, f):
-    return CoefficientForm(chart, 0, {(): f})
 
 
 def one_form(chart, components):

@@ -39,7 +39,6 @@ import numpy as np
 
 from .eguchi_hanson import (
     EhParams,
-    bolt_correction,
     complex_to_resolving,
     kahler_potential_u_chart,
     radial_hessian_derivs,
@@ -141,14 +140,6 @@ class TorusGrid:
     def node_count(self):
         return self.n**4
 
-    def involution_index_map(self):
-        """Permutation sending each node index to its involution image."""
-        idx = np.arange(self.n)
-        mirrored = self.n - 1 - idx
-        grids = np.meshgrid(mirrored, mirrored, mirrored, mirrored, indexing="ij")
-        flat = ((grids[0] * self.n + grids[1]) * self.n + grids[2]) * self.n + grids[3]
-        return flat.reshape(-1)
-
 
 # ---------------------------------------------------------------------------
 # blow-up charts
@@ -193,19 +184,6 @@ def transition_cr_residual(direction, p, step=1e-6):
                 abs(J[out, inp + 1] + J[out + 1, inp]),
             )
     return worst
-
-
-def radial_factor(v):
-    """Split a punctured-ball point into (radius, unit direction)."""
-    v = np.asarray(v, dtype=float)
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        raise ValueError("radial factorization undefined at the singular point")
-    return r, v / r
-
-
-def radial_assemble(r, unit):
-    return r * np.asarray(unit, dtype=float)
 
 
 def eh_chart_map(site, x, zeta=None):
@@ -281,15 +259,6 @@ def cutoff_beta_derivs(zeta, t):
 
 # ---------------------------------------------------------------------------
 # gluing correction
-
-
-def gluing_correction_G(a, r):
-    """Radial-chart difference between the Eguchi-Hanson potential and the
-    flat one: (a^2/4) log((r^2 - a^2)/(r^2 + a^2)), for r > a."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= a):
-        raise ValueError(f"correction requires r > a, got r={r} with a={a}")
-    return bolt_correction(a, r)
 
 
 def ball_correction_derivs(a, w):

@@ -33,12 +33,16 @@ stencil returns P in the layout of kummer.Field11 data, the four real
 components (p11, p22, Re p12, Im p12) along a leading axis, so the
 corrected field is field_.data + hessian_parts(phi, dx), and
 kummer.hermitian_det and kummer.hermitian_min_eig work on those
-components; no complex (..., 2, 2) field is built here.  The bracket
-[h : P(u)] behind the Laplacian and its inversion is computed from the
-stencil's neighbour sums without building P, in slabs along axis 0 that
-stay in the per-core cache.  The inversion is right-preconditioned
-BiCGStab, since the stencil operator is not symmetric on glued fields;
-its flat preconditioner uses real-to-complex FFTs on the half spectrum.
+components; no complex (..., 2, 2) field is built here.  The stencil
+is written once, in _stencil_sums, as four unscaled sums on the rows of
+one slab along axis 0, read with a periodic halo row per side; a slab
+holds _STENCIL_SLAB_BYTES of u, so that its buffers stay in the per-core
+cache.  hessian_parts scales the sums into the slabs of P, and
+hermitian_bracket weights them by h into the bracket [h : P(u)] behind
+the Laplacian and its inversion, without building P.  The inversion is
+right-preconditioned BiCGStab, since the stencil operator is not
+symmetric on glued fields; its flat preconditioner uses real-to-complex
+FFTs on the half spectrum.
 The solve loop allocates nothing per step: the work vectors, the
 operator images and the preconditioner's spectrum are made once per
 inversion and written in place, and the inverse preconditioner symbol is
@@ -48,10 +52,10 @@ corrected field h + P in place, and the step's residual and positivity
 checks drop it before its Y-norms run.  Each other n^4 field lives only
 as long as it is needed: the work vectors die with the BiCGStab loop,
 the residual checks and the fixed-point image are computed in place,
-and hessian_parts keeps its intermediates in the slots of its result; a
-solve peaks at 11-14 fields on top of its Problem's 7, 11.1 at 24^4 nodes
-and 13.7 at 16^4 (traced, on either grid: 24^4 nodes are the unit grid
-at n=24 or the quotient at n=48).
+and hessian_parts needs two slab buffers besides its result (4.3 fields
+at 24^4 nodes, 5.2 at 16^4); a solve peaks at 11-14 fields on top of its
+Problem's 7, 11.1 at 24^4 nodes and 13.4-13.7 at 16^4 (traced, on either
+grid: 24^4 nodes are the unit grid at n=24 or the quotient at n=48).
 """
 
 from __future__ import annotations
@@ -84,10 +88,10 @@ RANDOM_FIELD_DECAY = 2.0
 # bytes of f per slab of the Hölder sweep: with its padded, shifted
 # copies a slab stays well inside a 2 MiB per-core L2
 _HOLDER_SLAB_BYTES = 1 << 19
-# bytes of u per slab of the bracket sweep: a slab with its two halo
-# rows, its four temporaries and the four slabs of h stay near a 2 MiB
-# per-core L2
-_BRACKET_SLAB_BYTES = 1 << 18
+# bytes of u per slab of the stencil sweep: a slab with its two halo
+# rows, its sums and scratch and, in the bracket, the four slabs of h
+# stay near a 2 MiB per-core L2
+_STENCIL_SLAB_BYTES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -229,38 +233,62 @@ def _central_diff(f, axis, dx):
     return out
 
 
+def _stencil_slabs(u, count):
+    """Slabs of rows i0:i1 along axis 0 of u, _STENCIL_SLAB_BYTES of u
+    each (the last one shorter when the rows do not divide n): yields
+    (i0, i1, halo, work), with halo holding rows i0 - 1, ..., i1 of u,
+    wrapped around the torus, and work count slab-sized buffers."""
+    n0 = u.shape[0]
+    rows = min(n0, max(1, _STENCIL_SLAB_BYTES // u[0].nbytes))
+    halo = np.empty((rows + 2,) + u.shape[1:])
+    work = np.empty((count, rows) + u.shape[1:])
+    for i0 in range(0, n0, rows):
+        i1 = min(i0 + rows, n0)
+        m = i1 - i0
+        np.take(u, range(i0 - 1, i1 + 1), axis=0, out=halo[:m + 2], mode="wrap")
+        yield i0, i1, halo[:m + 2], work[:, :m]
+
+
+def _stencil_sums(halo, a, b, c, d, x):
+    """The four unscaled sums of the stencil P = 2 u_{i jbar} on the rows
+    halo[1:-1], which halo extends by one row per side along axis 0;
+    x is scratch.
+
+    With Sk the neighbour sum and dk = Dk u the central difference along
+    axis k, and real coordinates (x1, y1, x2, y2) along the four axes,
+    a = S0 + S1 - 4u and b = S2 - 4u + S3 are 2 dx^2 p11 and 2 dx^2 p22,
+    and c = D2 d0 + D3 d1 and d = D3 d0 - D2 d1 are 8 dx^2 Re p12 and
+    8 dx^2 Im p12.  The mixed sums come first, with d0 and d1 in a and b.
+    """
+    us = halo[1:-1]
+    np.subtract(halo[2:], halo[:-2], out=a)
+    _neighbours(us, 1, np.subtract, out=b)
+    _neighbours(a, 2, np.subtract, out=c)
+    c += _neighbours(b, 3, np.subtract, out=d)
+    _neighbours(a, 3, np.subtract, out=d)
+    d -= _neighbours(b, 2, np.subtract, out=a)
+    np.multiply(us, 4.0, out=x)
+    np.add(halo[2:], halo[:-2], out=a)
+    a += _neighbours(us, 1, np.add, out=b)
+    a -= x
+    _neighbours(us, 2, np.add, out=b)
+    b -= x
+    b += _neighbours(us, 3, np.add, out=x)
+
+
 def hessian_parts(u, dx):
     """The stencil field P = 2 u_{i jbar} as one (4, ...) array of its
-    components (p11, p22, Re p12, Im p12).
-
-    Real coordinates order (x1, y1, x2, y2) along the four grid axes.
-    The diagonal entries are half the 5-point Laplacian of each complex
-    plane; the four central-central mixed differences share the
-    central differences along x1 and y1.  Until the mixed entries are
-    written, their slots of P hold 4u and the diagonal neighbour sums,
-    so the only fresh fields are the two central differences.
+    components (p11, p22, Re p12, Im p12): half the 5-point Laplacian of
+    each complex plane on the diagonal, central-central differences off
+    it.  The sums of _stencil_sums are written into the slabs of P and
+    scaled there, so the only other memory is two slab buffers.
     """
     u = np.ascontiguousarray(u, dtype=float)
     P = np.empty((4,) + u.shape)
-    p11, p22, re12, im12 = P
-    four_u = np.multiply(u, 4.0, out=im12)
-    _neighbours(u, 0, np.add, out=p11)
-    p11 += _neighbours(u, 1, np.add, out=re12)
-    p11 -= four_u
-    p11 *= 0.5 / dx**2
-    _neighbours(u, 2, np.add, out=p22)
-    p22 += _neighbours(u, 3, np.add, out=re12)
-    p22 -= four_u
-    p22 *= 0.5 / dx**2
-    d0 = _neighbours(u, 0, np.subtract)
-    d1 = _neighbours(u, 1, np.subtract)
-    _neighbours(d0, 2, np.subtract, out=re12)
-    _neighbours(d0, 3, np.subtract, out=im12)
-    # d0 is spent; it takes the two terms along d1
-    re12 += _neighbours(d1, 3, np.subtract, out=d0)
-    re12 *= 0.5 / (2.0 * dx) ** 2
-    im12 -= _neighbours(d1, 2, np.subtract, out=d0)
-    im12 *= 0.5 / (2.0 * dx) ** 2
+    for i0, i1, halo, (x,) in _stencil_slabs(u, 1):
+        _stencil_sums(halo, *P[:, i0:i1], x)
+        P[:2, i0:i1] *= 0.5 / dx**2
+        P[2:, i0:i1] *= 0.5 / (2.0 * dx) ** 2
     return P
 
 
@@ -269,58 +297,29 @@ def hermitian_bracket(field_, u, dx, out=None):
     stencil field P = hessian_parts(u, dx) and h = field_.data, without
     building P; into out (a new array by default).
 
-    Each neighbour sum of hessian_parts is weighted by the component of
-    h it meets in the bracket, and the stencil factors are applied once
-    per diagonal and mixed part.  A constant u maps to exactly zero.
-    The sweep runs over slabs of _BRACKET_SLAB_BYTES along axis 0, each
-    read with one periodic halo row per side, and keeps its temporaries
-    in slab-sized buffers; every element sees the same operations as on
-    the whole array, so the result does not depend on the slab size.
+    The sums of _stencil_sums are weighted by the components of h they
+    meet in the bracket, and the stencil factors are applied once per
+    diagonal and mixed part.  A constant u maps to exactly zero.  The
+    first sum is written into out's slab and the other three into slab
+    buffers; every element sees the same operations for any slab size.
     """
     u = np.ascontiguousarray(u, dtype=float)
     if out is None:
         out = np.empty_like(u)
     h11, h22, re12, im12 = field_.data
-    n0 = u.shape[0]
-    rows = min(n0, max(1, _BRACKET_SLAB_BYTES // u[0].nbytes))
-    halo = np.empty((rows + 2,) + u.shape[1:])
-    s, t, d0, d1 = np.empty((4, rows) + u.shape[1:])
-    for i0 in range(0, n0, rows):
-        i1 = min(i0 + rows, n0)
-        m = i1 - i0
-        if m < rows:
-            halo, s, t, d0, d1 = halo[:m + 2], s[:m], t[:m], d0[:m], d1[:m]
-        # rows i0 - 1, ..., i1 of u, wrapped around the torus
-        np.take(u, range(i0 - 1, i1 + 1), axis=0, out=halo, mode="wrap")
-        us, o = halo[1:-1], out[i0:i1]
-        # diagonal part h22 (S0 + S1 - 4u) + h11 (S2 + S3 - 4u), where Sk
-        # is the neighbour sum along axis k, times 1 / (2 dx^2)
-        np.add(halo[2:], halo[:-2], out=o)
-        _neighbours(us, 1, np.add, out=s)
-        np.multiply(us, 4.0, out=t)
-        o += s
-        o -= t
+    for i0, i1, halo, (b, c, d, x) in _stencil_slabs(u, 4):
+        o = out[i0:i1]
+        _stencil_sums(halo, o, b, c, d, x)
         o *= h22[i0:i1]
-        _neighbours(us, 2, np.add, out=s)
-        s -= t
-        s += _neighbours(us, 3, np.add, out=t)
-        s *= h11[i0:i1]
-        o += s
+        b *= h11[i0:i1]
+        o += b
         o *= 0.5 / dx**2
-        # mixed part -2 (Re h12 Re p12 + Im h12 Im p12), with 8 dx^2 p12
-        # = D2 d0 + D3 d1 + i (D3 d0 - D2 d1) for the central differences
-        # dk = Dk u
-        np.subtract(halo[2:], halo[:-2], out=d0)
-        _neighbours(us, 1, np.subtract, out=d1)
-        _neighbours(d0, 2, np.subtract, out=s)
-        s += _neighbours(d1, 3, np.subtract, out=t)
-        s *= re12[i0:i1]
-        _neighbours(d0, 3, np.subtract, out=t)
-        t -= _neighbours(d1, 2, np.subtract, out=d0)
-        t *= im12[i0:i1]
-        s += t
-        s *= -0.25 / dx**2
-        o += s
+        # -2 (Re h12 Re p12 + Im h12 Im p12) = -(c Re h12 + d Im h12) / (4 dx^2)
+        c *= re12[i0:i1]
+        d *= im12[i0:i1]
+        c += d
+        c *= -0.25 / dx**2
+        o += c
     return out
 
 

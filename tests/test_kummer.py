@@ -43,11 +43,10 @@ class TestInvolution:
     def test_involution_permutes_grid_nodes(self):
         grid = km.TorusGrid(8)
         nodes = grid.nodes()
-        perm = grid.involution_index_map()
-        assert np.allclose(km.involution(nodes), nodes[perm], atol=1e-15)
-        # a permutation, and an involution as such
-        assert np.all(np.sort(perm) == np.arange(grid.node_count()))
-        assert np.all(perm[perm] == np.arange(grid.node_count()))
+        # the image of node k along each axis is node n - 1 - k
+        lattice = (grid.n,) * 4 + (4,)
+        flipped = np.flip(nodes.reshape(lattice), axis=(0, 1, 2, 3))
+        assert np.allclose(km.involution(nodes).reshape(lattice), flipped, atol=1e-15)
 
 
 class TestGrid:
@@ -131,14 +130,6 @@ class TestBlowupCharts:
 
 
 class TestChartMaps:
-    def test_radial_factorization_round_trip(self):
-        r, unit = km.radial_factor([0.03, 0.0, 0.04, 0.0])
-        assert abs(r - 0.05) < 1e-15
-        assert abs(np.linalg.norm(unit) - 1.0) < 1e-15
-        assert np.allclose(km.radial_assemble(r, unit), [0.03, 0, 0.04, 0], atol=1e-17)
-        with pytest.raises(ValueError, match="singular"):
-            km.radial_factor([0.0, 0.0, 0.0, 0.0])
-
     def test_chart_radius_is_displacement_norm(self, rng):
         site = km.fixed_points()[5]
         for _ in range(20):
@@ -234,7 +225,8 @@ class TestCutoff:
 
 class TestGluingCorrection:
     def test_small_parameter_value(self):
-        g = km.gluing_correction_G(0.1, 0.5)
+        # the radial-chart bolt term (a^2/4) log((r^2 - a^2)/(r^2 + a^2))
+        g = eh.bolt_correction(0.1, 0.5)
         assert abs(g - (-2.0011e-4)) < 1e-7
         # leading behavior -a^4 / (2 r^2)
         lead = -(0.1**4) / (2 * 0.5**2)
@@ -242,7 +234,7 @@ class TestGluingCorrection:
 
     def test_rejects_radius_at_or_below_bolt(self):
         with pytest.raises(ValueError, match="r > a"):
-            km.gluing_correction_G(0.1, 0.1)
+            eh.kahler_potential(eh.EhParams(0.1), 0.1)
 
     def test_ball_version_closes_potential(self):
         # potential minus flat part minus correction vanishes identically
@@ -342,9 +334,7 @@ class TestGluedField:
         built = km.build_omega0(model, grid)
         assert built.min_eigenvalue() > 0
         # node-for-node invariance under the involution, no tolerance
-        flat = built.data.reshape(4, -1)
-        perm = grid.involution_index_map()
-        assert np.all(flat[:, perm] == flat)
+        assert np.all(np.flip(built.data, axis=(1, 2, 3, 4)) == built.data)
 
     def test_flat_region_error_is_normalization_defect(self):
         model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)

@@ -773,11 +773,14 @@ class TestKrylovKernelEquivalence:
         u = np.random.default_rng(rows).standard_normal(bolt_problem.shape)
         dx = bolt_problem.spacing
         ref = _ref_hermitian_bracket(bolt_problem.field_, u, dx)
-        monkeypatch.setattr(sv, "_BRACKET_SLAB_BYTES", rows * u[0].nbytes)
+        ref_parts = _ref_hessian_parts(u, dx)
+        monkeypatch.setattr(sv, "_STENCIL_SLAB_BYTES", rows * u[0].nbytes)
         _assert_same_bits(sv.hermitian_bracket(bolt_problem.field_, u, dx), ref)
         out = np.full(u.shape, np.nan)
         assert sv.hermitian_bracket(bolt_problem.field_, u, dx, out) is out
         _assert_same_bits(out, ref)
+        # the stencil field runs on the same slabs
+        _assert_same_bits(sv.hessian_parts(u, dx), ref_parts)
 
     def test_bracket_default_slabs_match_whole_array(self, bolt_problem):
         u = np.random.default_rng(6).standard_normal(bolt_problem.shape)
@@ -1008,8 +1011,8 @@ def _ref_hessian_parts(u, dx):
     p11 -= four_u
     p11 *= 0.5 / dx**2
     sv._neighbours(u, 2, np.add, out=p22)
-    p22 += sv._neighbours(u, 3, np.add)
     p22 -= four_u
+    p22 += sv._neighbours(u, 3, np.add)
     p22 *= 0.5 / dx**2
     d0 = sv._neighbours(u, 0, np.subtract)
     d1 = sv._neighbours(u, 1, np.subtract)
