@@ -283,7 +283,9 @@ def radial_to_cylinder(c):
 
 def isometry_residual(c, sample):
     """Max-abs difference between the pullback of the two-center metric and
-    GH_TO_EH_SCALE times the Eguchi-Hanson metric with a = sqrt(2c)."""
+    the target GH_TO_EH_SCALE times the Eguchi-Hanson metric with
+    a = sqrt(2c), relative to the target's largest entry (at least
+    GH_TO_EH_SCALE, since g_rr >= 1), so that it reads the same at every c."""
     coords = coords_of(sample)
     a = np.sqrt(2.0 * c)
     m = radial_to_cylinder(c)
@@ -292,4 +294,4 @@ def isometry_residual(c, sample):
     g_cyl = gh_metric(two_center_config(c), cyl).components
     pulled = J.T @ g_cyl @ J
     target = GH_TO_EH_SCALE * eh_metric(EhParams(a), coords).components
-    return float(np.max(np.abs(pulled - target)))
+    return float(np.max(np.abs(pulled - target)) / np.max(np.abs(target)))

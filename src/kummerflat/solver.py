@@ -41,21 +41,30 @@ cache.  hessian_parts scales the sums into the slabs of P, and
 hermitian_bracket weights them by h into the bracket [h : P(u)] behind
 the Laplacian and its inversion, without building P.  The inversion is
 right-preconditioned BiCGStab, since the stencil operator is not
-symmetric on glued fields; its flat preconditioner uses real-to-complex
-FFTs on the half spectrum.
-The solve loop allocates nothing per step: the work vectors, the
-operator images and the preconditioner's spectrum are made once per
-inversion and written in place, and the inverse preconditioner symbol is
-made once per Problem.  Each Picard step builds one stencil field P of
-its potential: Q = det P / det h is read from it, P becomes the
-corrected field h + P in place, and the step's residual and positivity
-checks drop it before its Y-norms run.  Each other n^4 field lives only
-as long as it is needed: the work vectors die with the BiCGStab loop,
-the residual checks and the fixed-point image are computed in place,
-and hessian_parts needs two slab buffers besides its result (4.3 fields
-at 24^4 nodes, 5.2 at 16^4); a solve peaks at 11-14 fields on top of its
-Problem's 7, 11.1 at 24^4 nodes and 13.4-13.7 at 16^4 (traced, on either
-grid: 24^4 nodes are the unit grid at n=24 or the quotient at n=48).
+symmetric on glued fields.  Its preconditioner takes two steps: the flat
+inverse, by real-to-complex FFTs on the half spectrum, and then an exact
+solve of the glued operator on the 2^4 nodes nearest each site, where
+the Eguchi-Hanson cores give the coefficients a contrast growing like
+(n a)^2 that the flat inverse cannot see.  The site-box step makes one
+hermitian_bracket call on the stacked 4^4 patches around the boxes
+(4096 nodes on the unit grid, 256 on the quotient) and applies the
+boxes' 16x16 inverses; at n=24 and a = 0.02, 0.05, 0.08 it brings a
+lambda1 sweep from 73 to 55 BiCGStab steps.
+The solve loop allocates nothing n^4-sized per step: the work vectors,
+the operator images and the preconditioner's spectrum are made once per
+inversion and written in place, and the inverse preconditioner symbol
+and the site boxes' inverses are made once per Problem.  Each Picard
+step builds one stencil field P of its potential: Q = det P / det h is
+read from it, P becomes the corrected field h + P in place, and the
+step's residual and positivity checks drop it before its Y-norms run.
+Each other n^4 field lives only as long as it is needed: the work
+vectors die with the BiCGStab loop, a warm start's potential receives
+the solution in place, the residual checks and the fixed-point image
+are computed in place, and hessian_parts needs two slab buffers besides
+its result (4.3 fields at 24^4 nodes, 5.2 at 16^4); at a = 0.05 a solve
+peaks at 10.0 fields on top of its Problem's 7 at 24^4 nodes and 11.9
+at 16^4, and a warm inversion at 7.6 and 9.9 (traced, on either grid:
+24^4 nodes are the unit grid at n=24 or the quotient at n=48).
 """
 
 from __future__ import annotations
@@ -178,6 +187,44 @@ class Problem:
         with np.errstate(divide="ignore"):
             return np.where(symbol > 0, 4.0 / symbol, 0.0)
 
+    @functools.cached_property
+    def site_boxes(self):
+        """The site-box step of the preconditioner, made on first use:
+        (patch, box, h, inverse).
+
+        A site's box is the 2^4 nodes nearest it, corner + {-1, 0} per
+        axis, and its patch the 4^4 nodes corner + {-2, ..., 1}, the box
+        and the stencil's reach around it; the corners are the sites
+        times unit_n mod n, 16 on the unit grid and 1 on the quotient.
+        patch and box are open-mesh index tuples, so f[patch] has shape
+        (S, 4, 4, 4, 4) and f[box] (S, 2, 2, 2, 2); h holds the field's
+        components on the patches, stacked along axis 0; inverse holds
+        the (S, 16, 16) inverses of the matrices A_s of -[h : P(.)] on
+        each box, zero outside it, probed with one hermitian_bracket
+        call on the box unit vectors of every site."""
+        n = self.grid.n
+        # de-duplicated by a set: np.unique(axis=0) imports numpy.ma, which
+        # costs more than the rest of this set-up on the quotient
+        nearest = np.rint(kummer.SITES * self.grid.unit_n).astype(int) % n
+        corners = np.array(sorted(set(map(tuple, nearest.tolist()))))
+        sites = len(corners)
+        axes = (corners[:, :, None] + np.arange(-2, 2)) % n
+
+        def mesh(ix):
+            m = ix.shape[-1]
+            return tuple(ix[:, k].reshape((sites,) + (1,) * k + (m,) + (1,) * (3 - k)) for k in range(4))
+
+        patch, box = mesh(axes), mesh(axes[:, :, 1:3])
+        h = self.field_.data[(slice(None),) + patch].reshape(4, 4 * sites, 4, 4, 4)
+        units = np.zeros((16, 1, 4, 4, 4, 4))
+        units[:, 0, 1:3, 1:3, 1:3, 1:3] = np.eye(16).reshape(16, 2, 2, 2, 2)
+        probe = np.broadcast_to(units, (16, sites, 4, 4, 4, 4)).reshape(16 * 4 * sites, 4, 4, 4)
+        h_probe = np.broadcast_to(h[:, None], (4, 16) + h.shape[1:]).reshape(4, 16 * 4 * sites, 4, 4, 4)
+        images = hermitian_bracket(h_probe, probe, self.spacing).reshape(16, sites, 4, 4, 4, 4)
+        # A_s[i, j] = -[h : P(e_j)] at box node i
+        A = -images[:, :, 1:3, 1:3, 1:3, 1:3].reshape(16, sites, 16).transpose(1, 2, 0)
+        return patch, box, h, np.linalg.inv(A)
+
 
 def weighted_mean(problem, f):
     return float(np.sum(problem.weight * f) / np.sum(problem.weight))
@@ -292,10 +339,11 @@ def hessian_parts(u, dx):
     return P
 
 
-def hermitian_bracket(field_, u, dx, out=None):
+def hermitian_bracket(h, u, dx, out=None):
     """[h : P(u)] = h11 p22 + h22 p11 - 2 Re(h12 conj(p12)) for the
-    stencil field P = hessian_parts(u, dx) and h = field_.data, without
-    building P; into out (a new array by default).
+    stencil field P = hessian_parts(u, dx) and the components h = (h11,
+    h22, Re h12, Im h12) of a field on u's nodes, such as Field11.data,
+    without building P; into out (a new array by default).
 
     The sums of _stencil_sums are weighted by the components of h they
     meet in the bracket, and the stencil factors are applied once per
@@ -306,7 +354,7 @@ def hermitian_bracket(field_, u, dx, out=None):
     u = np.ascontiguousarray(u, dtype=float)
     if out is None:
         out = np.empty_like(u)
-    h11, h22, re12, im12 = field_.data
+    h11, h22, re12, im12 = h
     for i0, i1, halo, (b, c, d, x) in _stencil_slabs(u, 4):
         o = out[i0:i1]
         _stencil_sums(halo, o, b, c, d, x)
@@ -331,7 +379,7 @@ def laplacian(problem, u):
     on resolved glued fields it vanishes only to stencil truncation.
     """
     u = _require_finite(u, "laplacian input")
-    out = hermitian_bracket(problem.field_, u, problem.spacing)
+    out = hermitian_bracket(problem.field_.data, u, problem.spacing)
     out /= problem.dets
     return out
 
@@ -394,22 +442,44 @@ def _flat_inverse(rhs, inverse_symbol, hat=None, out=None):
     return np.fft.irfft(hat, n=rhs.shape[3], axis=3, out=out)
 
 
+def _precondition(problem, p, hat, z):
+    """z = M p, the preconditioner of the BiCGStab steps, into z: the
+    flat inverse F p, then on each site's box the exact solve
+    z_box += A_s^-1 (p + [h : P(z)])_box of Problem.site_boxes, after
+    which [h : P(z)] = -p at every box node.  M is fixed and linear; it
+    takes one _flat_inverse into the spectrum buffer hat and one
+    hermitian_bracket on the S stacked 4^4 patches."""
+    _flat_inverse(p, problem.inverse_symbol, hat, z)
+    patch, box, h, inverse = problem.site_boxes
+    sites = len(inverse)
+    bracket = hermitian_bracket(h, z[patch].reshape(4 * sites, 4, 4, 4), problem.spacing)
+    r = bracket.reshape(sites, 4, 4, 4, 4)[:, 1:3, 1:3, 1:3, 1:3].reshape(sites, 16, 1)
+    r += p[box].reshape(sites, 16, 1)
+    z[box] += np.matmul(inverse, r).reshape(sites, 2, 2, 2, 2)
+    return z
+
+
 def _glued_operator(problem, u, out=None):
     """B(u) = -[h : P(u)] minus its mean, the operator the inversion
     solves with, into out (a new array by default); its values sum to
     zero."""
-    out = hermitian_bracket(problem.field_, u, problem.spacing, out)
+    out = hermitian_bracket(problem.field_.data, u, problem.spacing, out)
     return np.subtract(out.mean(), out, out=out)
 
 
 def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600, u0=None):
     """Solve laplacian(u) = f for mean-zero u by right-preconditioned
-    BiCGStab (van der Vorst 1992), from u0 (zero by default).
+    BiCGStab (van der Vorst 1992), from u0 (zero by default).  A float
+    array u0 is not copied: the solution is written into it and it is
+    returned, so a warm start holds one field fewer.
 
     The stencil operator is not symmetric on glued fields, hence a
     short-recurrence method for non-symmetric systems; each step applies
-    the flat preconditioner and the operator twice, or once when its
-    half step already converges.  The operator's range misses the
+    the preconditioner and the operator twice, or once when its half
+    step already converges.  The preconditioner, _precondition, is the
+    flat FFT inverse followed by an exact solve on the 2^4 nodes nearest
+    each site; being fixed and linear, it leaves BiCGStab's recurrences
+    and its true residual as they are.  The operator's range misses the
     constant direction by a truncation-level amount on non-flat glued
     fields, so convergence is measured on the zero-sum projection of
     the residual; the leftover constant defect is reported in the info
@@ -421,10 +491,10 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600, u0=None):
     g = -f * problem.dets
     g -= g.mean()
     scale = float(np.linalg.norm(g))
+    u = np.zeros_like(f) if u0 is None else np.asarray(u0, dtype=float)
     if scale == 0.0:
-        return np.zeros_like(f), {"iterations": 0, "relative_residual": 0.0,
-                                  "mean_defect": 0.0, "history": [0.0]}
-    u = np.zeros_like(f) if u0 is None else np.array(u0, dtype=float)
+        u[...] = 0.0
+        return u, {"iterations": 0, "relative_residual": 0.0, "mean_defect": 0.0, "history": [0.0]}
     if u0 is not None:
         g -= _glued_operator(problem, u)
     # g is the residual from here on
@@ -453,13 +523,12 @@ def _bicgstab(problem, u, r, scale, tol, max_iter, history):
     return: shadow residual r_hat, search direction p, operator images
     v and t, the preconditioned vector z and the preconditioner's
     spectrum hat."""
-    inverse_symbol = problem.inverse_symbol
     r_hat = r.copy()
     p = np.zeros_like(r)
     v = np.zeros_like(r)
     t = np.empty_like(r)
     z = np.empty_like(r)
-    hat = np.empty(inverse_symbol.shape, dtype=complex)
+    hat = np.empty(problem.inverse_symbol.shape, dtype=complex)
     rho = alpha = omega = 1.0
     for it in range(1, max_iter + 1):
         rho_next = float(np.vdot(r_hat, r))
@@ -472,7 +541,7 @@ def _bicgstab(problem, u, r, scale, tol, max_iter, history):
         p -= v
         p *= beta
         p += r
-        _flat_inverse(p, inverse_symbol, hat, z)
+        _precondition(problem, p, hat, z)
         _glued_operator(problem, z, v)
         pivot = float(np.vdot(r_hat, v))
         if pivot == 0.0:
@@ -484,7 +553,7 @@ def _bicgstab(problem, u, r, scale, tol, max_iter, history):
         r -= np.multiply(v, alpha, out=t)
         rel = float(np.linalg.norm(r)) / scale
         if rel > tol:
-            _flat_inverse(r, inverse_symbol, hat, z)
+            _precondition(problem, r, hat, z)
             _glued_operator(problem, z, t)
             omega = float(np.vdot(t, r)) / float(np.vdot(t, t))
             z *= omega
@@ -684,7 +753,8 @@ def ma_residual(problem, corrected):
 
 def fixed_point_map(problem, psi, phi0=None):
     """One application of psi -> projection of -e_a - Q(inverse(psi));
-    the inversion starts from phi0 (zero by default).
+    the inversion starts from phi0 (zero by default) and writes phi
+    into it.
 
     Returns the image, the potential phi, the corrected field of phi and
     the inversion's info.  One stencil field P(phi) gives both Q(phi)
@@ -732,7 +802,8 @@ def banach_solve(
     prev_increment = None
     phi = None
     for it in range(1, max_iter + 1):
-        # each inversion after the first starts from the previous potential
+        # each inversion after the first starts from the previous
+        # potential and writes the new one into it
         psi_next, phi, corrected, info = fixed_point_map(problem, psi, phi0=phi)
         ma_sup = float(np.max(np.abs(ma_residual(problem, corrected))))
         mineig = corrected.min_eigenvalue()

@@ -395,6 +395,16 @@ class TestVerifyGh:
         assert by_name["gh-eh-isometry"]["max_residual"] < 1e-6
         assert by_name["connection-curl"]["pass"] is True
 
+    def test_large_constant_identification_passes(self, tmp_path):
+        # the isometry residual is relative to the target metric; taken
+        # absolute it read 9.2e-5 at c = 1e10, and the check failed
+        # although the identification holds
+        assert run(["verify-gh", "--c", "1e10", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_gh.json").read_text())
+        by_name = {e["check"]: e for e in report}
+        assert by_name["gh-eh-isometry"]["pass"] is True
+        assert by_name["gh-eh-isometry"]["max_residual"] < 1e-14
+
     def test_flat_constant_skips_isometry(self, tmp_path, capsys):
         assert run(["verify-gh", "--eps-gh", "1.0", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_gh.json").read_text())

@@ -307,6 +307,15 @@ def test_isometry_respects_parameter_scaling(rng):
     assert GH.isometry_residual(1.0, base * np.array([2**0.25, 1, 1, 1])) < 1e-6
 
 
+@pytest.mark.parametrize("c", [1e-3, 0.5, 1e10, 1e150])
+def test_isometry_residual_is_relative(c):
+    # the same point in units of a = sqrt(2c): the metric entries grow
+    # like c, and the relative residual stays at rounding
+    a = np.sqrt(2.0 * c)
+    sample = [2.1 * a, 0.9, 1.3, 2.2]
+    assert GH.isometry_residual(c, sample) < 1e-14
+
+
 def test_scale_constant_value():
     assert GH.GH_TO_EH_SCALE == 4.0
 

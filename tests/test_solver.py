@@ -199,12 +199,93 @@ class TestNonSymmetricInversion:
         assert true <= self.TOL
         assert info["relative_residual"] <= self.TOL
 
+    def test_site_boxes_save_steps(self, problem, solved, monkeypatch):
+        f, _, info = solved
+        monkeypatch.setattr(sv, "_precondition",
+                            lambda problem, p, hat, z: sv._flat_inverse(p, problem.inverse_symbol, hat, z))
+        _, flat = sv.invert_laplacian(problem, f, tol=self.TOL)
+        assert info["iterations"] <= 5 < 7 <= flat["iterations"]
+
+    def test_warm_start_writes_into_u0(self, problem, solved):
+        f, u, _ = solved
+        u0 = u.copy()
+        u_again, _ = sv.invert_laplacian(problem, f, tol=self.TOL, u0=u0)
+        assert u_again is u0
+
     def test_warm_start_from_solution_takes_no_steps(self, problem, solved):
         f, u, _ = solved
-        u_again, info = sv.invert_laplacian(problem, f, tol=self.TOL, u0=u)
+        u_again, info = sv.invert_laplacian(problem, f, tol=self.TOL, u0=u.copy())
         assert info["iterations"] == 0
         assert info["relative_residual"] <= self.TOL
         assert float(np.max(np.abs(u_again - u))) <= 1e-12 * float(np.max(np.abs(u)))
+
+
+def _bolt_problem_on(grid):
+    return sv.Problem.build(km.GluedModel(a=0.08, zeta=4.0 / 9.0), grid)
+
+
+# unit grids at n = 8 and 24, quotient grids at n = 4, 5 and 12
+SITE_BOX_GRIDS = [km.TorusGrid(8), km.TorusGrid(24), km.TorusGrid(8).quotient(),
+                  km.TorusGrid(10).quotient(), km.TorusGrid(24).quotient()]
+
+
+class TestSiteBoxes:
+    @staticmethod
+    def _precondition(problem, p):
+        hat = np.empty(problem.inverse_symbol.shape, dtype=complex)
+        return sv._precondition(problem, p, hat, np.empty(problem.shape))
+
+    @pytest.mark.parametrize("grid", SITE_BOX_GRIDS, ids=str)
+    def test_bracket_solved_at_every_box_node(self, grid):
+        problem = _bolt_problem_on(grid)
+        p = np.random.default_rng(41).standard_normal(problem.shape)
+        z = self._precondition(problem, p)
+        residual = sv.hermitian_bracket(problem.field_.data, z, problem.spacing) + p
+        _, box, _, _ = problem.site_boxes
+        in_box = np.zeros(problem.shape, dtype=bool)
+        in_box[box] = True
+        scale = float(np.max(np.abs(p)))
+        assert float(np.max(np.abs(residual[in_box]))) <= 1e-13 * scale
+        # the flat step alone leaves a residual there, and the box step
+        # does not reach the other nodes
+        assert float(np.max(np.abs(residual[~in_box]))) > 1e-3 * scale
+
+    @pytest.mark.parametrize("grid", [km.TorusGrid(8), km.TorusGrid(10).quotient()], ids=str)
+    def test_linear(self, grid):
+        problem = _bolt_problem_on(grid)
+        rng = np.random.default_rng(42)
+        p, q = rng.standard_normal(problem.shape), rng.standard_normal(problem.shape)
+        combined = self._precondition(problem, 2.0 * p - 3.0 * q)
+        separate = 2.0 * self._precondition(problem, p) - 3.0 * self._precondition(problem, q)
+        assert float(np.max(np.abs(combined - separate))) <= 1e-12 * float(np.max(np.abs(separate)))
+
+    @pytest.mark.parametrize("grid, sites", [(km.TorusGrid(8), 16), (km.TorusGrid(24), 16),
+                                             (km.TorusGrid(8).quotient(), 1),
+                                             (km.TorusGrid(24).quotient(), 1)], ids=str)
+    def test_boxes_are_the_nodes_nearest_the_sites(self, grid, sites):
+        patch, box, h, inverse = _bolt_problem_on(grid).site_boxes
+        assert inverse.shape == (sites, 16, 16)
+        assert h.shape == (4, 4 * sites, 4, 4, 4)
+        nodes = np.stack(np.broadcast_arrays(*box), axis=-1).reshape(sites, 16, 4)
+        # disjoint boxes
+        assert len({tuple(node) for node in nodes.reshape(-1, 4)}) == 16 * sites
+        # each box node lies half a spacing from its box's site along
+        # every axis; on the quotient the sixteen sites are one point
+        matched = []
+        for coords in (nodes + 0.5) / grid.unit_n:
+            d = coords[None] - km.SITES[:, None]
+            d -= grid.side * np.round(d / grid.side)
+            near = np.all(np.abs(np.abs(d) - grid.spacing / 2) <= 1e-12, axis=(1, 2))
+            matched.extend(np.flatnonzero(near))
+        assert sorted(matched) == list(range(16))
+        # the patches are the boxes widened by one node per side
+        patch_nodes = np.stack(np.broadcast_arrays(*patch), axis=-1)
+        assert np.array_equal(patch_nodes[:, 1:3, 1:3, 1:3, 1:3].reshape(sites, 16, 4), nodes)
+
+    def test_unit_n8_boxes_per_axis(self):
+        _, box, _, _ = _bolt_problem_on(km.TorusGrid(8)).site_boxes
+        for k in range(4):
+            assert {tuple(ix) for ix in box[k].reshape(16, 2)} == {(7, 0), (3, 4)}
 
 
 class TestNorms:
@@ -585,9 +666,9 @@ class TestStencilEquivalence:
     def test_hermitian_bracket(self, resolved_problem, field):
         P = _ref_complex_hessian(field, resolved_problem.spacing)
         ref = _ref_bracket(complex_matrix(resolved_problem.field_.data), P)
-        _assert_close(sv.hermitian_bracket(resolved_problem.field_, field, resolved_problem.spacing), ref)
+        _assert_close(sv.hermitian_bracket(resolved_problem.field_.data, field, resolved_problem.spacing), ref)
         constant = np.full(field.shape, 0.3)
-        assert np.all(sv.hermitian_bracket(resolved_problem.field_, constant, resolved_problem.spacing) == 0.0)
+        assert np.all(sv.hermitian_bracket(resolved_problem.field_.data, constant, resolved_problem.spacing) == 0.0)
 
     def test_krylov_operator(self, resolved_problem, field):
         P = _ref_complex_hessian(field, resolved_problem.spacing)
@@ -775,9 +856,9 @@ class TestKrylovKernelEquivalence:
         ref = _ref_hermitian_bracket(bolt_problem.field_, u, dx)
         ref_parts = _ref_hessian_parts(u, dx)
         monkeypatch.setattr(sv, "_STENCIL_SLAB_BYTES", rows * u[0].nbytes)
-        _assert_same_bits(sv.hermitian_bracket(bolt_problem.field_, u, dx), ref)
+        _assert_same_bits(sv.hermitian_bracket(bolt_problem.field_.data, u, dx), ref)
         out = np.full(u.shape, np.nan)
-        assert sv.hermitian_bracket(bolt_problem.field_, u, dx, out) is out
+        assert sv.hermitian_bracket(bolt_problem.field_.data, u, dx, out) is out
         _assert_same_bits(out, ref)
         # the stencil field runs on the same slabs
         _assert_same_bits(sv.hessian_parts(u, dx), ref_parts)
@@ -785,7 +866,7 @@ class TestKrylovKernelEquivalence:
     def test_bracket_default_slabs_match_whole_array(self, bolt_problem):
         u = np.random.default_rng(6).standard_normal(bolt_problem.shape)
         dx = bolt_problem.spacing
-        _assert_same_bits(sv.hermitian_bracket(bolt_problem.field_, u, dx),
+        _assert_same_bits(sv.hermitian_bracket(bolt_problem.field_.data, u, dx),
                           _ref_hermitian_bracket(bolt_problem.field_, u, dx))
 
     def test_flat_inverse_buffers_match_numpy(self, grid16):
@@ -1079,8 +1160,8 @@ def _traced_peak_fields(fn, n):
 
 
 def test_solve_peak_memory_in_fields(resolved_problem, params):
-    # at n=16 a warm-started inversion peaks at 10.9 fields and the
-    # solve at 12.9; they read 12.9 and 18.9 while the Krylov work
+    # at n=16 a warm-started inversion peaks at 9.9 fields and the
+    # solve at 11.9; they read 12.9 and 18.9 while the Krylov work
     # vectors outlived the loop and the Picard step kept the previous
     # corrected field and a -e_a temporary
     n = resolved_problem.grid.n
