@@ -37,8 +37,7 @@ class Chart:
 
     ``lower``/``upper`` bound the non-periodic coordinates (open
     intervals, infinities allowed).  Periodic coordinates are flagged in
-    ``periodic`` and accept any finite value; their declared period is
-    informational and used only when reducing to a fundamental domain.
+    ``periodic`` and accept any finite value.
     """
 
     name: str
@@ -46,7 +45,6 @@ class Chart:
     lower: tuple = (-np.inf,) * DIM
     upper: tuple = (np.inf,) * DIM
     periodic: tuple = (False,) * DIM
-    periods: tuple = (0.0,) * DIM
 
     def validate(self, coords, margin=0.0):
         coords = np.asarray(coords, dtype=float)
@@ -64,14 +62,6 @@ class Chart:
                     f"violates open bounds ({lo:.6g}, {hi:.6g}) with margin {margin:.3g}"
                 )
         return coords
-
-    def reduce(self, coords):
-        """Map periodic coordinates to [0, period)."""
-        out = np.array(coords, dtype=float)
-        for i in range(DIM):
-            if self.periodic[i] and self.periods[i] > 0:
-                out[i] = out[i] % self.periods[i]
-        return out
 
 
 @dataclass(frozen=True)
@@ -117,7 +107,6 @@ EH_R = Chart(
     lower=(0.0, 0.0, -np.inf, -np.inf),
     upper=(np.inf, np.pi, np.inf, np.inf),
     periodic=(False, False, True, True),
-    periods=(0.0, 0.0, 2 * np.pi, 4 * np.pi),
 )
 EH_U = Chart(
     "eh_u",
@@ -125,7 +114,6 @@ EH_U = Chart(
     lower=(0.0, 0.0, -np.inf, -np.inf),
     upper=(np.inf, np.pi, np.inf, np.inf),
     periodic=(False, False, True, True),
-    periods=(0.0, 0.0, 2 * np.pi, 4 * np.pi),
 )
 COMPLEX2 = Chart("c2", ("x1", "y1", "x2", "y2"))
 # cylinder chart ordered (psi, rho, phi, z): fiber angle first so the
@@ -136,7 +124,6 @@ CYL = Chart(
     lower=(-np.inf, 0.0, -np.inf, -np.inf),
     upper=(np.inf, np.inf, np.inf, np.inf),
     periodic=(True, False, True, False),
-    periods=(4 * np.pi, 0.0, 2 * np.pi, 0.0),
 )
 PROLATE = Chart(
     "prolate",
@@ -144,7 +131,6 @@ PROLATE = Chart(
     lower=(1.0, -1.0, -np.inf, -np.inf),
     upper=(np.inf, 1.0, np.inf, np.inf),
     periodic=(False, False, True, True),
-    periods=(0.0, 0.0, 2 * np.pi, 4 * np.pi),
 )
 
 
@@ -187,21 +173,6 @@ class ChartMap:
         if abs(det) < self.jacobian_floor:
             raise ValueError(f"map {self.name}: jacobian determinant {det:.3g} below floor at {coords}")
         return J
-
-
-def compose(outer, inner):
-    """The map ``outer after inner``; jacobians compose by the chain rule."""
-    if inner.target is not outer.source:
-        raise ValueError(f"cannot compose {outer.name} after {inner.name}: chart mismatch")
-
-    def fwd(c):
-        return outer.forward(np.asarray(inner.forward(c), dtype=float))
-
-    def jac(c):
-        mid = np.asarray(inner.forward(c), dtype=float)
-        return outer.jacobian(mid) @ inner.jacobian(c)
-
-    return ChartMap(inner.source, outer.target, fwd, jac=jac, name=f"{outer.name}*{inner.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +305,6 @@ def one_form(chart, components):
     else:
         terms = {(i,): components[i] for i in range(DIM) if components[i] is not None}
     return CoefficientForm(chart, 1, terms)
-
-
-def coordinate_differential(chart, index):
-    return CoefficientForm(chart, 1, {(int(index),): 1.0})
 
 
 def _merge_sign(idx_a, idx_b):

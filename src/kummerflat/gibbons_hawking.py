@@ -119,13 +119,6 @@ def connection_axial(cfg, rho, z):
     return out
 
 
-def connection_two_center(c, p):
-    """A_phi = (z+c)/(rho R1) + (z-c)/(rho R2) for unit charges at z = -+c."""
-    coords = coords_of(p)
-    rho, z = coords[1], coords[3]
-    return connection_axial(two_center_config(c), rho, z)
-
-
 def curl_residual(cfg, p, step=1e-4, extra=None):
     """Components of curl A - grad V in the orthonormal cylindrical frame.
 
@@ -195,12 +188,6 @@ def gh_metric(cfg, p):
     g[2, 2] = b**2 / v + v * rho**2
     g[3, 3] = v
     return MetricTensor(g)
-
-
-def gh_metric_field(cfg):
-    def field(coords):
-        return gh_metric(cfg, coords)
-    return field
 
 
 # ---------------------------------------------------------------------------

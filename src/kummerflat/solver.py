@@ -21,8 +21,10 @@ by 1/side^2, so the same code solves either.  The glued field, e_a, the
 weights and the fixed point are (Z/2)^4-invariant, so a solve on the
 quotient's (n/2)^4 nodes is the unit-torus solve restricted to them, up
 to the rounding of sums over fewer terms.  The random fields behind
-lambda1_estimate, poincare_check and the sampled diagnostics are not
-invariant; those run on the unit torus.
+lambda1_estimate and the sampled diagnostics are not invariant; those
+run on the unit torus.  Each is one inverse FFT of a band of 7^4 modes
+drawn by _band_spectrum; poincare_check reads its fields' energies off
+that band by Parseval, with the flat axis symbol, and builds no field.
 
 The complex Hessian stencil P(u) = 2 u_{i jbar} uses 3-point second
 differences on the diagonal and central-central mixed differences; with
@@ -714,7 +716,6 @@ class SolverState:
     phi: np.ndarray
     ball_radius: float
     iterations: int
-    projection_leaks: list
     trace_rows: list
     initial_ma_sup: float
     final_ma_sup: float
@@ -797,14 +798,14 @@ def banach_solve(
         )
     # the corrected field of phi = 0 is h itself
     initial_ma_sup = float(np.max(np.abs(ma_residual(problem, problem.field_))))
-    rows, leaks = [], []
+    rows = []
     first_increment = None
     prev_increment = None
     phi = None
     for it in range(1, max_iter + 1):
         # each inversion after the first starts from the previous
         # potential and writes the new one into it
-        psi_next, phi, corrected, info = fixed_point_map(problem, psi, phi0=phi)
+        psi_next, phi, corrected, _ = fixed_point_map(problem, psi, phi0=phi)
         ma_sup = float(np.max(np.abs(ma_residual(problem, corrected))))
         mineig = corrected.min_eigenvalue()
         # the corrected field is spent before the Y-norms run
@@ -812,7 +813,6 @@ def banach_solve(
         y_next = y_norm(problem, params, psi_next)
         increment = y_norm(problem, params, psi_next - psi)
         ratio = float("nan") if prev_increment in (None, 0.0) else increment / prev_increment
-        leaks.append(info["projection_leak"])
         rows.append(
             {"iter": it, "y_norm_psi": y_next, "lipschitz_sample_max": ratio,
              "ma_sup_residual": ma_sup, "min_eigenvalue": mineig}
@@ -842,7 +842,7 @@ def banach_solve(
         )
     return SolverState(
         psi=psi, phi=phi, ball_radius=R, iterations=it,
-        projection_leaks=leaks, trace_rows=rows, initial_ma_sup=initial_ma_sup,
+        trace_rows=rows, initial_ma_sup=initial_ma_sup,
         final_ma_sup=float(np.max(np.abs(ma_residual(problem, corrected)))),
         final_min_eigenvalue=final_min_eigenvalue,
         mean_zero_defect=abs(weighted_mean(problem, psi)), corrected=corrected,
@@ -868,30 +868,33 @@ def _random_field_modes():
     return modes, amp
 
 
-def random_smooth_field(grid, rng):
-    """Band-limited random real field with zero plain mean.
+def _band_spectrum(grid, rng):
+    """One draw of the random-field band: (band, S).
 
-    Every nonzero mode k in {-RANDOM_FIELD_KMAX, ..., RANDOM_FIELD_KMAX}^4
-    gets amplitude (1 + |k|^2)^-RANDOM_FIELD_DECAY times one complex
-    normal, drawn in lexicographic mode order.
-
-    The field is the real part of the inverse FFT of that spectrum,
-    taken in ifftn's passes (axis 3 first, axis 0 last), where each pass
-    transforms only the lines that hold a mode: the band's indices along
-    the axes already transformed span whole lines, the others only the
-    band."""
+    band holds the grid indices, ascending, of the modes
+    -RANDOM_FIELD_KMAX, ..., RANDOM_FIELD_KMAX along one axis, and S
+    the spectrum on band^4: every nonzero mode k gets amplitude
+    (1 + |k|^2)^-RANDOM_FIELD_DECAY times one complex normal, drawn in
+    lexicographic mode order; where modes alias (n < 7), the last one
+    drawn is kept."""
     n = grid.n
     modes, amp = _random_field_modes()
     z = rng.standard_normal((len(modes), 2))
-    # grid indices of the band along one axis, ascending
-    band = np.unique(np.arange(-RANDOM_FIELD_KMAX, RANDOM_FIELD_KMAX + 1) % n)
-    spec = np.zeros((len(band),) * 4, dtype=complex)
-    spec[tuple(np.searchsorted(band, modes % n).T)] = amp * (z[:, 0] + 1j * z[:, 1])
-    for axis in (3, 2, 1, 0):
-        lines = np.zeros(spec.shape[:axis] + (n,) + spec.shape[axis + 1:], dtype=complex)
-        lines[(slice(None),) * axis + (band,)] = spec
-        spec = np.fft.ifft(lines, axis=axis, out=lines)
-    f = spec.real * n**2
+    # a set, not np.unique, which imports numpy.ma on its first call
+    band = np.array(sorted(set((np.arange(-RANDOM_FIELD_KMAX, RANDOM_FIELD_KMAX + 1) % n).tolist())))
+    S = np.zeros((len(band),) * 4, dtype=complex)
+    S[tuple(np.searchsorted(band, modes % n).T)] = amp * (z[:, 0] + 1j * z[:, 1])
+    return band, S
+
+
+def random_smooth_field(grid, rng):
+    """Band-limited random real field with zero plain mean: the real
+    part of the inverse FFT of _band_spectrum's draw, times n^2."""
+    n = grid.n
+    band, S = _band_spectrum(grid, rng)
+    spec = np.zeros((n,) * 4, dtype=complex)
+    spec[np.ix_(band, band, band, band)] = S
+    f = np.fft.ifftn(spec).real * n**2
     f -= f.mean()
     return f
 
@@ -1014,24 +1017,26 @@ def lambda1_estimate(problem, tol=1e-6, seed=7):
 
 def poincare_check(problem, lam1):
     """Spectral-gap inequality |u|_L2^2 <= (1/lam1) |grad u|_L2^2 for
-    random mean-zero fields, with forward-difference energy."""
+    the random fields u of random_smooth_field, mean removed, with
+    forward-difference energy; margins are the right side minus the left.
+
+    Both sides are summed by Parseval on the band, with no grid field: u
+    has the spectrum n^2 F, F_k = (S_k + conj S_-k) / 2 for the draw S
+    (-k mod n; F_0 = 0, since no drawn mode aliases onto 0 for n >= 4),
+    and a forward difference along an axis multiplies mode k by the flat
+    axis symbol, so the margin is
+    n^-4 sum_k |F_k|^2 (sum_axes symbol(k_axis) / lam1 - 1)."""
     rng = np.random.default_rng(POINCARE_SEED)
-    dx = problem.spacing
-    d = np.empty(problem.shape)
+    n = problem.grid.n
     margins = []
     for _ in range(POINCARE_FIELDS):
-        u = random_smooth_field(problem.grid, rng)
-        u -= u.mean()
-        l2sq = float(np.mean(np.square(u, out=d)))
-        energy = 0.0
-        for ax in range(4):
-            # d = (u(x + e_ax) - u(x)) / dx, periodic
-            u_ax, d_ax = np.moveaxis(u, ax, 0), np.moveaxis(d, ax, 0)
-            np.subtract(u_ax[1:], u_ax[:-1], out=d_ax[:-1])
-            np.subtract(u_ax[0], u_ax[-1], out=d_ax[-1])
-            d /= dx
-            energy += float(np.mean(np.square(d, out=d)))
-        margins.append(energy / lam1 - l2sq)
+        band, S = _band_spectrum(problem.grid, rng)
+        neg = np.searchsorted(band, -band % n)
+        F = S + np.conj(S[np.ix_(neg, neg, neg, neg)])
+        F *= 0.5
+        s = flat_axis_symbol(n)[band] / problem.grid.side**2
+        rayleigh = s[:, None, None, None] + s[:, None, None] + s[:, None] + s
+        margins.append(float(np.sum(np.square(np.abs(F)) * (rayleigh / lam1 - 1.0))) / n**4)
     margins = np.array(margins)
     return {"all_pass": bool(np.all(margins >= -1e-10)), "margins": margins}
 

@@ -1,6 +1,8 @@
 import json
 import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -601,6 +603,17 @@ class TestLambda1:
         report = json.loads((out / "lambda1.json").read_text())
         assert {c["check"] for c in report["checks"]} == {"poincare-inequality"}
         assert all(c["pass"] for c in report["checks"])
+
+    def test_imports_no_masked_arrays(self, tmp_path):
+        # a 1-D np.unique imports numpy.ma on its first call, about 10 ms
+        # of every run's start-up; a fresh interpreter shows whether the
+        # run made that import
+        code = ("import sys; from kummerflat import cli; "
+                f"cli.main(['lambda1', '--grid-n', '8', '--out', {str(tmp_path / 'run')!r}]); "
+                "sys.exit('numpy.ma' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True).returncode == 0
 
 
 class TestUniqueness:

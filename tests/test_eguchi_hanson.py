@@ -249,7 +249,7 @@ def test_second_form_u_chart_shape():
     c = np.array([1.0, 1.0, 1.0, 1.0])
     assert (om - om_other).max_abs(c) < 1e-15
     s1, s2, s3 = EH.sigma_forms(F.EH_U)
-    du = F.coordinate_differential(F.EH_U, 0)
+    du = F.one_form(F.EH_U, {0: 1.0})
     want = F.wedge(du, s1) * (lambda cc: cc[0]) + F.wedge(s2, s3) * (lambda cc: cc[0] ** 2)
     assert (om - want).max_abs(c) < 1e-15
 

@@ -47,12 +47,6 @@ def test_point_helper_validates():
         F.point(F.EH_R, 0.5, 4.0, 0.0, 0.0)
 
 
-def test_chart_reduce_wraps_periodic_coords():
-    c = F.EH_R.reduce(np.array([2.0, 1.0, 2.5 * np.pi, 5.0 * np.pi]))
-    assert abs(c[2] - 0.5 * np.pi) < 1e-12
-    assert abs(c[3] - np.pi) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # coefficient forms and wedge
 
@@ -74,7 +68,7 @@ def test_form_addition_and_scaling(rng):
 
 
 def test_wedge_antisymmetry(rng):
-    dx = [F.coordinate_differential(C2, i) for i in range(4)]
+    dx = [F.one_form(C2, {i: 1.0}) for i in range(4)]
     c = c2_coords(rng)[0]
     for i in range(4):
         assert F.wedge(dx[i], dx[i]).max_abs(c) == 0.0
@@ -92,7 +86,7 @@ def test_max_abs_propagates_nan_in_any_order(rng, coeffs):
 
 def test_wedge_sign_rule(rng):
     # (dx0 ^ dx2) ^ dx1 = -dx0 ^ dx1 ^ dx2
-    dx = [F.coordinate_differential(C2, i) for i in range(4)]
+    dx = [F.one_form(C2, {i: 1.0}) for i in range(4)]
     c = c2_coords(rng)[0]
     w = F.wedge(F.wedge(dx[0], dx[2]), dx[1])
     assert w.coeff((0, 1, 2), c) == -1.0
@@ -109,7 +103,7 @@ def test_wedge_bilinear(rng):
 
 
 def test_wedge_rejects_degree_overflow():
-    dx = [F.coordinate_differential(C2, i) for i in range(4)]
+    dx = [F.one_form(C2, {i: 1.0}) for i in range(4)]
     vol = F.wedge(F.wedge(dx[0], dx[1]), F.wedge(dx[2], dx[3]))
     with pytest.raises(ValueError, match="degree"):
         F.wedge(vol, dx[0])
@@ -117,11 +111,11 @@ def test_wedge_rejects_degree_overflow():
 
 def test_wedge_rejects_chart_mismatch():
     with pytest.raises(ValueError, match="chart"):
-        F.wedge(F.coordinate_differential(C2, 0), F.coordinate_differential(F.EH_R, 0))
+        F.wedge(F.one_form(C2, {0: 1.0}), F.one_form(F.EH_R, {0: 1.0}))
 
 
 def test_top_degree_wedge_of_volume_factor(rng):
-    dx = [F.coordinate_differential(C2, i) for i in range(4)]
+    dx = [F.one_form(C2, {i: 1.0}) for i in range(4)]
     c = c2_coords(rng)[0]
     vol = F.wedge(F.wedge(dx[0], dx[1]), F.wedge(dx[2], dx[3]))
     assert vol.coeff((0, 1, 2, 3), c) == 1.0
@@ -198,7 +192,7 @@ def test_pullback_linear_map(rng):
         [0.0, 0.0, 0.0, 1.0],
     ])
     m = F.ChartMap(C2, C2, lambda c: A @ c, jac=lambda c: A, name="lin")
-    f = F.wedge(F.coordinate_differential(C2, 0), F.coordinate_differential(C2, 2))
+    f = F.wedge(F.one_form(C2, {0: 1.0}), F.one_form(C2, {2: 1.0}))
     c = c2_coords(rng)[0]
     got = F.pullback(m, f).as_matrix(c)
     # F*(dx0 ^ dx2) with dx0 -> dx0 + 2 dx1, dx2 -> 3 dx2 + dx3
@@ -216,7 +210,9 @@ def test_pullback_functoriality(rng):
     f = F.CoefficientForm(C2, 2, {(0, 1): lambda c: np.sin(c[0]), (2, 3): lambda c: c[1] ** 2, (0, 3): 2.0})
     c = c2_coords(rng)[0]
     lhs = F.pullback(mB, F.pullback(mA, f))
-    rhs = F.pullback(F.compose(mA, mB), f)
+    # mA after mB: the linear map A @ B
+    AB = A @ B
+    rhs = F.pullback(F.ChartMap(C2, C2, lambda c: AB @ c, jac=lambda c: AB, name="A*B"), f)
     assert (lhs - rhs).max_abs(c) < 1e-10
 
 
@@ -446,8 +442,8 @@ def test_i_ddbar_samples_phi_once_per_point(rng):
 @given(st.integers(0, 3), st.integers(0, 3), coord_strategy)
 @settings(max_examples=40, deadline=None)
 def test_wedge_of_differentials_matches_sign_count(i, j, c):
-    dx_i = F.coordinate_differential(C2, i)
-    dx_j = F.coordinate_differential(C2, j)
+    dx_i = F.one_form(C2, {i: 1.0})
+    dx_j = F.one_form(C2, {j: 1.0})
     w = F.wedge(dx_i, dx_j)
     if i == j:
         assert w.max_abs(c) == 0.0

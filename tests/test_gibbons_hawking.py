@@ -1,6 +1,8 @@
 """Multi-center ansatz: potential, connection, metric, and the two-center
 identification with the Eguchi-Hanson space."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,24 +73,22 @@ def test_harmonic_residual_order_under_halving():
 
 
 def test_connection_reference_value():
-    p = GH.CylPoint(psi=0.0, rho=1.0, phi=0.0, z=1.0)
-    assert GH.connection_two_center(1.0, p) == pytest.approx(2.0 / np.sqrt(5.0), abs=1e-12)
+    assert GH.connection_axial(GH.two_center_config(1.0), 1.0, 1.0) == pytest.approx(2.0 / np.sqrt(5.0), abs=1e-12)
 
 
 def test_connection_vanishes_on_equator(rng):
     for rho in (0.5, 1.0, 3.0):
-        p = GH.CylPoint(psi=0.0, rho=rho, phi=0.3, z=0.0)
-        assert GH.connection_two_center(1.0, p) == 0.0
+        assert GH.connection_axial(GH.two_center_config(1.0), rho, 0.0) == 0.0
 
 
 def test_connection_axis_error():
     with pytest.raises(ValueError, match="axis"):
-        GH.connection_two_center(1.0, GH.CylPoint(0.0, 0.0, 0.0, 0.5))
+        GH.connection_axial(GH.two_center_config(1.0), 0.0, 0.5)
 
 
 def test_connection_far_field_single_charge_two():
     rho, z = 3.0, 50.0
-    got = GH.connection_two_center(1.0, GH.CylPoint(0.0, rho, 0.0, z))
+    got = GH.connection_axial(GH.two_center_config(1.0), rho, z)
     mono = 2.0 * z / (rho * np.hypot(rho, z))
     assert abs(got - mono) < 10.0 / z**2
 
@@ -202,13 +202,13 @@ def test_metric_rejects_negative_potential():
 
 def test_single_center_metric_is_ricci_flat():
     cfg = GH.GhConfig(centers=((0.0, 0.0, 0.0),), charges=(1,))
-    field = GH.gh_metric_field(cfg)
+    field = functools.partial(GH.gh_metric, cfg)
     ric = EH.ricci_residual(field, np.array([0.3, 1.0, 0.2, 0.6]), step=1e-3)
     assert np.max(np.abs(ric)) < 1e-4
 
 
 def test_two_center_metric_is_ricci_flat(rng):
-    field = GH.gh_metric_field(TWO)
+    field = functools.partial(GH.gh_metric, TWO)
     worst = 0.0
     for _ in range(5):
         coords = np.array([
@@ -222,7 +222,7 @@ def test_two_center_metric_is_ricci_flat(rng):
 
 
 def test_two_center_metric_ricci_flat_reference_point():
-    field = GH.gh_metric_field(TWO)
+    field = functools.partial(GH.gh_metric, TWO)
     ric = EH.ricci_residual(field, np.array([0.0, 1.0, 0.0, 0.3]), step=1e-3)
     assert np.max(np.abs(ric)) < 1e-4
 

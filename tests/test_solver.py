@@ -836,6 +836,15 @@ def _ref_poincare_margins(problem, lam1, n_fields, seed):
     return np.array(margins)
 
 
+def _assert_margins_match_roll(problem, lam1, margins):
+    # to 1e-13 of each field's E / lam1, with equal signs; the margin at
+    # lam1 = inf is -|u|^2
+    ref = _ref_poincare_margins(problem, lam1, 20, 11)
+    energy = ref - _ref_poincare_margins(problem, np.inf, 20, 11)
+    assert np.all(np.abs(margins - ref) <= 1e-13 * energy)
+    assert np.array_equal(np.sign(margins), np.sign(ref))
+
+
 def _assert_same_bits(value, reference):
     assert value.dtype == reference.dtype and value.shape == reference.shape
     assert value.tobytes() == reference.tobytes()
@@ -887,10 +896,28 @@ class TestKrylovKernelEquivalence:
         _assert_same_bits(sv._flat_inverse(r, symbol), ref)
 
     def test_poincare_margins_match_roll(self, bolt_problem):
-        # a lambda1 near the glued fields' value, so that margins of
-        # either sign occur
-        out = sv.poincare_check(bolt_problem, 39.0)
-        _assert_same_bits(out["margins"], _ref_poincare_margins(bolt_problem, 39.0, 20, 11))
+        # the fields' Rayleigh quotients lie between 68 and 127, so every
+        # margin is positive at lambda1 = 39 and margins of either sign
+        # occur at 90
+        for lam1 in (39.0, 90.0):
+            margins = sv.poincare_check(bolt_problem, lam1)["margins"]
+            _assert_margins_match_roll(bolt_problem, lam1, margins)
+        assert 0 < np.count_nonzero(margins < 0) < len(margins)
+
+    def test_poincare_margins_match_roll_on_aliasing_quotient(self):
+        # at n=5 the band's modes -3, ..., 3 alias onto five grid indices
+        problem = sv.Problem.build(km.GluedModel(a=0.08, zeta=4.0 / 9.0), km.TorusGrid(10).quotient())
+        for lam1 in (39.0, 90.0):
+            _assert_margins_match_roll(problem, lam1, sv.poincare_check(problem, lam1)["margins"])
+
+    def test_poincare_check_builds_no_grid_field(self, monkeypatch, bolt_problem):
+        want = sv.poincare_check(bolt_problem, 39.0)
+
+        def refuse(grid, rng):
+            raise AssertionError("poincare_check built a grid field")
+
+        monkeypatch.setattr(sv, "random_smooth_field", refuse)
+        _assert_same_bits(sv.poincare_check(bolt_problem, 39.0)["margins"], want["margins"])
 
 
 # ---------------------------------------------------------------------------
@@ -1291,3 +1318,81 @@ def test_resolved_n48_quotient_solve_follows_the_eguchi_hanson_scale(params):
     assert problem.field_.min_eigenvalue() == pytest.approx(predicted, rel=1e-12, abs=0)
     state = sv.banach_solve(problem, params, enforce_ball=False)
     assert state.final_min_eigenvalue == pytest.approx(predicted, rel=1e-3, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# covariance under the lattice's holomorphic isometries, on the n=24
+# quotient: each map g preserves the lattice, the sites and the
+# cell-centred nodes, and a (1,1) field pulls back by g as its
+# components composed with g, then mixed by the map's law
+
+
+def _law_rotation(p):
+    # z1 -> i z1, (x1, y1) -> (-y1, x1): p12 picks up the phase i
+    return np.stack([p[0], p[1], -p[3], p[2]])
+
+
+def _law_swap(p):
+    # z1 <-> z2: p11 <-> p22 and p12 -> conj p12
+    return np.stack([p[1], p[0], p[2], -p[3]])
+
+
+def _law_conjugation(p):
+    # (y1, y2) -> (-y1, -y2): p12 -> conj p12
+    return np.stack([p[0], p[1], p[2], -p[3]])
+
+
+ISOMETRIES = {
+    "z1-to-i-z1": (lambda f: np.flip(f, 0).transpose(1, 0, 2, 3), _law_rotation),
+    "z1-swap-z2": (lambda f: f.transpose(2, 3, 0, 1), _law_swap),
+    "conjugation": (lambda f: np.flip(f, (1, 3)), _law_conjugation),
+}
+
+
+def _components_after(g, p):
+    return np.stack([g(c) for c in p])
+
+
+@pytest.fixture(scope="module")
+def isometry_problem():
+    return sv.Problem.build(km.GluedModel(a=0.08, zeta=4.0 / 9.0), km.TorusGrid(24).quotient())
+
+
+class TestHolomorphicIsometries:
+    @pytest.mark.parametrize("name", ISOMETRIES)
+    def test_stencil_field_transforms_as_a_one_one_form(self, isometry_problem, name):
+        g, law = ISOMETRIES[name]
+        dx = isometry_problem.spacing
+        u = np.random.default_rng(5).standard_normal(isometry_problem.shape)
+        P = sv.hessian_parts(u, dx)
+        miss = np.max(np.abs(sv.hessian_parts(g(u), dx) - law(_components_after(g, P))))
+        assert miss <= 1e-13 * np.max(np.abs(P))
+
+    @pytest.mark.parametrize("name", ISOMETRIES)
+    def test_glued_field_and_bracket_are_invariant(self, isometry_problem, name):
+        g, law = ISOMETRIES[name]
+        h = isometry_problem.field_.data
+        assert np.max(np.abs(law(_components_after(g, h)) - h)) <= 1e-13 * np.max(np.abs(h))
+        u = np.random.default_rng(6).standard_normal(isometry_problem.shape)
+        dx = isometry_problem.spacing
+        bracket = sv.hermitian_bracket(h, u, dx)
+        miss = np.max(np.abs(sv.hermitian_bracket(h, g(u), dx) - g(bracket)))
+        assert miss <= 1e-13 * np.max(np.abs(bracket))
+
+    def test_reflection_of_one_real_axis_is_no_isometry_of_the_stencil(self, isometry_problem):
+        # x1 -> -x1 is neither holomorphic nor antiholomorphic, so the
+        # mixed terms follow none of the laws: each misses by 0.20 to
+        # 0.53 of max|P|, as a sign slip in the mixed terms would
+        def g(f):
+            return np.flip(f, 0)
+
+        dx = isometry_problem.spacing
+        u = np.random.default_rng(5).standard_normal(isometry_problem.shape)
+        P = sv.hessian_parts(u, dx)
+        image = sv.hessian_parts(g(u), dx)
+        for _, law in ISOMETRIES.values():
+            assert np.max(np.abs(image - law(_components_after(g, P)))) > 0.1 * np.max(np.abs(P))
+        h = isometry_problem.field_.data
+        bracket = sv.hermitian_bracket(h, u, dx)
+        miss = np.max(np.abs(sv.hermitian_bracket(h, g(u), dx) - g(bracket)))
+        assert miss > 0.1 * np.max(np.abs(bracket))
