@@ -10,9 +10,12 @@ functions with jacobian minors.  A small complex-structure type acts on
 central_partials is the central difference behind finite-difference
 jacobians, the curvature and the Cauchy-Riemann and curl residuals
 (ext_d keeps its own, as it validates every sample), and coords_of the
-one point-to-coordinates accessor.  Hermitian 2x2 matrices are the
-components (h11, h22, Re h12, Im h12) along a leading axis, the layout
-of kummer.Field11.
+one point-to-coordinates accessor.  per_point computes a per-point
+quantity once where several coefficients share it: the frame solve of
+apply_J, the map and jacobian of pullback, the second derivatives of
+i_ddbar and the metric samples of a Ricci residual.  Hermitian 2x2
+matrices are the components (h11, h22, Re h12, Im h12) along a leading
+axis, the layout of kummer.Field11.
 """
 
 from __future__ import annotations
@@ -50,15 +53,19 @@ class Chart:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (DIM,):
             raise ValueError(f"chart {self.name}: expected {DIM} coordinates, got {coords.shape}")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError(f"chart {self.name}: non-finite coordinates {coords}")
-        for i in range(DIM):
+        # on Python floats: four comparisons cost less than one numpy
+        # reduction, and NaN fails the chain as an infinity does
+        values = coords.tolist()
+        for x in values:
+            if not -np.inf < x < np.inf:
+                raise ValueError(f"chart {self.name}: non-finite coordinates {coords}")
+        for i, x in enumerate(values):
             if self.periodic[i]:
                 continue
             lo, hi = self.lower[i], self.upper[i]
-            if not (lo + margin < coords[i] < hi - margin):
+            if not (lo + margin < x < hi - margin):
                 raise ValueError(
-                    f"chart {self.name}: coordinate {self.coord_names[i]}={coords[i]:.6g} "
+                    f"chart {self.name}: coordinate {self.coord_names[i]}={x:.6g} "
                     f"violates open bounds ({lo:.6g}, {hi:.6g}) with margin {margin:.3g}"
                 )
         return coords
@@ -97,6 +104,36 @@ def central_partials(fn, coords, step, axes=range(DIM)):
         cm[j] -= step
         cols.append((np.asarray(fn(cp)) - np.asarray(fn(cm))) / (2 * step))
     return np.stack(cols, axis=-1)
+
+
+# more than the 41 distinct points of one Ricci residual
+PER_POINT_CACHE = 64
+
+
+def per_point(fn):
+    """fn, evaluated once per point: its value is cached under the exact
+    bytes of the float coordinate array, in an LRU of PER_POINT_CACHE
+    points owned by the returned closure.  A point reached by another
+    rounding is another point, so a cached value is always fn's value
+    at exactly these coordinates; an fn that raises caches nothing.
+    fn gets its own copy of the coordinates, so a value that shares
+    memory with them (an identity map's image) outlives a caller that
+    reuses its coordinate buffer."""
+    cache = {}
+
+    def cached(c):
+        c = np.array(c, dtype=float)
+        key = c.tobytes()
+        if key in cache:
+            value = cache.pop(key)
+        else:
+            value = fn(c)
+            if len(cache) == PER_POINT_CACHE:
+                del cache[next(iter(cache))]
+        cache[key] = value
+        return value
+
+    return cached
 
 
 # Charts used throughout the package.  Angles are radians; the fiber
@@ -237,7 +274,7 @@ class CoefficientForm:
         out = np.zeros(DIM, dtype=complex)
         for (i,), v in vals.items():
             out[i] = v
-        if np.all(np.abs(out.imag) == 0.0):
+        if not out.imag.any():
             return out.real
         return out
 
@@ -250,7 +287,7 @@ class CoefficientForm:
         for (i, j), v in vals.items():
             out[i, j] = v
             out[j, i] = -v
-        if np.all(np.abs(out.imag) == 0.0):
+        if not out.imag.any():
             return out.real
         return out
 
@@ -391,13 +428,17 @@ def pullback(m, f):
     if k == 0:
         return CoefficientForm(m.source, 0, {(): lambda c: f.coeff((), m.forward(c))})
     source_tuples = list(itertools.combinations(range(DIM), k))
+
+    # the terms at one point share one image and one jacobian
+    @per_point
+    def image(c):
+        return np.asarray(m.forward(c), dtype=float), m.jacobian(c)
+
     terms = {}
     for jdx in source_tuples:
 
         def coeff(c, _jdx=jdx):
-            c = np.asarray(c, dtype=float)
-            y = np.asarray(m.forward(c), dtype=float)
-            J = m.jacobian(c)
+            y, J = image(c)
             total = 0.0
             for idx, fn in f.terms.items():
                 minor = J[np.ix_(idx, _jdx)]
@@ -447,15 +488,14 @@ def apply_J(structure, f):
             f"coframe mismatch: form on {f.chart.name}, structure {structure.name} declared on {structure.chart.name}"
         )
 
-    def component(c, index):
-        c = np.asarray(c, dtype=float)
+    # the four components at one point share one frame solve
+    @per_point
+    def image(c):
         E = np.asarray(structure.coframe(c), dtype=float)
-        comps = f.as_vector(c)
-        frame_comps = np.linalg.solve(E.T, comps)
-        rotated = structure.action @ frame_comps
-        return (E.T @ rotated)[index]
+        frame_comps = np.linalg.solve(E.T, f.as_vector(c))
+        return E.T @ (structure.action @ frame_comps)
 
-    terms = {(i,): (lambda c, _i=i: component(c, _i)) for i in range(DIM)}
+    terms = {(i,): (lambda c, _i=i: image(c)[_i]) for i in range(DIM)}
     return CoefficientForm(f.chart, 1, terms)
 
 
@@ -529,7 +569,7 @@ def second_derivative_matrix(phi, coords, step=1e-4):
             cmp_[m] -= h
             cmp_[n] += h
             d2[m, n] = d2[n, m] = (phi(cpp) - phi(cpm) - phi(cmp_) + phi(cmm)) / (4 * h**2)
-    if not np.all(np.isfinite(d2)):
+    if not np.isfinite(d2).all():
         raise ValueError(f"non-finite second derivatives at {coords}")
     return d2
 
@@ -542,17 +582,12 @@ def i_ddbar(phi, step=1e-4, chart=COMPLEX2):
     construction of the symmetrized stencils.
     """
 
-    # the six coefficients at one point share one second-derivative
-    # matrix: the last point's coordinate bytes and its coefficients
-    last = [None, None]
-
-    def term(c, idx):
-        key = np.asarray(c, dtype=float).tobytes()
-        if key != last[0]:
-            d2 = second_derivative_matrix(phi, c, step)
-            last[:] = key, hermitian_to_real_two_form(hermitian_from_second_derivs(d2))
-        return last[1][idx]
+    # the six coefficients at one point share one second-derivative matrix
+    @per_point
+    def two_form(c):
+        d2 = second_derivative_matrix(phi, c, step)
+        return hermitian_to_real_two_form(hermitian_from_second_derivs(d2))
 
     keys = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
-    terms = {k: (lambda c, _k=k: term(c, _k)) for k in keys}
+    terms = {k: (lambda c, _k=k: two_form(c)[_k]) for k in keys}
     return CoefficientForm(chart, 2, terms)

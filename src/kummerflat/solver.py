@@ -791,7 +791,9 @@ def banach_solve(
         raise ValueError(f"psi0 has shape {np.shape(psi0)}, but the problem's grid has shape {problem.shape}")
     R = params.ball_radius(problem.model.a)
     psi = np.zeros(problem.shape) if psi0 is None else project_mean_zero(problem, np.asarray(psi0, dtype=float))
-    y0 = y_norm(problem, params, psi)
+    # the zero start has Y-norm 0, and the first increment psi_next - 0
+    # is psi_next bit for bit: neither needs a Hölder sweep
+    y0 = 0.0 if psi0 is None else y_norm(problem, params, psi)
     if enforce_ball and y0 > R:
         raise ValueError(
             f"starting field outside the radius-R ball: Y-norm {y0:.4e} > R = {R:.4e}"
@@ -811,7 +813,7 @@ def banach_solve(
         # the corrected field is spent before the Y-norms run
         del corrected
         y_next = y_norm(problem, params, psi_next)
-        increment = y_norm(problem, params, psi_next - psi)
+        increment = y_next if it == 1 and psi0 is None else y_norm(problem, params, psi_next - psi)
         ratio = float("nan") if prev_increment in (None, 0.0) else increment / prev_increment
         rows.append(
             {"iter": it, "y_norm_psi": y_next, "lipschitz_sample_max": ratio,

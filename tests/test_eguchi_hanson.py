@@ -64,6 +64,28 @@ def test_metric_tensor_symmetry_test_matches_allclose(rng):
                     EH.MetricTensor(m)
 
 
+def test_metric_tensor_rejects_what_the_numpy_test_rejects(rng):
+    # the numpy body the check had, on non-finite entries, where
+    # np.allclose (which takes inf as close to inf) differs from it
+    def ref_accepts(m):
+        with np.errstate(invalid="ignore"):
+            return bool(np.all(np.abs(m - m.T) <= 1e-12 + 1e-5 * np.abs(m.T)))
+
+    a = rng.standard_normal((4, 4))
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (1, 2), (3, 0)):
+            for both in (False, True):
+                m = a + a.T
+                m[i, j] = bad
+                if both:
+                    m[j, i] = bad
+                assert not ref_accepts(m)
+                with pytest.raises(ValueError, match="symmetric"):
+                    EH.MetricTensor(m)
+    assert ref_accepts(a + a.T)
+    EH.MetricTensor(a + a.T)
+
+
 def test_metric_equals_coframe_square(rng):
     E = EH.coframe_matrix(P1)
     for c in _radial_points(rng, 20):
@@ -461,6 +483,22 @@ def test_curvature_matches_axis_loops(rng):
             assert got.tobytes() == _ref_christoffel_symbols(_eh_field, c, step).tobytes()
             got = EH.ricci_residual(_eh_field, c, step=step)
             assert got.tobytes() == _ref_ricci_tensor(_eh_field, c, step).tobytes()
+
+
+def test_ricci_samples_the_metric_once_per_distinct_point(rng):
+    samples = []
+
+    def field(c):
+        samples.append(c.tobytes())
+        return _eh_field(c)
+
+    # a second point must not reuse the first point's samples
+    for c in _radial_points(rng, 2, r_lo=1.5, pole_margin=0.5):
+        samples.clear()
+        got = EH.ricci_residual(field, c)
+        # the 81 samples of the nested stencils fall on 41 points
+        assert len(samples) == len(set(samples)) == 41
+        assert got.tobytes() == _ref_ricci_tensor(_eh_field, c, 1e-3).tobytes()
 
 
 def test_ricci_rejects_indefinite_metric():

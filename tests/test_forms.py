@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kummerflat import forms as F
 
-from conftest import complex_matrix
+from conftest import complex_matrix, pass_through_per_point
 
 C2 = F.COMPLEX2
 
@@ -45,6 +45,67 @@ def test_point_helper_validates():
     assert p.chart is F.EH_R
     with pytest.raises(ValueError):
         F.point(F.EH_R, 0.5, 4.0, 0.0, 0.0)
+
+
+def _ref_validate(chart, coords, margin=0.0):
+    """Chart.validate as written on numpy reductions."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (F.DIM,):
+        raise ValueError(f"chart {chart.name}: expected {F.DIM} coordinates, got {coords.shape}")
+    if not np.all(np.isfinite(coords)):
+        raise ValueError(f"chart {chart.name}: non-finite coordinates {coords}")
+    for i in range(F.DIM):
+        if chart.periodic[i]:
+            continue
+        lo, hi = chart.lower[i], chart.upper[i]
+        if not (lo + margin < coords[i] < hi - margin):
+            raise ValueError(
+                f"chart {chart.name}: coordinate {chart.coord_names[i]}={coords[i]:.6g} "
+                f"violates open bounds ({lo:.6g}, {hi:.6g}) with margin {margin:.3g}"
+            )
+    return coords
+
+
+def _validate_cases():
+    interior = {
+        F.EH_R: [2.0, 1.0, 0.5, 0.5],
+        F.CYL: [0.5, 1.0, 0.5, 0.3],
+        F.PROLATE: [2.0, 0.3, 0.5, 0.5],
+        C2: [0.1, 0.2, 0.3, 0.4],
+    }
+    for chart, base in interior.items():
+        for margin in (0.0, 0.05):
+            yield chart, base, margin
+            yield chart, [int(x) for x in base], margin
+            for i in range(F.DIM):
+                lo, hi = chart.lower[i], chart.upper[i]
+                values = [np.nan, np.inf, -np.inf, 1e6, -1e6, 1e308, -5e-324, -0.0]
+                values += [b + d for b in (lo, hi) if np.isfinite(b) for d in (-0.05, -0.01, 0.0, 0.01, 0.05)]
+                for v in values:
+                    c = list(base)
+                    c[i] = v
+                    yield chart, c, margin
+                    # a non-finite entry after an out-of-bounds one
+                    c[(i + 1) % F.DIM] = np.nan
+                    yield chart, c, margin
+        for bad in ([1.0, 2.0, 3.0], base + [1.0], [base[:2], base[2:]], []):
+            yield chart, bad, 0.0
+
+
+def _outcome(validate, *args):
+    try:
+        return "accepted", validate(*args).tobytes()
+    except ValueError as err:
+        return "rejected", str(err)
+
+
+def test_chart_validate_matches_numpy_reference():
+    outcomes = set()
+    for chart, coords, margin in _validate_cases():
+        got = _outcome(chart.validate, coords, margin)
+        assert got == _outcome(_ref_validate, chart, coords, margin), (chart.name, coords, margin)
+        outcomes.add(got[0])
+    assert outcomes == {"accepted", "rejected"}
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +284,73 @@ def test_pullback_degree_zero(rng):
     assert abs(F.pullback(m, f).coeff((), c) - (2 * c[0] + 2 * c[3])) < 1e-12
 
 
+def test_pullback_maps_once_per_point(rng, monkeypatch):
+    calls = {"forward": 0, "jac": 0}
+    A = rng.normal(size=(4, 4))
+
+    def forward(c):
+        calls["forward"] += 1
+        return A @ np.sin(c)
+
+    def jac(c):
+        calls["jac"] += 1
+        return A * np.cos(c)
+
+    m = F.ChartMap(C2, C2, forward, jac=jac, name="sin")
+    f = F.CoefficientForm(C2, 2, {(0, 1): lambda c: c[2] * c[3], (1, 3): lambda c: np.exp(c[0]), (0, 2): 2.0})
+    pb = F.pullback(m, f)
+    pass_through_per_point(monkeypatch)
+    uncached = F.pullback(m, f)
+    # a second point must not reuse the first point's map and jacobian
+    for c in c2_coords(rng, 2):
+        calls.update(forward=0, jac=0)
+        got = pb.as_matrix(c)
+        assert calls == {"forward": 1, "jac": 1}
+        assert got.tobytes() == uncached.as_matrix(c).tobytes()
+
+
+def test_pullback_cache_survives_a_reused_coordinate_buffer():
+    # the identity's image is its input; the cache must not keep a view
+    # of a buffer the caller writes to later
+    ident = F.ChartMap(C2, C2, lambda c: c, jac=lambda c: np.eye(4), name="id")
+    pb = F.pullback(ident, F.CoefficientForm(C2, 2, {(0, 1): lambda c: c[2]}))
+    buf = np.array([0.1, 0.2, 0.3, 0.4])
+    assert pb.coeff((0, 1), buf) == 0.3
+    buf[2] = 5.0
+    assert pb.coeff((0, 1), buf) == 5.0
+    assert pb.coeff((0, 1), np.array([0.1, 0.2, 0.3, 0.4])) == 0.3
+
+
+def test_per_point_is_a_bounded_lru_on_exact_bytes():
+    calls = []
+
+    def fn(c):
+        calls.append(c.tobytes())
+        if c[0] < 0:
+            raise ValueError("negative")
+        return c.sum()
+
+    cached = F.per_point(fn)
+    pts = [np.array([float(k), 0.0, 0.0, 0.0]) for k in range(F.PER_POINT_CACHE + 1)]
+    for p in pts[:-1]:
+        cached(p)
+    # a hit refreshes the first point, so the new one evicts the second
+    assert cached(list(pts[0])) == 0.0 and len(calls) == F.PER_POINT_CACHE
+    cached(pts[-1])
+    cached(pts[0])
+    assert len(calls) == F.PER_POINT_CACHE + 1
+    cached(pts[1])
+    assert len(calls) == F.PER_POINT_CACHE + 2
+    # -0.0 and 0.0 differ in their bytes, so they are two points
+    cached(np.array([1.0, -0.0, 0.0, 0.0]))
+    assert len(calls) == F.PER_POINT_CACHE + 3
+    # an evaluation that raises caches nothing
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative"):
+            cached(np.array([-1.0, 0.0, 0.0, 0.0]))
+    assert len(calls) == F.PER_POINT_CACHE + 5
+
+
 def test_chart_map_numeric_jacobian_matches_analytic(rng):
     m = F.ChartMap(
         C2, C2,
@@ -337,6 +465,29 @@ def test_apply_j_squares_to_minus_identity(rng):
     c = c2_coords(rng)[0]
     twice = F.apply_J(J, F.apply_J(J, f))
     assert (twice + f).max_abs(c) < 1e-14
+
+
+def test_apply_j_solves_the_frame_once_per_point(rng, monkeypatch):
+    solves = []
+    A = _toy_structure().action
+
+    def coframe(c):
+        solves.append(1)
+        # invertible: 1 + 0.2 sum sin(c_i) cos(c_j) stays above 0.2
+        return np.eye(4) + 0.2 * np.outer(np.sin(c), np.cos(c[::-1]))
+
+    J = F.ComplexStructure("skew", A, C2, coframe)
+    f = F.one_form(C2, [lambda c: c[0] * c[1], 1.0, lambda c: np.sin(c[3]), lambda c: c[2] ** 2])
+    d_jf = F.ext_d(F.apply_J(J, f))
+    pass_through_per_point(monkeypatch)
+    uncached = F.ext_d(F.apply_J(J, f))
+    # a second point must not reuse the first point's solves
+    for c in c2_coords(rng, 2):
+        solves.clear()
+        d_jf.max_abs(c)
+        # one solve at each of the 8 stencil points
+        assert len(solves) == 8
+        assert d_jf.as_matrix(c).tobytes() == uncached.as_matrix(c).tobytes()
 
 
 def test_apply_j_rejects_degree_two():

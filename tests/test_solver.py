@@ -465,6 +465,31 @@ class TestFixedPoint:
         # one per Picard step and one for the accepted correction
         assert len(calls) == state.iterations + 1
 
+    def test_zero_start_skips_two_holder_sweeps(self, resolved_problem, params, monkeypatch):
+        calls = []
+        sweep = sv.holder_seminorm
+
+        def counting_sweep(*args):
+            calls.append(True)
+            return sweep(*args)
+
+        monkeypatch.setattr(sv, "holder_seminorm", counting_sweep)
+        skipped = sv.banach_solve(resolved_problem, params, enforce_ball=False)
+        skipped_calls = len(calls)
+        calls.clear()
+        # an explicit zero start, like uniqueness' -e_a seed, is swept:
+        # once at the start, and twice per Picard step
+        zeros = np.zeros(resolved_problem.shape)
+        swept = sv.banach_solve(resolved_problem, params, psi0=zeros, enforce_ball=False)
+        assert swept.iterations > 1
+        assert len(calls) == 1 + 2 * swept.iterations
+        # the default start skips the sweep of the zero field and the
+        # first step's sweep of psi_next - 0, and changes no bit
+        assert skipped_calls == len(calls) - 2
+        assert repr(skipped.trace_rows) == repr(swept.trace_rows)
+        assert skipped.psi.tobytes() == swept.psi.tobytes()
+        assert skipped.phi.tobytes() == swept.phi.tobytes()
+
     def test_inverse_bound_diagnostic(self, flat_problem, params):
         ratios = sv.inverse_bound_diagnostic(flat_problem, params, n_fields=5, seed=5)
         assert np.all(np.isfinite(ratios))
