@@ -518,8 +518,7 @@ def cmd_solve(cfg, models):
 
 def lambda1_report(cfg, models):
     grid = cfg.grid()
-    n = cfg.grid_n
-    flat_discrete = float(solver.flat_axis_symbol(n)[1])
+    flat_discrete = float(solver.flat_axis_symbol(grid)[1])
     values = []
     checks = []
     flat_grid = True
@@ -543,7 +542,7 @@ def lambda1_report(cfg, models):
     entry["pass"] = poincare["all_pass"]
     checks.append(entry)
     return {
-        "grid_n": n,
+        "grid_n": cfg.grid_n,
         "flat_discrete_eigenvalue": flat_discrete,
         "values": values,
         "checks": checks,

@@ -9,7 +9,8 @@ functions with jacobian minors.  A small complex-structure type acts on
 
 central_partials is the central difference behind finite-difference
 jacobians, the curvature and the Cauchy-Riemann and curl residuals
-(ext_d keeps its own, as it validates every sample), and coords_of the
+(ext_d keeps its own, and validates every sample it evaluates: the two
+stencil points, which cover the centre), and coords_of the
 one point-to-coordinates accessor.  per_point computes a per-point
 quantity once where several coefficients share it: the frame solve of
 apply_J, the map and jacobian of pullback, the second derivatives of
@@ -403,7 +404,6 @@ def ext_d(f, step=1e-4):
             merged, sign = _merge_sign((j,), idx)
 
             def d_coeff(c, _fn=coeff_fn, _j=j, _s=sign, _h=step):
-                chart.validate(c, margin=0.0)
                 cp = np.array(c, dtype=float)
                 cm = np.array(c, dtype=float)
                 cp[_j] += _h

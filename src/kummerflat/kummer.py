@@ -504,6 +504,9 @@ def load_field(path):
         grid = TorusGrid(n, side)  # the grid rules reject a bad n or side
         if not (np.isfinite(a) and np.isfinite(zeta) and not np.isinf(lam)):
             raise ValueError(f"non-finite field parameters a={a}, zeta={zeta}, lambda={lam}")
+        GluedModel(a, zeta)  # the model's rules reject a bad a or zeta
+        if not (lam > 0 or np.isnan(lam)):
+            raise ValueError(f"volume ratio must be positive, got lambda={lam}")
         expect = 32 * n**4
         # sized before it is read, so a header with a huge n allocates nothing
         size = os.fstat(fh.fileno()).st_size - _HEADER.size

@@ -16,15 +16,16 @@ Scalar fields live on the cell-centered torus grid as real (n,n,n,n)
 arrays.  The grid (kummer.TorusGrid) is the unit torus or its quotient
 of side 1/2 by the half-period translations (Z/2)^4, which permute the
 sixteen sites; the stencils, sums and Hölder sweep need only the
-spacing and the periodic wrap, and the preconditioner's symbol scales
-by 1/side^2, so the same code solves either.  The glued field, e_a, the
-weights and the fixed point are (Z/2)^4-invariant, so a solve on the
-quotient's (n/2)^4 nodes is the unit-torus solve restricted to them, up
-to the rounding of sums over fewer terms.  The random fields behind
-lambda1_estimate and the sampled diagnostics are not invariant; those
-run on the unit torus.  Each is one inverse FFT of a band of 7^4 modes
-drawn by _band_spectrum; poincare_check reads its fields' energies off
-that band by Parseval, with the flat axis symbol, and builds no field.
+spacing and the periodic wrap, and the flat spectrum flat_axis_symbol,
+which the preconditioner, poincare_check and the lambda1 report read,
+scales by 1/side^2, so the same code solves either.  The glued field,
+e_a, the weights and the fixed point are (Z/2)^4-invariant, so a solve
+on the quotient's (n/2)^4 nodes is the unit-torus solve restricted to
+them, up to the rounding of sums over fewer terms.  The random fields
+behind lambda1_estimate and the sampled diagnostics are not invariant;
+those run on the unit torus.  Each is one inverse FFT of a band of 7^4
+modes drawn by _band_spectrum; poincare_check reads its fields'
+energies off that band by Parseval and builds no field.
 
 The complex Hessian stencil P(u) = 2 u_{i jbar} uses 3-point second
 differences on the diagonal and central-central mixed differences; with
@@ -38,10 +39,11 @@ kummer.hermitian_det and kummer.hermitian_min_eig work on those
 components; no complex (..., 2, 2) field is built here.  The stencil
 is written once, in _stencil_sums, as four unscaled sums on the rows of
 one slab along axis 0, read with a periodic halo row per side; a slab
-holds _STENCIL_SLAB_BYTES of u, so that its buffers stay in the per-core
-cache.  hessian_parts scales the sums into the slabs of P, and
-hermitian_bracket weights them by h into the bracket [h : P(u)] behind
-the Laplacian and its inversion, without building P.  The inversion is
+holds _SLAB_BYTES of u, the one budget of every slab sweep, the Hölder
+one too, so that its buffers stay in the per-core cache.  hessian_parts
+scales the sums into the slabs of P, and hermitian_bracket weights them
+by h into the bracket [h : P(u)] behind the Laplacian and its
+inversion, without building P.  The inversion is
 right-preconditioned BiCGStab, since the stencil operator is not
 symmetric on glued fields.  Its preconditioner takes two steps: the flat
 inverse, by real-to-complex FFTs on the half spectrum, and then an exact
@@ -85,6 +87,8 @@ from . import kummer
 log = logging.getLogger(__name__)
 
 DEFAULT_INVERT_TOL = 1e-8
+# BiCGStab step budget of invert_laplacian
+INVERT_MAX_ITER = 600
 DEFAULT_FIXED_POINT_TOL = 1e-6
 MEAN_ZERO_TOL = 1e-8
 # Krylov subspace dimension and inversion tolerance of lambda1_estimate
@@ -96,13 +100,10 @@ POINCARE_SEED = 11
 # band limit and amplitude decay of random_smooth_field
 RANDOM_FIELD_KMAX = 3
 RANDOM_FIELD_DECAY = 2.0
-# bytes of f per slab of the Hölder sweep: with its padded, shifted
-# copies a slab stays well inside a 2 MiB per-core L2
-_HOLDER_SLAB_BYTES = 1 << 19
-# bytes of u per slab of the stencil sweep: a slab with its two halo
-# rows, its sums and scratch and, in the bracket, the four slabs of h
-# stay near a 2 MiB per-core L2
-_STENCIL_SLAB_BYTES = 1 << 18
+# bytes of the swept field per slab of the stencil and Hölder sweeps: a
+# slab with its halo rows, sums, scratch and the bracket's four slabs of
+# h, or with its shifted copies, stays near a 2 MiB per-core L2
+_SLAB_BYTES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +284,12 @@ def _central_diff(f, axis, dx):
 
 
 def _stencil_slabs(u, count):
-    """Slabs of rows i0:i1 along axis 0 of u, _STENCIL_SLAB_BYTES of u
-    each (the last one shorter when the rows do not divide n): yields
+    """Slabs of rows i0:i1 along axis 0 of u, _SLAB_BYTES of u each
+    (the last one shorter when the rows do not divide n): yields
     (i0, i1, halo, work), with halo holding rows i0 - 1, ..., i1 of u,
     wrapped around the torus, and work count slab-sized buffers."""
     n0 = u.shape[0]
-    rows = min(n0, max(1, _STENCIL_SLAB_BYTES // u[0].nbytes))
+    rows = min(n0, max(1, _SLAB_BYTES // u[0].nbytes))
     halo = np.empty((rows + 2,) + u.shape[1:])
     work = np.empty((count, rows) + u.shape[1:])
     for i0 in range(0, n0, rows):
@@ -403,29 +404,24 @@ def _remainder_of(problem, P):
 # mean-zero inversion
 
 
-def flat_axis_symbol(n):
-    """Eigenvalues 4 n^2 sin^2(pi k / n), k = 0, ..., n - 1, of minus the
-    flat 3-point second difference along one periodic axis."""
-    k = np.arange(n)
-    return 4.0 * n**2 * np.sin(np.pi * k / n) ** 2
+def flat_axis_symbol(grid):
+    """Eigenvalues 4 n^2 sin^2(pi k / n) / side^2, k = 0, ..., n - 1, of
+    minus the flat 3-point second difference along one periodic axis of
+    the grid; the division is exact for side 1 and 1/2."""
+    n = grid.n
+    return 4.0 * n**2 * np.sin(np.pi * np.arange(n) / n) ** 2 / grid.side**2
+
+
+def _axis_sum(s, last):
+    """The flat symbol s[k0] + s[k1] + s[k2] + last[k3], in axis order."""
+    return s[:, None, None, None] + s[:, None, None] + s[:, None] + last
 
 
 def flat_symbol(grid):
     """Eigenvalues of minus the flat grid Laplacian on the real-FFT half
-    spectrum, shape (n, n, n, n // 2 + 1).
-
-    On the torus of side L the axis symbol is flat_axis_symbol(n) / L^2,
-    (4 / spacing^2) sin^2(pi k / n); the division is exact for L = 1
-    and 1/2."""
-    n = grid.n
-    s = flat_axis_symbol(n) / grid.side**2
-    h = s[: n // 2 + 1]
-    return (
-        s[:, None, None, None]
-        + s[None, :, None, None]
-        + s[None, None, :, None]
-        + h[None, None, None, :]
-    )
+    spectrum, shape (n, n, n, n // 2 + 1)."""
+    s = flat_axis_symbol(grid)
+    return _axis_sum(s, s[: grid.n // 2 + 1])
 
 
 def _flat_inverse(rhs, inverse_symbol, hat=None, out=None):
@@ -469,11 +465,12 @@ def _glued_operator(problem, u, out=None):
     return np.subtract(out.mean(), out, out=out)
 
 
-def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600, u0=None):
+def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, u0=None):
     """Solve laplacian(u) = f for mean-zero u by right-preconditioned
-    BiCGStab (van der Vorst 1992), from u0 (zero by default).  A float
-    array u0 is not copied: the solution is written into it and it is
-    returned, so a warm start holds one field fewer.
+    BiCGStab (van der Vorst 1992), in at most INVERT_MAX_ITER steps,
+    from u0 (zero by default).  A float array u0 is not copied: the
+    solution is written into it and it is returned, so a warm start
+    holds one field fewer.
 
     The stencil operator is not symmetric on glued fields, hence a
     short-recurrence method for non-symmetric systems; each step applies
@@ -501,7 +498,7 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600, u0=None):
         g -= _glued_operator(problem, u)
     # g is the residual from here on
     history = [float(np.linalg.norm(g)) / scale]
-    it = _bicgstab(problem, u, g, scale, tol, max_iter, history) if history[0] > tol else 0
+    it = _bicgstab(problem, u, g, scale, tol, history) if history[0] > tol else 0
     del g
     u -= weighted_mean(problem, u)
     raw = laplacian(problem, u)
@@ -516,7 +513,7 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, max_iter=600, u0=None):
     return u, info
 
 
-def _bicgstab(problem, u, r, scale, tol, max_iter, history):
+def _bicgstab(problem, u, r, scale, tol, history):
     """The BiCGStab steps of invert_laplacian: updates u and the
     residual r in place, appends each step's relative residual to
     history and returns the number of steps.
@@ -532,7 +529,7 @@ def _bicgstab(problem, u, r, scale, tol, max_iter, history):
     z = np.empty_like(r)
     hat = np.empty(problem.inverse_symbol.shape, dtype=complex)
     rho = alpha = omega = 1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, INVERT_MAX_ITER + 1):
         rho_next = float(np.vdot(r_hat, r))
         if rho_next == 0.0 or omega == 0.0:
             raise RuntimeError(f"BiCGStab breakdown at step {it}: rho = {rho_next:.3g}, omega = {omega:.3g}")
@@ -572,7 +569,7 @@ def _bicgstab(problem, u, r, scale, tol, max_iter, history):
                 f"history tail {['%.2e' % h for h in history[-5:]]}"
             )
     raise RuntimeError(
-        f"inversion did not reach tolerance {tol:.1e} in {max_iter} iterations "
+        f"inversion did not reach tolerance {tol:.1e} in {INVERT_MAX_ITER} iterations "
         f"(relative residual {history[-1]:.3e})"
     )
 
@@ -625,24 +622,25 @@ def holder_seminorm(f, dx, alpha, r_ball):
     """Sup of |f(x+d) - f(x)| / |d|^alpha over lattice offsets within
     the sampling ball; coordinate identification, no transport.
 
-    The sweep runs over slabs of _HOLDER_SLAB_BYTES along axis 0, so
-    that a slab and its shifted copies stay in the per-core cache while
-    every offset visits them.  The shifted values are read from one
-    periodic padding of f; within a slab the offsets are grouped by
-    their last component, whose shift is made contiguous once per group,
-    and the rest are views.  Each offset's sup is the exact max over all
-    slabs, so the result does not depend on the slab size.
+    The sweep runs over slabs of _SLAB_BYTES along axis 0, so that a
+    slab and its shifted copies stay in the per-core cache while every
+    offset visits them.  The shifted values are read from one periodic
+    padding of f, as wide as the largest component of the kept offsets;
+    within a slab the offsets are grouped by their last component, whose
+    shift is made contiguous once per group, and the rest are views.
+    Each offset's sup is the exact max over all slabs, so the result
+    does not depend on the slab size.
     """
     f = np.asarray(f, dtype=float)
     offsets = _holder_offsets(dx, r_ball)
-    reach = max(int(np.floor(r_ball / dx)), 1)
+    reach = max((int(np.max(np.abs(d))) for d, _ in offsets), default=1)
     n0, n1, n2, n3 = f.shape
     # the kept offsets have a non-negative first component
     padded = np.pad(f, ((0, reach), (reach, reach), (reach, reach), (reach, reach)), mode="wrap")
     by_last = {}
     for k, (d, _) in enumerate(offsets):
         by_last.setdefault(int(d[3]), []).append((k, int(d[0]), reach + int(d[1]), reach + int(d[2])))
-    rows = max(1, _HOLDER_SLAB_BYTES // f[0].nbytes)
+    rows = max(1, _SLAB_BYTES // f[0].nbytes)
     peaks = [0.0] * len(offsets)
     for i0 in range(0, n0, rows):
         i1 = min(i0 + rows, n0)
@@ -653,10 +651,7 @@ def holder_seminorm(f, dx, alpha, r_ball):
             for k, j0, j1, j2 in group:
                 np.subtract(shifted[j0:j0 + i1 - i0, j1:j1 + n1, j2:j2 + n2], centre, out=diff)
                 peaks[k] = max(peaks[k], float(np.max(np.abs(diff, out=diff))))
-    best = 0.0
-    for peak, (_, dist) in zip(peaks, offsets):
-        best = max(best, peak / dist**alpha)
-    return best
+    return max((peak / dist**alpha for peak, (_, dist) in zip(peaks, offsets)), default=0.0)
 
 
 def _norm_parts(problem, params, f):
@@ -761,7 +756,8 @@ def fixed_point_map(problem, psi, phi0=None):
     the inversion's info.  One stencil field P(phi) gives both Q(phi)
     and the corrected field, which takes over P's memory."""
     phi, info = invert_laplacian(problem, psi, u0=phi0)
-    P = hessian_parts(_require_finite(phi, "quadratic remainder input"), problem.spacing)
+    # invert_laplacian's closing laplacian call has checked phi finite
+    P = hessian_parts(phi, problem.spacing)
     # -(Q + e_a) rounds exactly as -e_a - Q, without a -e_a temporary
     raw = _remainder_of(problem, P)
     raw += problem.ea
@@ -870,20 +866,23 @@ def _random_field_modes():
     return modes, amp
 
 
-def _band_spectrum(grid, rng):
-    """One draw of the random-field band: (band, S).
+def _band(n):
+    """The grid indices, ascending, of the modes -RANDOM_FIELD_KMAX, ...,
+    RANDOM_FIELD_KMAX along one axis of n nodes, found with a set, not
+    np.unique, which imports numpy.ma on its first call."""
+    return np.array(sorted(set((np.arange(-RANDOM_FIELD_KMAX, RANDOM_FIELD_KMAX + 1) % n).tolist())))
 
-    band holds the grid indices, ascending, of the modes
-    -RANDOM_FIELD_KMAX, ..., RANDOM_FIELD_KMAX along one axis, and S
-    the spectrum on band^4: every nonzero mode k gets amplitude
+
+def _band_spectrum(grid, rng):
+    """One draw of the random-field band: (band, S), with band = _band(n)
+    and S the spectrum on band^4: every nonzero mode k gets amplitude
     (1 + |k|^2)^-RANDOM_FIELD_DECAY times one complex normal, drawn in
     lexicographic mode order; where modes alias (n < 7), the last one
     drawn is kept."""
     n = grid.n
     modes, amp = _random_field_modes()
     z = rng.standard_normal((len(modes), 2))
-    # a set, not np.unique, which imports numpy.ma on its first call
-    band = np.array(sorted(set((np.arange(-RANDOM_FIELD_KMAX, RANDOM_FIELD_KMAX + 1) % n).tolist())))
+    band = _band(n)
     S = np.zeros((len(band),) * 4, dtype=complex)
     S[tuple(np.searchsorted(band, modes % n).T)] = amp * (z[:, 0] + 1j * z[:, 1])
     return band, S
@@ -1030,15 +1029,15 @@ def poincare_check(problem, lam1):
     n^-4 sum_k |F_k|^2 (sum_axes symbol(k_axis) / lam1 - 1)."""
     rng = np.random.default_rng(POINCARE_SEED)
     n = problem.grid.n
+    band = _band(n)
+    neg = np.searchsorted(band, -band % n)
+    s = flat_axis_symbol(problem.grid)[band]
+    weight = _axis_sum(s, s) / lam1 - 1.0
     margins = []
     for _ in range(POINCARE_FIELDS):
-        band, S = _band_spectrum(problem.grid, rng)
-        neg = np.searchsorted(band, -band % n)
-        F = S + np.conj(S[np.ix_(neg, neg, neg, neg)])
-        F *= 0.5
-        s = flat_axis_symbol(n)[band] / problem.grid.side**2
-        rayleigh = s[:, None, None, None] + s[:, None, None] + s[:, None] + s
-        margins.append(float(np.sum(np.square(np.abs(F)) * (rayleigh / lam1 - 1.0))) / n**4)
+        _, S = _band_spectrum(problem.grid, rng)
+        F = 0.5 * (S + np.conj(S[np.ix_(neg, neg, neg, neg)]))
+        margins.append(float(np.sum(np.square(np.abs(F)) * weight)) / n**4)
     margins = np.array(margins)
     return {"all_pass": bool(np.all(margins >= -1e-10)), "margins": margins}
 
@@ -1062,9 +1061,7 @@ def bochner_ratio(grid, u):
 def potential_gap(problem, state_a, state_b):
     """Sup distance of two solves' potentials after removing the mean
     shift."""
-    diff = state_a.phi - state_b.phi
-    diff = diff - weighted_mean(problem, diff)
-    return float(np.max(np.abs(diff)))
+    return float(np.max(np.abs(project_mean_zero(problem, state_a.phi - state_b.phi))))
 
 
 # ---------------------------------------------------------------------------

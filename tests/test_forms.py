@@ -234,6 +234,43 @@ def test_leibniz_rule(rng):
     assert (lhs - rhs).max_abs(c) < 1e-7
 
 
+def _d_of_product(step):
+    return F.ext_d(F.CoefficientForm(F.EH_R, 0, {(): lambda c: c[0] * c[1]}), step=step)
+
+
+def test_ext_d_validates_its_two_samples(monkeypatch):
+    # each coefficient validates c + h e_j and c - h e_j, which cover c
+    seen = []
+    validate = F.Chart.validate
+
+    def recording(chart, coords, margin=0.0):
+        seen.append(np.array(coords).tobytes())
+        return validate(chart, coords, margin)
+
+    monkeypatch.setattr(F.Chart, "validate", recording)
+    df = _d_of_product(1e-3)
+    c = np.array([2.0, 1.0, 0.3, -0.4])
+    for j in range(4):
+        seen.clear()
+        e = 1e-3 * np.eye(4)[j]
+        df.coeff((j,), c)
+        assert seen == [(c + e).tobytes(), (c - e).tobytes()]
+
+
+@pytest.mark.parametrize("centre, match", [
+    ([-0.5, 1.0, 0.3, 0.0], "violates open bounds"),
+    ([0.0, 1.0, 0.3, 0.0], "violates open bounds"),
+    ([2.0, np.pi, 0.3, 0.0], "violates open bounds"),
+    ([np.nan, 1.0, 0.3, 0.0], "non-finite"),
+    ([2.0, 1.0, np.inf, 0.0], "non-finite"),
+])
+def test_ext_d_rejects_a_centre_off_the_chart(centre, match):
+    df = _d_of_product(1e-3)
+    for j in range(4):
+        with pytest.raises(ValueError, match=match):
+            df.coeff((j,), centre)
+
+
 # ---------------------------------------------------------------------------
 # pullback
 

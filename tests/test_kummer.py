@@ -640,6 +640,12 @@ class TestLoadFieldRejects:
         ({"side": 0.3}, "side must be 1 or 1/2"),
         ({"side": float("nan")}, "side must be 1 or 1/2"),
         ({"n": 3, "side": 0.5}, "at least 4 nodes"),
+        # parameters no glued model admits, rejected by GluedModel's rules
+        ({"a": -1.0}, "deformation parameter must lie in"),
+        ({"zeta": -3.0}, "gluing radius must lie in"),
+        ({"a": 0.3, "zeta": 0.1}, "deformation parameter must lie in"),
+        ({"lam": -2.0}, "volume ratio must be positive"),
+        ({"lam": 0.0}, "volume ratio must be positive"),
     ])
     def test_bad_header_values(self, valid_kmf, fields, match):
         raw, root = valid_kmf

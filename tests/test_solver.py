@@ -147,11 +147,12 @@ class TestInversion:
         assert np.all(u == 0.0)
         assert info["iterations"] == 0
 
-    def test_iteration_budget_error(self, resolved_problem, grid16):
+    def test_iteration_budget_error(self, resolved_problem, grid16, monkeypatch):
         rng = np.random.default_rng(7)
         f = sv.project_mean_zero(resolved_problem, sv.random_smooth_field(grid16, rng))
-        with pytest.raises(RuntimeError, match="did not reach tolerance"):
-            sv.invert_laplacian(resolved_problem, f, tol=1e-14, max_iter=2)
+        monkeypatch.setattr(sv, "INVERT_MAX_ITER", 2)
+        with pytest.raises(RuntimeError, match="did not reach tolerance .* in 2 iterations"):
+            sv.invert_laplacian(resolved_problem, f, tol=1e-14)
 
     def test_deterministic(self, resolved_problem, grid16):
         rng = np.random.default_rng(8)
@@ -438,8 +439,8 @@ class TestFixedPoint:
         calls = []
         invert = sv.invert_laplacian
 
-        def recording_invert(problem, f, tol=sv.DEFAULT_INVERT_TOL, max_iter=600, u0=None):
-            u, info = invert(problem, f, tol=tol, max_iter=max_iter, u0=u0)
+        def recording_invert(problem, f, tol=sv.DEFAULT_INVERT_TOL, u0=None):
+            u, info = invert(problem, f, tol=tol, u0=u0)
             calls.append((u0, u))
             return u, info
 
@@ -743,6 +744,12 @@ class TestPreconditioner:
         unit = sv.flat_symbol(km.TorusGrid(n))
         assert np.array_equal(sv.flat_symbol(km.TorusGrid(n).quotient()), unit[::2, ::2, ::2, ::2])
 
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_quotient_axis_symbol_is_the_unit_one_at_even_frequencies(self, n):
+        unit = sv.flat_axis_symbol(km.TorusGrid(n))
+        _assert_same_bits(unit, 4.0 * n**2 * np.sin(np.pi * np.arange(n) / n) ** 2)
+        _assert_same_bits(sv.flat_axis_symbol(km.TorusGrid(n).quotient()), unit[::2])
+
     def test_constants_map_to_zero(self, grid16):
         n = grid16.n
         out = sv._flat_inverse(np.full((n,) * 4, 3.0), _inverse_half_symbol(n))
@@ -845,7 +852,7 @@ def _ref_hermitian_bracket(field_, u, dx):
     return out
 
 
-def _ref_poincare_margins(problem, lam1, n_fields, seed):
+def _roll_poincare_margins(problem, lam1, n_fields, seed):
     rng = np.random.default_rng(seed)
     dx = problem.spacing
     margins = []
@@ -861,11 +868,28 @@ def _ref_poincare_margins(problem, lam1, n_fields, seed):
     return np.array(margins)
 
 
+def _ref_poincare_margins(problem, lam1):
+    # poincare_check's Parseval sums with the band, its symbol and the
+    # Rayleigh weights made again for every field
+    rng = np.random.default_rng(sv.POINCARE_SEED)
+    n = problem.grid.n
+    margins = []
+    for _ in range(sv.POINCARE_FIELDS):
+        band, S = sv._band_spectrum(problem.grid, rng)
+        neg = np.searchsorted(band, -band % n)
+        F = S + np.conj(S[np.ix_(neg, neg, neg, neg)])
+        F *= 0.5
+        s = (4.0 * n**2 * np.sin(np.pi * np.arange(n) / n) ** 2)[band] / problem.grid.side**2
+        rayleigh = s[:, None, None, None] + s[:, None, None] + s[:, None] + s
+        margins.append(float(np.sum(np.square(np.abs(F)) * (rayleigh / lam1 - 1.0))) / n**4)
+    return np.array(margins)
+
+
 def _assert_margins_match_roll(problem, lam1, margins):
     # to 1e-13 of each field's E / lam1, with equal signs; the margin at
     # lam1 = inf is -|u|^2
-    ref = _ref_poincare_margins(problem, lam1, 20, 11)
-    energy = ref - _ref_poincare_margins(problem, np.inf, 20, 11)
+    ref = _roll_poincare_margins(problem, lam1, 20, 11)
+    energy = ref - _roll_poincare_margins(problem, np.inf, 20, 11)
     assert np.all(np.abs(margins - ref) <= 1e-13 * energy)
     assert np.array_equal(np.sign(margins), np.sign(ref))
 
@@ -889,7 +913,7 @@ class TestKrylovKernelEquivalence:
         dx = bolt_problem.spacing
         ref = _ref_hermitian_bracket(bolt_problem.field_, u, dx)
         ref_parts = _ref_hessian_parts(u, dx)
-        monkeypatch.setattr(sv, "_STENCIL_SLAB_BYTES", rows * u[0].nbytes)
+        monkeypatch.setattr(sv, "_SLAB_BYTES", rows * u[0].nbytes)
         _assert_same_bits(sv.hermitian_bracket(bolt_problem.field_.data, u, dx), ref)
         out = np.full(u.shape, np.nan)
         assert sv.hermitian_bracket(bolt_problem.field_.data, u, dx, out) is out
@@ -934,6 +958,13 @@ class TestKrylovKernelEquivalence:
         problem = sv.Problem.build(km.GluedModel(a=0.08, zeta=4.0 / 9.0), km.TorusGrid(10).quotient())
         for lam1 in (39.0, 90.0):
             _assert_margins_match_roll(problem, lam1, sv.poincare_check(problem, lam1)["margins"])
+
+    @pytest.mark.parametrize("grid", [km.TorusGrid(8), km.TorusGrid(16), km.TorusGrid(16).quotient()],
+                             ids=["unit8", "unit16", "quotient16"])
+    def test_poincare_margins_match_per_field_loop(self, grid):
+        problem = sv.Problem.build(km.GluedModel(a=0.08, zeta=4.0 / 9.0), grid)
+        for lam1 in (39.0, 90.0):
+            _assert_same_bits(sv.poincare_check(problem, lam1)["margins"], _ref_poincare_margins(problem, lam1))
 
     def test_poincare_check_builds_no_grid_field(self, monkeypatch, bolt_problem):
         want = sv.poincare_check(bolt_problem, 39.0)
@@ -1077,9 +1108,23 @@ class TestNormLayerEquivalence:
         # several slabs along axis 0, the last one short when rows does
         # not divide n
         f = np.random.default_rng(rows + n).standard_normal((n,) * 4)
-        monkeypatch.setattr(sv, "_HOLDER_SLAB_BYTES", rows * f[0].nbytes)
+        monkeypatch.setattr(sv, "_SLAB_BYTES", rows * f[0].nbytes)
         dx = 1.0 / n
         assert sv.holder_seminorm(f, dx, 0.2, reach * dx) == _ref_holder_seminorm(f, dx, 0.2, reach * dx)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_holder_seminorm_at_and_one_ulp_below_a_lattice_radius(self, n, k):
+        # one ulp below k dx the offsets of length k dx drop out, and the
+        # padding narrows to the k - 1 that the kept offsets reach (none
+        # are kept at k = 1)
+        f = np.random.default_rng(n + k).standard_normal((n,) * 4)
+        dx = 1.0 / n
+        below = np.nextafter(k * dx, 0.0)
+        reach = max((int(np.max(np.abs(d))) for d, _ in sv._holder_offsets(dx, below)), default=0)
+        assert reach == k - 1
+        for r_ball in (k * dx, below):
+            assert sv.holder_seminorm(f, dx, 0.2, r_ball) == _ref_holder_seminorm(f, dx, 0.2, r_ball)
 
     @pytest.mark.parametrize("n, r_ball", [(16, 0.125), (24, 1.0 / 12.0), (32, 0.0625),
                                            (16, 3.0 / 16.0), (8, 0.3)])
