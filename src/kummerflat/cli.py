@@ -606,6 +606,9 @@ _COMMANDS = {
     "scaling": _Command("error-density scaling sweep", cmd_scaling,
                         ("a", "a_list", "zeta", "grid_n", "alpha", "p", "seed", "out"),
                         on_quotient=True),
+    # the solve draws nothing either; it takes --seed, which it only copies
+    # into solve_summary.json, because the benchmark's solve_resolved op
+    # passes one
     "solve": _Command("run the fixed-point solve", cmd_solve,
                       ("a", "zeta", "grid_n", "alpha", "p", "tol", "max_iter", "seed", "out"),
                       (_NO_BALL_GUARD,), on_quotient=True),

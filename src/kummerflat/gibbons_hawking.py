@@ -57,6 +57,8 @@ class GhConfig:
                     raise ValueError(f"centers must be pairwise distinct, got repeated {ci}")
         if any(n == 0 for n in charges):
             raise ValueError("charges must be nonzero")
+        if not np.isfinite(self.eps_gh):
+            raise ValueError(f"ansatz constant must be finite, got {self.eps_gh}")
         if self.eps_gh < 0:
             raise ValueError("ansatz constant must be nonnegative")
 
@@ -66,6 +68,8 @@ class GhConfig:
 
 def two_center_config(c, eps_gh=0.0):
     """Symmetric unit charges at (0, 0, +-c)."""
+    if not np.isfinite(c):
+        raise ValueError(f"half-separation must be finite, got {c}")
     if c <= 0:
         raise ValueError(f"half-separation must be positive, got {c}")
     return GhConfig(centers=((0.0, 0.0, c), (0.0, 0.0, -c)), charges=(1, 1), eps_gh=eps_gh)

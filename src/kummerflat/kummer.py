@@ -235,6 +235,8 @@ def cutoff_beta(zeta, t):
 
 def cutoff_beta_derivs(zeta, t):
     """Cutoff value with first and second t-derivatives (analytic)."""
+    if not np.isfinite(zeta):
+        raise ValueError(f"gluing radius must be finite, got {zeta}")
     if zeta <= 0:
         raise ValueError(f"gluing radius must be positive, got {zeta}")
     t = np.asarray(t, dtype=float)

@@ -1,6 +1,6 @@
-"""Every function, method and class in the package and the scripts has a
-caller there, apart from a pinned list; a new caller-less definition
-fails here until it gets a caller or a place in the list."""
+"""Every function, method and class in the package has a caller there,
+apart from a pinned list; a new caller-less definition fails here until
+it gets a caller or a place in the list."""
 
 import ast
 import pathlib
@@ -25,7 +25,7 @@ CALLER_LESS = {
 
 def _caller_less_definitions():
     defined, used = set(), set()
-    for path in sorted([*(ROOT / "src" / "kummerflat").glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
+    for path in sorted((ROOT / "src" / "kummerflat").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):

@@ -450,13 +450,17 @@ class TestVerifyGh:
             assert run(["verify-gh", "--c", c, "--eps-gh", eps_gh, "--out", str(tmp_path)]) == 1
             assert capsys.readouterr().err.startswith("error: overflow encountered")
 
-    def test_nan_potential_constant_fails_checks(self):
-        # the builtin max dropped a NaN that followed a number, so these
-        # checks passed with residual 0
-        checks = [c for c in cli.verify_gh_checks(0.5, float("nan")) if not c.get("skipped")]
-        assert [c["check"] for c in checks] == ["connection-curl", "potential-harmonic"]
-        for c in checks:
-            assert np.isnan(c["max_residual"]) and c["pass"] is False
+    def test_nan_potential_constant_is_rejected(self):
+        # a NaN constant made every potential value NaN; the ansatz now
+        # refuses it before any check samples a point
+        with pytest.raises(ValueError, match="^ansatz constant must be finite, got nan$"):
+            cli.verify_gh_checks(0.5, float("nan"))
+
+    def test_nan_residual_fails_its_check(self):
+        # the builtin max dropped a NaN that followed a number, so such a
+        # check passed with residual 0
+        entry = cli._entry("connection-curl", [0.0, float("nan"), 0.0], 1e-5)
+        assert np.isnan(entry["max_residual"]) and entry["pass"] is False
 
 
 class TestScaling:

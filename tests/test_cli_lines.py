@@ -1,10 +1,11 @@
 """Every command line the project ships still parses and validates.
 
 The lines are those of the CI workflow's console-script step, those of
-README's "Command line" section, extracted the way CI extracts them, and
-the benchmark's ops.  Each goes through build_parser, build_run_config
-and _validate, and none is run; a flag that a command stops reading
-fails here rather than only in CI or in the benchmark.
+README's "Command line" section (the shipped experiment lines), extracted
+the way CI extracts them, and the benchmark's ops.  Each goes through
+build_parser, build_run_config and _validate, and none is run; a flag
+that a command stops reading fails here rather than only in CI or in the
+benchmark.
 """
 
 import importlib.util
@@ -80,6 +81,13 @@ def test_readme_line_parses(line, tmp_path):
     line = line.replace("--out artifacts/", "--out $RUNNER_TEMP/readme/")
     cfg = _accepted(_argv(line, tmp_path))
     assert cfg.out.is_relative_to(tmp_path / "readme")
+
+
+def test_readme_lines_write_to_distinct_directories(tmp_path):
+    # CI diffs two runs of these lines; a line that shares another's --out
+    # overwrites its artifacts, and the diff sees only the last writer
+    outs = [_accepted(_argv(line, tmp_path)).out for line in README]
+    assert len(set(outs)) == len(outs), outs
 
 
 @pytest.mark.parametrize("op", [op for _, op in BENCHMARK], ids=[name for name, _ in BENCHMARK])

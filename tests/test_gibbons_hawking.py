@@ -38,6 +38,28 @@ def test_two_center_rejects_nonpositive_offset():
         GH.two_center_config(0.0)
 
 
+@pytest.mark.parametrize("c, message", [
+    (np.nan, "half-separation must be finite, got nan"),
+    (np.inf, "half-separation must be finite, got inf"),
+    (-np.inf, "half-separation must be finite, got -inf"),
+    (-0.5, "half-separation must be positive, got -0.5"),
+])
+def test_two_center_rejects_nonfinite_or_negative_offset(c, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GH.two_center_config(c)
+
+
+@pytest.mark.parametrize("eps_gh, message", [
+    (np.nan, "ansatz constant must be finite, got nan"),
+    (np.inf, "ansatz constant must be finite, got inf"),
+    (-np.inf, "ansatz constant must be finite, got -inf"),
+    (-1.0, "ansatz constant must be nonnegative"),
+])
+def test_config_rejects_nonfinite_or_negative_constant(eps_gh, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GH.GhConfig(centers=((0, 0, 1), (0, 0, -1)), charges=(1, 1), eps_gh=eps_gh)
+
+
 # ---------------------------------------------------------------------------
 # potential
 

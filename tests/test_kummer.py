@@ -184,6 +184,17 @@ class TestCutoff:
         assert np.all(np.diff(mb) < 0)
         assert np.all((mb > 0) & (mb < 1))
 
+    @pytest.mark.parametrize("zeta, message", [
+        (np.nan, "gluing radius must be finite, got nan"),
+        (np.inf, "gluing radius must be finite, got inf"),
+        (-np.inf, "gluing radius must be finite, got -inf"),
+        (0.0, "gluing radius must be positive, got 0.0"),
+        (-0.1, "gluing radius must be positive, got -0.1"),
+    ])
+    def test_rejects_nonfinite_or_nonpositive_radius(self, zeta, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            km.cutoff_beta_derivs(zeta, 0.01)
+
     def test_analytic_derivatives_match_differences(self):
         zeta = 1.0 / 9.0
         h = 1e-5
