@@ -255,7 +255,9 @@ def _print_report(report, path):
 
 
 def _radial_points(rng, n, r_lo=1.2, r_hi=4.0, pole_margin=0.3):
-    """Radial-chart samples away from the bolt and the polar axes."""
+    """Radial-chart samples away from the bolt and the polar axes, one
+    point per row; a check evaluates on their transpose, the batch with
+    the coordinates on its leading axis."""
     pts = np.empty((n, 4))
     pts[:, 0] = rng.uniform(r_lo, r_hi, n)
     pts[:, 1] = rng.uniform(pole_margin, np.pi - pole_margin, n)
@@ -283,20 +285,15 @@ def check_structure_equations(rng, flip_sigma2_sign=False):
     s1, s2, s3 = eh.sigma_forms()
     if flip_sigma2_sign:
         s2 = s2 * (-1.0)
-    pts = _radial_points(rng, 200)
-    residuals = []
-    for a, b, c in ((s1, s2, s3), (s2, s3, s1), (s3, s1, s2)):
-        resid = forms.ext_d(a) - forms.wedge(b, c) * 2.0
-        residuals += [resid.max_abs(p) for p in pts]
+    pts = _radial_points(rng, 200).T
+    residuals = [(forms.ext_d(a) - forms.wedge(b, c) * 2.0).max_abs(pts)
+                 for a, b, c in ((s1, s2, s3), (s2, s3, s1), (s3, s1, s2))]
     return _entry("frame-structure-equations", residuals, 1e-6)
 
 
 def check_kahler_closedness(rng):
-    pts = _radial_points(rng, 200)
-    residuals = []
-    for om in eh.kahler_forms(EH_PARAMS):
-        d = forms.ext_d(om)
-        residuals += [d.max_abs(p) for p in pts]
+    pts = _radial_points(rng, 200).T
+    residuals = [forms.ext_d(om).max_abs(pts) for om in eh.kahler_forms(EH_PARAMS)]
     return _entry("kahler-forms-closed", residuals, 1e-6)
 
 
@@ -315,25 +312,23 @@ def check_potential_to_form(rng):
     strs = eh.complex_structures(EH_PARAMS)
     cand = forms.ext_d(forms.apply_J(strs["I"], eh.potential_differential(EH_PARAMS))) * (-0.5)
     target = eh.kahler_forms(EH_PARAMS)[0]
-    pts = _radial_points(rng, 200)
-    return _entry("potential-to-first-form", [(cand - target).max_abs(p) for p in pts], 1e-6)
+    pts = _radial_points(rng, 200).T
+    return _entry("potential-to-first-form", (cand - target).max_abs(pts), 1e-6)
 
 
 def check_potential_doubling():
     """Twice the potential equals the closed-form doubled reference,
     relative to its scale."""
-    residuals = []
-    for u in np.geomspace(0.1, 10.0, 41):
-        scale = max(abs(eh.doubled_potential_reference(EH_PARAMS, u)), 1.0)
-        residuals.append(eh.joyce_potential_check(EH_PARAMS, u) / scale)
-    return _entry("potential-doubling-factor", residuals, 1e-10)
+    u = np.geomspace(0.1, 10.0, 41)
+    scale = np.maximum(np.abs(eh.doubled_potential_reference(EH_PARAMS, u)), 1.0)
+    return _entry("potential-doubling-factor", eh.joyce_potential_check(EH_PARAMS, u) / scale, 1e-10)
 
 
 def check_volume_form_pullback(rng):
     emb = eh.resolving_to_complex()
     target = eh.holomorphic_volume_form(EH_PARAMS)
     pb = forms.pullback(emb, eh.complex_coordinate_area_form())
-    residuals = [(pb - target).max_abs(c) for c in _resolving_points(rng, 20)]
+    residuals = (pb - target).max_abs(_resolving_points(rng, 20).T)
     return _entry("holomorphic-volume-pullback", residuals, 1e-8)
 
 
@@ -342,16 +337,14 @@ def check_volume_form_square(rng):
     round-off, relative to the squared form scale."""
     om = eh.holomorphic_volume_form(EH_PARAMS)
     sq = forms.wedge(om, om)
-    residuals = []
-    for c in _resolving_points(rng, 10):
-        scale = max(om.max_abs(c) ** 2, 1e-300)
-        residuals.append(abs(sq.coeff((0, 1, 2, 3), c)) / scale)
-    return _entry("holomorphic-volume-square", residuals, 1e-13)
+    pts = _resolving_points(rng, 10).T
+    scale = np.maximum(forms.power(om.max_abs(pts), 2), 1e-300)
+    return _entry("holomorphic-volume-square", np.abs(sq.coeff((0, 1, 2, 3), pts)) / scale, 1e-13)
 
 
 def check_ricci_flat(rng):
-    pts = _radial_points(rng, 100, r_lo=1.5, pole_margin=0.5)
-    residuals = [np.abs(eh.ricci_residual(lambda c: eh.eh_metric(EH_PARAMS, c), c)) for c in pts]
+    pts = _radial_points(rng, 100, r_lo=1.5, pole_margin=0.5).T
+    residuals = np.abs(eh.ricci_residual(lambda c: eh.eh_metric(EH_PARAMS, c), pts))
     return _entry("ricci-flat", residuals, 1e-4)
 
 
@@ -381,28 +374,22 @@ def cmd_verify_eh(cfg, models):
 def check_curl_equation(c, eps_gh, rng):
     """curl A = grad V in the orthonormal cylindrical frame."""
     cfg = gh.two_center_config(c, eps_gh)
-    residuals = []
-    for _ in range(100):
-        p = gh.CylPoint(
-            rng.uniform(0.0, 4.0 * np.pi),
-            rng.uniform(0.3, 2.0),
-            rng.uniform(0.0, 2.0 * np.pi),
-            rng.uniform(-1.5, 1.5),
-        )
-        residuals.append(np.abs(gh.curl_residual(cfg, p)))
-    return _entry("connection-curl", residuals, 1e-5)
+    # one row (psi, rho, phi, z) per point, drawn in that order
+    pts = rng.uniform((0.0, 0.3, 0.0, -1.5), (4.0 * np.pi, 2.0, 2.0 * np.pi, 1.5), (100, 4))
+    return _entry("connection-curl", np.abs(gh.curl_residual(cfg, pts.T)), 1e-5)
 
 
 def check_harmonic_potential(c, eps_gh, rng):
     cfg = gh.two_center_config(c, eps_gh)
     centers = [np.asarray(ctr) for ctr in cfg.centers]
-    residuals = []
-    while len(residuals) < 50:
+    pts = []
+    while len(pts) < 50:
         x = rng.uniform(-2.5, 2.5, 3)
         # sample at least unit distance from both centers
         if min(np.linalg.norm(x - ctr) for ctr in centers) < 1.0:
             continue
-        residuals.append(abs(gh.harmonic_residual(cfg, x, step=1e-2)))
+        pts.append(x)
+    residuals = np.abs(gh.harmonic_residual(cfg, np.transpose(pts), step=1e-2))
     return _entry("potential-harmonic", residuals, 1e-6)
 
 
@@ -410,8 +397,8 @@ def check_gh_eh_isometry(c, rng):
     """Pullback of the two-center metric matches the scaled
     Eguchi-Hanson metric with matched parameters."""
     a = np.sqrt(2.0 * c)
-    pts = _radial_points(rng, 100, r_lo=1.2 * a, r_hi=4.0 * a)
-    return _entry("gh-eh-isometry", [gh.isometry_residual(c, p) for p in pts], 1e-6)
+    pts = _radial_points(rng, 100, r_lo=1.2 * a, r_hi=4.0 * a).T
+    return _entry("gh-eh-isometry", gh.isometry_residual(c, pts), 1e-6)
 
 
 def verify_gh_checks(c, eps_gh, seed=0):

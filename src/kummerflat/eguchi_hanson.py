@@ -27,10 +27,13 @@ from .forms import (
     ChartMap,
     CoefficientForm,
     ComplexStructure,
+    as_stack,
     central_partials,
     coords_of,
+    first_bad,
     one_form,
     per_point,
+    power,
     wedge,
 )
 
@@ -50,36 +53,36 @@ class EhParams:
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Symmetric 4x4 metric components at a point."""
+    """Symmetric metric components, shape (4, 4, ...) on a batch."""
 
     components: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.components, dtype=float)
-        if m.shape != (DIM, DIM):
+        if m.shape[:2] != (DIM, DIM):
             raise ValueError("metric components must be 4x4")
-        # np.allclose(m, m.T, atol=1e-12) written out on Python floats,
-        # which cost less than numpy's ufuncs on 16 entries; a NaN or an
+        mt = np.swapaxes(m, 0, 1)
+        # np.allclose(m, m.T, atol=1e-12), except that a NaN or an
         # infinity fails it
-        rows = m.tolist()
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                y = rows[j][i]
-                if not abs(x - y) <= 1e-12 + 1e-5 * abs(y):
-                    raise ValueError("metric components must be symmetric")
-        object.__setattr__(self, "components", 0.5 * (m + m.T))
+        with np.errstate(invalid="ignore"):
+            symmetric = np.abs(m - mt) <= 1e-12 + 1e-5 * np.abs(mt)
+        if not np.all(symmetric):
+            raise ValueError("metric components must be symmetric")
+        object.__setattr__(self, "components", 0.5 * (m + mt))
 
     def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.components)[0])
+        return np.linalg.eigvalsh(as_stack(self.components))[..., 0]
 
 
 def _check_r(params, r):
-    if r <= params.a:
-        raise ValueError(f"radial coordinate r={r:.6g} does not exceed the bolt radius a={params.a:.6g}")
+    bad = r <= params.a
+    if np.any(bad):
+        raise ValueError(f"radial coordinate r={first_bad(r, bad):.6g} does not exceed "
+                         f"the bolt radius a={params.a:.6g}")
 
 
 def _w_factor(params, r):
-    return 1.0 - (params.a / r) ** 4
+    return 1.0 - power(params.a / r, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +119,7 @@ def coframe_matrix(params):
         _check_r(params, r)
         w = _w_factor(params, r)
         sw = np.sqrt(w)
-        E = np.zeros((DIM, DIM))
+        E = np.zeros((DIM, DIM) + np.shape(r))
         E[0, 0] = 1.0 / sw
         E[1, 1] = -0.5 * r * np.cos(ps)
         E[1, 2] = -0.5 * r * np.sin(th) * np.sin(ps)
@@ -137,12 +140,13 @@ def _radial_chart_metric(c, g_rr, w):
     """Radial-chart components with radial entry g_rr and angular part
     r^2 (sigma1^2 + sigma2^2 + w sigma3^2), w the fiber factor."""
     r, th = c[0], c[1]
-    g = np.zeros((DIM, DIM))
+    r2 = power(r, 2)
+    g = np.zeros((DIM, DIM) + np.shape(r))
     g[0, 0] = g_rr
-    g[1, 1] = r**2 / 4.0
-    g[2, 2] = (r**2 / 4.0) * (np.sin(th) ** 2 + w * np.cos(th) ** 2)
-    g[3, 3] = r**2 * w / 4.0
-    g[2, 3] = g[3, 2] = r**2 * w * np.cos(th) / 4.0
+    g[1, 1] = r2 / 4.0
+    g[2, 2] = (r2 / 4.0) * (power(np.sin(th), 2) + w * power(np.cos(th), 2))
+    g[3, 3] = r2 * w / 4.0
+    g[2, 3] = g[3, 2] = r2 * w * np.cos(th) / 4.0
     return MetricTensor(g)
 
 
@@ -155,7 +159,7 @@ def eh_metric(params, p):
 
 
 def radius_from_resolving(params, u):
-    return (u**4 + params.a**4) ** 0.25
+    return power(power(u, 4) + params.a**4, 0.25)
 
 
 def eh_metric_u_chart(params, p):
@@ -167,15 +171,17 @@ def eh_metric_u_chart(params, p):
     """
     c = coords_of(p)
     u, th = c[0], c[1]
-    if u <= 0:
-        raise ValueError(f"resolving coordinate must be positive, got u={u:.6g}")
-    r2 = np.sqrt(u**4 + params.a**4)
-    g = np.zeros((DIM, DIM))
-    g[0, 0] = u**2 / r2
+    bad = u <= 0
+    if np.any(bad):
+        raise ValueError(f"resolving coordinate must be positive, got u={first_bad(u, bad):.6g}")
+    u4 = power(u, 4)
+    r2 = np.sqrt(u4 + params.a**4)
+    g = np.zeros((DIM, DIM) + np.shape(u))
+    g[0, 0] = power(u, 2) / r2
     g[1, 1] = r2 / 4.0
-    g[2, 2] = (r2 / 4.0) * np.sin(th) ** 2 + (u**4 / (4.0 * r2)) * np.cos(th) ** 2
-    g[3, 3] = u**4 / (4.0 * r2)
-    g[2, 3] = g[3, 2] = u**4 * np.cos(th) / (4.0 * r2)
+    g[2, 2] = (r2 / 4.0) * power(np.sin(th), 2) + (u4 / (4.0 * r2)) * power(np.cos(th), 2)
+    g[3, 3] = u4 / (4.0 * r2)
+    g[2, 3] = g[3, 2] = u4 * np.cos(th) / (4.0 * r2)
     return MetricTensor(g)
 
 
@@ -189,9 +195,9 @@ def metric_series(params, p, order):
     """
     c = coords_of(p)
     _check_r(params, c[0])
-    q = (params.a / c[0]) ** 4
+    q = power(params.a / c[0], 4)
     w = 1.0 if order == 0 else 1.0 - q
-    return _radial_chart_metric(c, sum(q**n for n in range(order + 1)), w)
+    return _radial_chart_metric(c, sum(power(q, n) for n in range(order + 1)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +255,9 @@ def kahler_forms(params):
 
     def r2_sw(c):
         _check_r(params, c[0])
-        return c[0] ** 2 * np.sqrt(_w_factor(params, c[0]))
+        return power(c[0], 2) * np.sqrt(_w_factor(params, c[0]))
 
-    omega_i = wedge(dr * r_, s3) + wedge(s1, s2) * (lambda c: r_(c) ** 2)
+    omega_i = wedge(dr * r_, s3) + wedge(s1, s2) * (lambda c: power(r_(c), 2))
     omega_j = wedge(dr * r_over_sw, s1) + wedge(s2, s3) * r2_sw
     omega_k = wedge(dr * r_over_sw, s2) + wedge(s3, s1) * r2_sw
     return omega_i, omega_j, omega_k
@@ -270,13 +276,13 @@ def kahler_forms_u_chart(params):
         return c[0]
 
     def u2(c):
-        return c[0] ** 2
+        return power(c[0], 2)
 
     def r2(c):
-        return np.sqrt(c[0] ** 4 + params.a**4)
+        return np.sqrt(power(c[0], 4) + params.a**4)
 
     def u3_over_r2(c):
-        return c[0] ** 3 / r2(c)
+        return power(c[0], 3) / r2(c)
 
     omega_i = wedge(du * u3_over_r2, s3) + wedge(s1, s2) * r2
     omega_j = wedge(du * u_, s1) + wedge(s2, s3) * u2
@@ -316,8 +322,8 @@ def kahler_potential(params, r):
 
 def kahler_potential_derivative(params, r):
     a = params.a
-    _check_r(params, float(np.min(np.asarray(r))))
     r = np.asarray(r, dtype=float)
+    _check_r(params, r)
     return r**5 / (r**4 - a**4)
 
 
@@ -367,7 +373,7 @@ def radial_hessian_derivs(a, w):
 
 def potential_differential(params):
     """The 1-form d(potential) on the radial chart."""
-    return one_form(EH_R, {0: lambda c: float(kahler_potential_derivative(params, c[0]))})
+    return one_form(EH_R, {0: lambda c: kahler_potential_derivative(params, c[0])})
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +383,16 @@ def potential_differential(params):
 def resolving_to_radial(params):
     def fwd(c):
         u = c[0]
-        if u <= 0:
+        if np.any(u <= 0):
             raise ValueError("resolving coordinate must be positive")
         return np.array([radius_from_resolving(params, u), c[1], c[2], c[3]])
 
     def jac(c):
         u = c[0]
         r = radius_from_resolving(params, u)
-        J = np.eye(DIM)
-        J[0, 0] = u**3 / r**3
+        J = np.zeros((DIM, DIM) + np.shape(u))
+        J[1, 1] = J[2, 2] = J[3, 3] = 1.0
+        J[0, 0] = power(u, 3) / power(r, 3)
         return J
 
     return ChartMap(EH_U, EH_R, fwd, jac=jac, name="u_to_r")
@@ -423,7 +430,7 @@ def resolving_to_complex():
             [sh * ea, 0.5 * u * ch * ea, 0.5j * z1, -0.5j * z1],
             [ch * eb, -0.5 * u * sh * eb, -0.5j * z2, -0.5j * z2],
         ])
-        J = np.empty((DIM, DIM))
+        J = np.empty((DIM, DIM) + np.shape(u))
         J[0] = dz[0].real
         J[1] = dz[0].imag
         J[2] = dz[1].real
@@ -443,12 +450,12 @@ def complex_to_resolving():
     def fwd(cc):
         z1 = cc[0] + 1j * cc[1]
         z2 = cc[2] + 1j * cc[3]
-        u = np.hypot(abs(z1), abs(z2))
-        if u <= 0:
+        u = np.hypot(np.abs(z1), np.abs(z2))
+        if np.any(u <= 0):
             raise ValueError("embedding inverse undefined at the origin")
-        th = 2.0 * np.arctan2(abs(z1), abs(z2))
-        a1 = np.angle(z1) if abs(z1) > 0 else 0.0
-        a2 = np.angle(z2) if abs(z2) > 0 else 0.0
+        th = 2.0 * np.arctan2(np.abs(z1), np.abs(z2))
+        a1 = np.where(np.abs(z1) > 0, np.angle(z1), 0.0)
+        a2 = np.where(np.abs(z2) > 0, np.angle(z2), 0.0)
         # a1 = (phi - psi)/2, a2 = -(phi + psi)/2
         ph = a1 - a2
         ps = (-(a1 + a2)) % (2.0 * np.pi)
@@ -481,16 +488,17 @@ def _metric_matrix(metric_fn, coords):
 
 def christoffel_symbols(metric_fn, coords, step=1e-3):
     """Christoffel symbols Gamma^a_{bc} from central differences of the
-    metric components."""
+    metric components, shape (4, 4, 4, ...) on a batch."""
     coords = np.asarray(coords, dtype=float)
-    g = _metric_matrix(metric_fn, coords)
-    if np.linalg.eigvalsh(g)[0] <= 0:
-        raise ValueError(f"metric not positive definite at {coords}")
-    ginv = np.linalg.inv(g)
+    g = as_stack(_metric_matrix(metric_fn, coords))
+    bad = np.linalg.eigvalsh(g)[..., 0] <= 0
+    if np.any(bad):
+        raise ValueError(f"metric not positive definite at {first_bad(coords, bad)}")
+    ginv = np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1))
     dg = central_partials(lambda c: _metric_matrix(metric_fn, c), coords, step)
     # inner[d,b,c] = dg_{dc,b} + dg_{db,c} - dg_{bc,d}
-    inner = dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, inner)
+    inner = np.swapaxes(dg, 1, 2) + dg - np.moveaxis(dg, 2, 0)
+    return 0.5 * np.einsum("ad...,dbc...->abc...", ginv, inner)
 
 
 def ricci_residual(metric_fn, coords, step=1e-3):
@@ -500,9 +508,10 @@ def ricci_residual(metric_fn, coords, step=1e-3):
     Second order accurate; halving the step should shrink the residual
     of a flat-in-disguise metric by about a factor of four.  The nine
     Christoffel stencils sample the metric 81 times, at 41 distinct
-    points (the centre, the 16 at +-step and +-2 step along one axis,
-    the 24 at +-step along two axes), and each distinct sample is
-    evaluated once.
+    shifts of the batch (the centre, the 16 at +-step and +-2 step along
+    one axis, the 24 at +-step along two axes), and each distinct
+    shifted batch is evaluated once; a shift that rounds back to other
+    bytes, as (c + step) - step may, is one more batch.
     """
     coords = np.asarray(coords, dtype=float)
     metric_fn = per_point(metric_fn)
@@ -511,9 +520,9 @@ def ricci_residual(metric_fn, coords, step=1e-3):
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
     #           + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
     riem = (
-        dgamma.transpose(0, 2, 3, 1)
-        - dgamma.transpose(0, 2, 1, 3)
-        + np.einsum("ace,edb->abcd", gamma0, gamma0)
-        - np.einsum("ade,ecb->abcd", gamma0, gamma0)
+        np.moveaxis(dgamma, 1, 3)
+        - np.swapaxes(dgamma, 1, 2)
+        + np.einsum("ace...,edb...->abcd...", gamma0, gamma0)
+        - np.einsum("ade...,ecb...->abcd...", gamma0, gamma0)
     )
-    return np.einsum("abad->bd", riem)
+    return np.einsum("abad...->bd...", riem)

@@ -7,12 +7,26 @@ well defined and second-order accurate.  Pullbacks contract coefficient
 functions with jacobian minors.  A small complex-structure type acts on
 1-forms through a declared orthonormal coframe.
 
+Every function here, and every coefficient, metric and chart map of
+eguchi_hanson and gibbons_hawking, evaluates on a batch of points: a
+float array with the four chart coordinates on its leading axis and the
+samples after it, of which one point, shape (4,), is the case without
+sample axes.  Values keep the same layout, component and derivative
+axes first and sample axes last: a coefficient has the samples' shape,
+a 1-form's components (4, ...), a metric or a jacobian (4, 4, ...).  A
+guard raises if any sample of the batch is bad, with the message it
+gives for that sample alone.  as_stack moves the two matrix axes to
+the end for np.linalg.  power and product raise to a power and
+multiply complex values on a batch as on one point, so that a batch
+gives each of its points the bits the point gets alone wherever numpy's
+array and scalar functions agree.
+
 central_partials is the central difference behind finite-difference
 jacobians, the curvature and the Cauchy-Riemann and curl residuals
 (ext_d keeps its own, and validates every sample it evaluates: the two
 stencil points, which cover the centre), and coords_of the
-one point-to-coordinates accessor.  per_point computes a per-point
-quantity once where several coefficients share it: the frame solve of
+one point-to-coordinates accessor.  per_point computes a quantity once
+per batch where several coefficients share it: the frame solve of
 apply_J, the map and jacobian of pullback, the second derivatives of
 i_ddbar and the metric samples of a Ricci residual.  Hermitian 2x2
 matrices are the components (h11, h22, Re h12, Im h12) along a leading
@@ -52,23 +66,23 @@ class Chart:
 
     def validate(self, coords, margin=0.0):
         coords = np.asarray(coords, dtype=float)
-        if coords.shape != (DIM,):
+        if coords.shape[:1] != (DIM,):
             raise ValueError(f"chart {self.name}: expected {DIM} coordinates, got {coords.shape}")
-        # on Python floats: four comparisons cost less than one numpy
-        # reduction, and NaN fails the chain as an infinity does
-        values = coords.tolist()
-        for x in values:
-            if not -np.inf < x < np.inf:
-                raise ValueError(f"chart {self.name}: non-finite coordinates {coords}")
-        for i, x in enumerate(values):
-            if self.periodic[i]:
-                continue
-            lo, hi = self.lower[i], self.upper[i]
-            if not (lo + margin < x < hi - margin):
-                raise ValueError(
-                    f"chart {self.name}: coordinate {self.coord_names[i]}={x:.6g} "
-                    f"violates open bounds ({lo:.6g}, {hi:.6g}) with margin {margin:.3g}"
-                )
+        lower = _leading(np.array(self.lower) + margin, coords)
+        upper = _leading(np.array(self.upper) - margin, coords)
+        periodic = _leading(np.array(self.periodic), coords)
+        # a periodic coordinate has no bounds, but must be finite
+        inside = np.isfinite(coords) & (periodic | ((lower < coords) & (coords < upper)))
+        bad = ~np.all(inside, axis=0)
+        if np.any(bad):
+            c = first_bad(coords, bad)
+            if not np.all(np.isfinite(c)):
+                raise ValueError(f"chart {self.name}: non-finite coordinates {c}")
+            i = int(np.argmin(first_bad(inside, bad)))
+            raise ValueError(
+                f"chart {self.name}: coordinate {self.coord_names[i]}={c[i]:.6g} "
+                f"violates open bounds ({self.lower[i]:.6g}, {self.upper[i]:.6g}) with margin {margin:.3g}"
+            )
         return coords
 
 
@@ -92,10 +106,51 @@ def coords_of(p):
     return np.asarray(p, dtype=float) if coords is None else coords
 
 
+def _leading(values, coords):
+    """A length-4 array of per-coordinate values, shaped to broadcast
+    along the leading axis of a batch of coordinates."""
+    return np.reshape(values, (DIM,) + (1,) * (np.ndim(coords) - 1))
+
+
+def first_bad(values, bad):
+    """The sample of values at the first sample, in C order, where the
+    boolean array bad holds.  values has bad's shape after any leading
+    component axes, or is a scalar."""
+    values = np.asarray(values)
+    lead = max(values.ndim - np.ndim(bad), 0)
+    values = np.broadcast_to(values, values.shape[:lead] + np.shape(bad))
+    k = np.flatnonzero(bad)[0]
+    return values.reshape(values.shape[:lead] + (-1,))[..., k]
+
+
+def as_stack(m):
+    """Matrices stored with their two axes first, as the (..., rows,
+    columns) stack that np.linalg and matmul take."""
+    return np.moveaxis(m, (0, 1), (-2, -1))
+
+
+def power(x, n):
+    """x**n, entry by entry by libm's pow.  On numpy and Python scalars,
+    so on one point's coordinates, ** calls libm's pow, while numpy's
+    array power takes SIMD paths that round otherwise; np.float_power
+    calls libm on both, so a batch gets each point's bits."""
+    return np.float_power(x, n)
+
+
+def product(x, y):
+    """x * y, with a product of two complex values rounded as numpy
+    rounds it on scalars, (ac - bd) + i(ad + bc) in plain arithmetic,
+    where its array multiply fuses multiply-adds."""
+    if np.iscomplexobj(x) and np.iscomplexobj(y):
+        return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+    return x * y
+
+
 def central_partials(fn, coords, step, axes=range(DIM)):
     """Central differences (fn(c + step e_j) - fn(c - step e_j)) / (2 step)
-    of an array-valued ``fn`` at ``coords`` for each j in ``axes``,
-    stacked along a new last axis."""
+    of an array-valued ``fn`` at a batch of ``coords`` for each j in
+    ``axes``, stacked along a new axis after fn's component axes and
+    before the sample axes."""
     coords = np.asarray(coords, dtype=float)
     cols = []
     for j in axes:
@@ -104,27 +159,27 @@ def central_partials(fn, coords, step, axes=range(DIM)):
         cp[j] += step
         cm[j] -= step
         cols.append((np.asarray(fn(cp)) - np.asarray(fn(cm))) / (2 * step))
-    return np.stack(cols, axis=-1)
+    return np.stack(cols, axis=cols[0].ndim - (coords.ndim - 1))
 
 
-# more than the 41 distinct points of one Ricci residual
+# more than the 41 distinct batches of one Ricci residual
 PER_POINT_CACHE = 64
 
 
 def per_point(fn):
-    """fn, evaluated once per point: its value is cached under the exact
-    bytes of the float coordinate array, in an LRU of PER_POINT_CACHE
-    points owned by the returned closure.  A point reached by another
-    rounding is another point, so a cached value is always fn's value
-    at exactly these coordinates; an fn that raises caches nothing.
-    fn gets its own copy of the coordinates, so a value that shares
-    memory with them (an identity map's image) outlives a caller that
-    reuses its coordinate buffer."""
+    """fn, evaluated once per batch of points: its value is cached under
+    the exact bytes of the whole float coordinate array, in an LRU of
+    PER_POINT_CACHE batches owned by the returned closure.  A batch
+    reached by another rounding is another batch, so a cached value is
+    always fn's value at exactly these coordinates; an fn that raises
+    caches nothing.  fn gets its own copy of the coordinates, so a value
+    that shares memory with them (an identity map's image) outlives a
+    caller that reuses its coordinate buffer."""
     cache = {}
 
     def cached(c):
         c = np.array(c, dtype=float)
-        key = c.tobytes()
+        key = (c.shape, c.tobytes())
         if key in cache:
             value = cache.pop(key)
         else:
@@ -180,10 +235,11 @@ PROLATE = Chart(
 class ChartMap:
     """Smooth map between charts with an optional analytic jacobian.
 
-    ``forward`` maps a coordinate array to a coordinate array.  When no
-    jacobian is supplied a central finite difference with step
-    ``fd_step`` is used.  ``jacobian_floor`` guards against evaluating
-    pullbacks where the map degenerates.
+    ``forward`` maps a batch of coordinates to a batch of coordinates,
+    and ``jac`` to the (4, 4, ...) jacobians.  When no jacobian is
+    supplied a central finite difference with step ``fd_step`` is used.
+    ``jacobian_floor`` guards against evaluating pullbacks where the map
+    degenerates.
     """
 
     source: Chart
@@ -207,9 +263,11 @@ class ChartMap:
             J = np.asarray(self.jac(coords), dtype=float)
         else:
             J = central_partials(self.forward, coords, self.fd_step)
-        det = np.linalg.det(J)
-        if abs(det) < self.jacobian_floor:
-            raise ValueError(f"map {self.name}: jacobian determinant {det:.3g} below floor at {coords}")
+        det = np.linalg.det(as_stack(J))
+        bad = np.abs(det) < self.jacobian_floor
+        if np.any(bad):
+            raise ValueError(f"map {self.name}: jacobian determinant {first_bad(det, bad):.3g} "
+                             f"below floor at {first_bad(coords, bad)}")
         return J
 
 
@@ -268,11 +326,11 @@ class CoefficientForm:
         return {idx: f(coords) for idx, f in self.terms.items()}
 
     def as_vector(self, coords):
-        """Coordinate components of a 1-form as a length-4 array."""
+        """Coordinate components of a 1-form, shape (4, ...)."""
         if self.degree != 1:
             raise ValueError("as_vector is defined for degree-1 forms")
         vals = self.evaluate(coords)
-        out = np.zeros(DIM, dtype=complex)
+        out = np.zeros((DIM,) + np.shape(coords)[1:], dtype=complex)
         for (i,), v in vals.items():
             out[i] = v
         if not out.imag.any():
@@ -280,11 +338,11 @@ class CoefficientForm:
         return out
 
     def as_matrix(self, coords):
-        """Antisymmetric component matrix of a 2-form."""
+        """Antisymmetric component matrix of a 2-form, shape (4, 4, ...)."""
         if self.degree != 2:
             raise ValueError("as_matrix is defined for degree-2 forms")
         vals = self.evaluate(coords)
-        out = np.zeros((DIM, DIM), dtype=complex)
+        out = np.zeros((DIM, DIM) + np.shape(coords)[1:], dtype=complex)
         for (i, j), v in vals.items():
             out[i, j] = v
             out[j, i] = -v
@@ -293,11 +351,13 @@ class CoefficientForm:
         return out
 
     def max_abs(self, coords):
-        vals = self.evaluate(coords)
+        """The largest coefficient modulus at each sample."""
+        samples = np.shape(coords)[1:]
+        vals = [np.broadcast_to(v, samples) for v in self.evaluate(coords).values()]
         if not vals:
-            return 0.0
-        # np.max, unlike the builtin, returns NaN wherever one occurs
-        return np.max(np.abs(list(vals.values())))
+            return np.zeros(samples)[()]
+        # np.max returns NaN wherever one occurs
+        return np.max(np.abs(vals), axis=0)
 
     # -- algebra
 
@@ -375,7 +435,7 @@ def wedge(f, g):
                 continue
 
             def coeff(c, _fa=fa, _gb=gb, _s=sign):
-                return _s * _fa(c) * _gb(c)
+                return product(_s * _fa(c), _gb(c))
 
             if merged in terms:
                 prev = terms[merged]
@@ -429,7 +489,7 @@ def pullback(m, f):
         return CoefficientForm(m.source, 0, {(): lambda c: f.coeff((), m.forward(c))})
     source_tuples = list(itertools.combinations(range(DIM), k))
 
-    # the terms at one point share one image and one jacobian
+    # the terms at one batch share one image and one jacobian
     @per_point
     def image(c):
         return np.asarray(m.forward(c), dtype=float), m.jacobian(c)
@@ -442,7 +502,7 @@ def pullback(m, f):
             total = 0.0
             for idx, fn in f.terms.items():
                 minor = J[np.ix_(idx, _jdx)]
-                total = total + fn(y) * np.linalg.det(minor)
+                total = total + fn(y) * np.linalg.det(as_stack(minor))
             return total
 
         terms[jdx] = coeff
@@ -468,7 +528,7 @@ class ComplexStructure:
     name: str
     action: np.ndarray
     chart: Chart
-    coframe: callable  # coords -> 4x4 matrix, row i = coordinate components of e_i
+    coframe: callable  # coords -> (4, 4, ...) matrices, row i = coordinate components of e_i
 
     def __post_init__(self):
         A = np.asarray(self.action, dtype=float)
@@ -488,12 +548,14 @@ def apply_J(structure, f):
             f"coframe mismatch: form on {f.chart.name}, structure {structure.name} declared on {structure.chart.name}"
         )
 
-    # the four components at one point share one frame solve
+    # the four components at one batch share one frame solve; the
+    # explicit (..., 4, 1) right-hand side keeps numpy 2.0's solve from
+    # reading a stack of vectors as one matrix
     @per_point
     def image(c):
-        E = np.asarray(structure.coframe(c), dtype=float)
-        frame_comps = np.linalg.solve(E.T, f.as_vector(c))
-        return E.T @ (structure.action @ frame_comps)
+        Et = np.swapaxes(as_stack(np.asarray(structure.coframe(c), dtype=float)), -1, -2)
+        frame_comps = np.linalg.solve(Et, np.moveaxis(f.as_vector(c), 0, -1)[..., None])
+        return np.moveaxis((Et @ (structure.action @ frame_comps))[..., 0], -1, 0)
 
     terms = {(i,): (lambda c, _i=i: image(c)[_i]) for i in range(DIM)}
     return CoefficientForm(f.chart, 1, terms)
@@ -539,7 +601,8 @@ def hermitian_to_real_two_form(h):
 
 
 def second_derivative_matrix(phi, coords, step=1e-4):
-    """Full 4x4 matrix of second partials by central differences.
+    """Full matrix of second partials by central differences, shape
+    (4, 4, ...) on a batch.
 
     Pure second derivatives use the 3-point stencil, mixed ones the
     4-point cross stencil.
@@ -547,9 +610,10 @@ def second_derivative_matrix(phi, coords, step=1e-4):
     coords = np.asarray(coords, dtype=float)
     h = step
     f0 = phi(coords)
-    if not np.isfinite(f0):
-        raise ValueError(f"non-finite sample at {coords}")
-    d2 = np.empty((DIM, DIM))
+    bad = ~np.isfinite(f0)
+    if np.any(bad):
+        raise ValueError(f"non-finite sample at {first_bad(coords, bad)}")
+    d2 = np.empty((DIM, DIM) + coords.shape[1:])
     for m in range(DIM):
         cp = coords.copy()
         cm = coords.copy()
@@ -569,8 +633,9 @@ def second_derivative_matrix(phi, coords, step=1e-4):
             cmp_[m] -= h
             cmp_[n] += h
             d2[m, n] = d2[n, m] = (phi(cpp) - phi(cpm) - phi(cmp_) + phi(cmm)) / (4 * h**2)
-    if not np.isfinite(d2).all():
-        raise ValueError(f"non-finite second derivatives at {coords}")
+    bad = ~np.all(np.isfinite(d2), axis=(0, 1))
+    if np.any(bad):
+        raise ValueError(f"non-finite second derivatives at {first_bad(coords, bad)}")
     return d2
 
 
@@ -582,11 +647,11 @@ def i_ddbar(phi, step=1e-4, chart=COMPLEX2):
     construction of the symmetrized stencils.
     """
 
-    # the six coefficients at one point share one second-derivative matrix
+    # the six coefficients at one batch share one second-derivative matrix
     @per_point
     def two_form(c):
         d2 = second_derivative_matrix(phi, c, step)
-        return hermitian_to_real_two_form(hermitian_from_second_derivs(d2))
+        return hermitian_to_real_two_form(hermitian_from_second_derivs(as_stack(d2)))
 
     keys = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
     terms = {k: (lambda c, _k=k: two_form(c)[_k]) for k in keys}

@@ -18,7 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import CYL, DIM, EH_R, PROLATE, ChartMap, central_partials, coords_of
+from .forms import (
+    CYL,
+    DIM,
+    EH_R,
+    PROLATE,
+    ChartMap,
+    as_stack,
+    central_partials,
+    coords_of,
+    first_bad,
+    power,
+)
 from .eguchi_hanson import EhParams, MetricTensor, eh_metric
 
 log = logging.getLogger(__name__)
@@ -94,14 +105,19 @@ class CylPoint:
 
 
 def potential_V(cfg, x):
-    """V(x) = eps + sum n_i / |x - x_i|, harmonic away from the centers."""
+    """V(x) = eps + sum n_i / |x - x_i|, harmonic away from the centers,
+    at a batch x of 3-space points (coordinates on the leading axis)."""
     x = np.asarray(x, dtype=float)
     out = cfg.eps_gh
     for ctr, n in zip(cfg.centers, cfg.charges):
-        d = np.linalg.norm(x - np.asarray(ctr))
-        if d < _POLE_EPS:
-            raise ValueError(f"potential pole: evaluation point {tuple(x)} sits at center {ctr}")
-        out += n / d
+        diff = x - np.reshape(ctr, (3,) + (1,) * (x.ndim - 1))
+        # the dot product np.linalg.norm takes on one point
+        d = np.sqrt(np.vecdot(diff, diff, axis=0))
+        bad = d < _POLE_EPS
+        if np.any(bad):
+            raise ValueError(f"potential pole: evaluation point {tuple(first_bad(x, bad))} "
+                             f"sits at center {ctr}")
+        out = out + n / d
     return out
 
 
@@ -114,8 +130,9 @@ def connection_axial(cfg, rho, z):
     for a configuration with all centers on the z-axis."""
     if not cfg.axis_aligned():
         raise ValueError("closed-form connection requires all centers on the symmetry axis")
-    if rho <= 0:
-        raise ValueError(f"connection undefined on the axis, got rho={rho}")
+    bad = rho <= 0
+    if np.any(bad):
+        raise ValueError(f"connection undefined on the axis, got rho={first_bad(rho, bad)}")
     out = 0.0
     for ctr, n in zip(cfg.centers, cfg.charges):
         dz = z - ctr[2]
@@ -133,11 +150,14 @@ def curl_residual(cfg, p, step=1e-4, extra=None):
     """
     coords = coords_of(p)
     rho = coords[1]
-    if rho - step <= 0:
-        raise ValueError(f"need rho > step for centered differences, got rho={rho}, step={step}")
+    bad = rho - step <= 0
+    if np.any(bad):
+        raise ValueError(f"need rho > step for centered differences, "
+                         f"got rho={first_bad(rho, bad)}, step={step}")
 
     def a_field(c):
-        base = np.array([0.0, connection_axial(cfg, c[1], c[3]), 0.0])
+        base = np.zeros((3,) + np.shape(c[1]))
+        base[1] = connection_axial(cfg, c[1], c[3])
         if extra is not None:
             base = base + np.asarray(extra(c[1], c[3]), dtype=float)
         return base
@@ -148,16 +168,16 @@ def curl_residual(cfg, p, step=1e-4, extra=None):
     # rows A_rho, A_phi, A_z, V; columns d/drho, d/dz
     d = central_partials(a_and_v, coords, step, axes=(1, 3))
     a_here = a_field(coords)
-    curl = np.array([
-        -d[1, 1],
+    # curl A minus grad V, whose phi component is zero
+    return np.stack([
+        -d[1, 1] - d[3, 0],
         d[0, 1] - d[2, 0],
-        d[1, 0] + a_here[1] / rho,
+        d[1, 0] + a_here[1] / rho - d[3, 1],
     ])
-    return curl - np.array([d[3, 0], 0.0, d[3, 1]])
 
 
 def harmonic_residual(cfg, x, step):
-    """Fourth-order five-point Laplacian of V at a 3-space point."""
+    """Fourth-order five-point Laplacian of V at a batch of 3-space points."""
     x = np.asarray(x, dtype=float)
     out = 0.0
     for ax in range(3):
@@ -179,17 +199,19 @@ def gh_metric(cfg, p):
     as components in the (psi, rho, phi, z) chart, with B = rho A_phi."""
     coords = coords_of(p)
     rho, phi, z = coords[1], coords[2], coords[3]
-    if rho <= 0:
-        raise ValueError(f"metric undefined on the axis, got rho={rho}")
+    bad = rho <= 0
+    if np.any(bad):
+        raise ValueError(f"metric undefined on the axis, got rho={first_bad(rho, bad)}")
     v = potential_V(cfg, _cyl_to_cart(rho, phi, z))
-    if v <= 0:
-        raise ValueError(f"potential must be positive for a metric, got V={v:.6g}")
+    bad = v <= 0
+    if np.any(bad):
+        raise ValueError(f"potential must be positive for a metric, got V={first_bad(v, bad):.6g}")
     b = rho * connection_axial(cfg, rho, z)
-    g = np.zeros((DIM, DIM))
+    g = np.zeros((DIM, DIM) + np.shape(rho))
     g[0, 0] = 1.0 / v
     g[0, 2] = g[2, 0] = b / v
     g[1, 1] = v
-    g[2, 2] = b**2 / v + v * rho**2
+    g[2, 2] = power(b, 2) / v + v * power(rho, 2)
     g[3, 3] = v
     return MetricTensor(g)
 
@@ -203,17 +225,17 @@ def prolate_to_cylinder(c):
 
     def fwd(coords):
         mu, nu, ph, ps = coords
-        rho = c * np.sqrt((mu**2 - 1.0) * (1.0 - nu**2))
+        rho = c * np.sqrt((power(mu, 2) - 1.0) * (1.0 - power(nu, 2)))
         z = c * mu * nu
         return np.array([ps, rho, ph, z])
 
     def jac(coords):
         mu, nu, _, _ = coords
-        rho = c * np.sqrt((mu**2 - 1.0) * (1.0 - nu**2))
-        J = np.zeros((DIM, DIM))
+        rho = c * np.sqrt((power(mu, 2) - 1.0) * (1.0 - power(nu, 2)))
+        J = np.zeros((DIM, DIM) + np.shape(mu))
         J[0, 3] = 1.0
-        J[1, 0] = c**2 * mu * (1.0 - nu**2) / rho
-        J[1, 1] = -(c**2) * nu * (mu**2 - 1.0) / rho
+        J[1, 0] = c**2 * mu * (1.0 - power(nu, 2)) / rho
+        J[1, 1] = -(c**2) * nu * (power(mu, 2) - 1.0) / rho
         J[2, 2] = 1.0
         J[3, 0] = c * nu
         J[3, 1] = c * mu
@@ -241,7 +263,7 @@ def prolate_chain(c, p):
 def radial_to_prolate(c):
     def fwd(coords):
         r, th, ph, ps = coords
-        return np.array([r**2 / (2.0 * c), np.cos(th), ps, 2.0 * ph])
+        return np.array([power(r, 2) / (2.0 * c), np.cos(th), ps, 2.0 * ph])
 
     return ChartMap(EH_R, PROLATE, fwd, name="r_to_prolate")
 
@@ -253,20 +275,20 @@ def radial_to_cylinder(c):
 
     def fwd(coords):
         r, th, ph, ps = coords
-        rho = 0.5 * np.sqrt(r**4 - a4) * np.sin(th)
-        z = 0.5 * r**2 * np.cos(th)
+        rho = 0.5 * np.sqrt(power(r, 4) - a4) * np.sin(th)
+        z = 0.5 * power(r, 2) * np.cos(th)
         return np.array([2.0 * ph, rho, ps, z])
 
     def jac(coords):
         r, th, _, _ = coords
-        s = np.sqrt(r**4 - a4)
-        J = np.zeros((DIM, DIM))
+        s = np.sqrt(power(r, 4) - a4)
+        J = np.zeros((DIM, DIM) + np.shape(r))
         J[0, 2] = 2.0
-        J[1, 0] = (r**3 / s) * np.sin(th)
+        J[1, 0] = (power(r, 3) / s) * np.sin(th)
         J[1, 1] = 0.5 * s * np.cos(th)
         J[2, 3] = 1.0
         J[3, 0] = r * np.cos(th)
-        J[3, 1] = -0.5 * r**2 * np.sin(th)
+        J[3, 1] = -0.5 * power(r, 2) * np.sin(th)
         return J
 
     return ChartMap(EH_R, CYL, fwd, jac=jac, name="r_to_cyl")
@@ -276,13 +298,14 @@ def isometry_residual(c, sample):
     """Max-abs difference between the pullback of the two-center metric and
     the target GH_TO_EH_SCALE times the Eguchi-Hanson metric with
     a = sqrt(2c), relative to the target's largest entry (at least
-    GH_TO_EH_SCALE, since g_rr >= 1), so that it reads the same at every c."""
+    GH_TO_EH_SCALE, since g_rr >= 1), so that it reads the same at every
+    c; one value per sample of a batch."""
     coords = coords_of(sample)
     a = np.sqrt(2.0 * c)
     m = radial_to_cylinder(c)
     cyl = m(coords)
-    J = m.jacobian(coords)
-    g_cyl = gh_metric(two_center_config(c), cyl).components
-    pulled = J.T @ g_cyl @ J
-    target = GH_TO_EH_SCALE * eh_metric(EhParams(a), coords).components
-    return float(np.max(np.abs(pulled - target)) / np.max(np.abs(target)))
+    J = as_stack(m.jacobian(coords))
+    g_cyl = as_stack(gh_metric(two_center_config(c), cyl).components)
+    pulled = np.swapaxes(J, -1, -2) @ g_cyl @ J
+    target = GH_TO_EH_SCALE * as_stack(eh_metric(EhParams(a), coords).components)
+    return np.max(np.abs(pulled - target), axis=(-2, -1)) / np.max(np.abs(target), axis=(-2, -1))

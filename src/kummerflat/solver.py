@@ -460,9 +460,10 @@ def _precondition(problem, p, hat, z):
 def _glued_operator(problem, u, out=None):
     """B(u) = -[h : P(u)] minus its mean, the operator the inversion
     solves with, into out (a new array by default); its values sum to
-    zero."""
+    zero.  Returns B(u) and the mean of [h : P(u)] it removed."""
     out = hermitian_bracket(problem.field_.data, u, problem.spacing, out)
-    return np.subtract(out.mean(), out, out=out)
+    mean = out.mean()
+    return np.subtract(mean, out, out=out), float(mean)
 
 
 def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, u0=None):
@@ -481,33 +482,38 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, u0=None):
     and its true residual as they are.  The operator's range misses the
     constant direction by a truncation-level amount on non-flat glued
     fields, so convergence is measured on the zero-sum projection of
-    the residual; the leftover constant defect is reported in the info
-    dict, not hidden.
+    the residual; the leftover constant defect, the weighted mean of
+    laplacian(u) - f, is reported in the info dict, not hidden.  It is
+    |mean [h : P(u)] - mean (f det h)| / mean det h, read from the
+    bracket means the operator applies remove: [h : P(u)] is linear in
+    u and zero on constants.
     """
     f = _require_finite(f, "inversion data")
     # operator B(u) = -[h : P(u)], rhs g = -f det h; both sum to zero
     # when f has zero weighted mean
     g = -f * problem.dets
-    g -= g.mean()
+    g_mean = float(g.mean())
+    g -= g_mean
     scale = float(np.linalg.norm(g))
     u = np.zeros_like(f) if u0 is None else np.asarray(u0, dtype=float)
     if scale == 0.0:
         u[...] = 0.0
         return u, {"iterations": 0, "relative_residual": 0.0, "mean_defect": 0.0, "history": [0.0]}
+    bracket_mean = 0.0
     if u0 is not None:
-        g -= _glued_operator(problem, u)
+        applied, bracket_mean = _glued_operator(problem, u)
+        g -= applied
+        del applied
     # g is the residual from here on
     history = [float(np.linalg.norm(g)) / scale]
-    it = _bicgstab(problem, u, g, scale, tol, history) if history[0] > tol else 0
+    it, step_mean = _bicgstab(problem, u, g, scale, tol, history) if history[0] > tol else (0, 0.0)
     del g
     u -= weighted_mean(problem, u)
-    raw = laplacian(problem, u)
-    raw -= f
-    raw *= problem.weight
+    _require_finite(u, "inversion result")
     info = {
         "iterations": it,
         "relative_residual": history[-1],
-        "mean_defect": float(np.abs(np.sum(raw) / np.sum(problem.weight))),
+        "mean_defect": abs(bracket_mean + step_mean + g_mean) / float(problem.dets.mean()),
         "history": history,
     }
     return u, info
@@ -516,7 +522,8 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, u0=None):
 def _bicgstab(problem, u, r, scale, tol, history):
     """The BiCGStab steps of invert_laplacian: updates u and the
     residual r in place, appends each step's relative residual to
-    history and returns the number of steps.
+    history and returns the number of steps and the mean of
+    [h : P(u_end - u_start)].
 
     The work vectors are made once and written in place, and die on
     return: shadow residual r_hat, search direction p, operator images
@@ -529,6 +536,7 @@ def _bicgstab(problem, u, r, scale, tol, history):
     z = np.empty_like(r)
     hat = np.empty(problem.inverse_symbol.shape, dtype=complex)
     rho = alpha = omega = 1.0
+    bracket_mean = 0.0
     for it in range(1, INVERT_MAX_ITER + 1):
         rho_next = float(np.vdot(r_hat, r))
         if rho_next == 0.0 or omega == 0.0:
@@ -541,28 +549,30 @@ def _bicgstab(problem, u, r, scale, tol, history):
         p *= beta
         p += r
         _precondition(problem, p, hat, z)
-        _glued_operator(problem, z, v)
+        _, z_mean = _glued_operator(problem, z, v)
         pivot = float(np.vdot(r_hat, v))
         if pivot == 0.0:
             raise RuntimeError(f"BiCGStab breakdown at step {it}: <r_hat, v> = 0")
         alpha = rho / pivot
         z *= alpha
         u += z
+        bracket_mean += alpha * z_mean
         # half step: r becomes s = r - alpha v
         r -= np.multiply(v, alpha, out=t)
         rel = float(np.linalg.norm(r)) / scale
         if rel > tol:
             _precondition(problem, r, hat, z)
-            _glued_operator(problem, z, t)
+            _, z_mean = _glued_operator(problem, z, t)
             omega = float(np.vdot(t, r)) / float(np.vdot(t, t))
             z *= omega
             u += z
+            bracket_mean += omega * z_mean
             t *= omega
             r -= t
             rel = float(np.linalg.norm(r)) / scale
         history.append(rel)
         if rel <= tol:
-            return it
+            return it, bracket_mean
         if it >= 80 and rel > 0.5 * history[it - 60]:
             raise RuntimeError(
                 f"inversion stagnated at relative residual {rel:.3e} after {it} iterations; "
@@ -756,7 +766,7 @@ def fixed_point_map(problem, psi, phi0=None):
     the inversion's info.  One stencil field P(phi) gives both Q(phi)
     and the corrected field, which takes over P's memory."""
     phi, info = invert_laplacian(problem, psi, u0=phi0)
-    # invert_laplacian's closing laplacian call has checked phi finite
+    # invert_laplacian has checked phi finite
     P = hessian_parts(phi, problem.spacing)
     # -(Q + e_a) rounds exactly as -e_a - Q, without a -e_a temporary
     raw = _remainder_of(problem, P)

@@ -58,12 +58,18 @@ def _accepted(argv):
     return cfg
 
 
+# shell tokens that end a command's own arguments: a redirection or a
+# follow-up command, as in `kummerflat ... 2> err || status=$?`
+_SHELL_TOKENS = ("||", "&&", "|", ">", "2>")
+
+
 def _argv(line, tmp_path):
     words = shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
     while "=" in words[0]:  # leading environment assignments
         words.pop(0)
     assert words[0] == "kummerflat"
-    return words[1:]
+    end = next((i for i, w in enumerate(words) if w in _SHELL_TOKENS), len(words))
+    return words[1:end]
 
 
 def test_every_source_has_lines():

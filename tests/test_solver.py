@@ -142,6 +142,20 @@ class TestInversion:
         assert info["mean_defect"] < 1e-3
         assert abs(sv.weighted_mean(resolved_problem, u)) < 1e-12
 
+    @pytest.mark.parametrize("warm, shift", [(False, 0.0), (True, 0.0), (False, 0.3), (True, -0.2)])
+    def test_mean_defect_is_the_residual_mean(self, resolved_problem, grid16, warm, shift):
+        # read from the operator's bracket means, it is the weighted
+        # mean of laplacian(u) - f, from a cold and from a warm start,
+        # and with data whose weighted mean is not zero
+        rng = np.random.default_rng(6)
+        f = sv.project_mean_zero(resolved_problem, sv.random_smooth_field(grid16, rng)) + shift
+        u0 = sv.project_mean_zero(resolved_problem, 0.5 * sv.random_smooth_field(grid16, rng)) if warm else None
+        u, info = sv.invert_laplacian(resolved_problem, f, u0=u0)
+        raw = (sv.laplacian(resolved_problem, u) - f) * resolved_problem.weight
+        direct = abs(float(np.sum(raw)) / float(np.sum(resolved_problem.weight)))
+        assert direct > 0.0
+        assert info["mean_defect"] == pytest.approx(direct, rel=1e-9, abs=0.0)
+
     def test_zero_data(self, flat_problem):
         u, info = sv.invert_laplacian(flat_problem, np.zeros(flat_problem.shape))
         assert np.all(u == 0.0)
@@ -163,7 +177,7 @@ class TestInversion:
 
     def test_breakdown_error(self, resolved_problem, grid16, monkeypatch):
         f = sv.project_mean_zero(resolved_problem, sv.random_smooth_field(grid16, np.random.default_rng(7)))
-        monkeypatch.setattr(sv, "_glued_operator", lambda problem, u, out: np.multiply(u, 0.0, out=out))
+        monkeypatch.setattr(sv, "_glued_operator", lambda problem, u, out: (np.multiply(u, 0.0, out=out), 0.0))
         with pytest.raises(RuntimeError, match="BiCGStab breakdown"):
             sv.invert_laplacian(resolved_problem, f)
 
@@ -187,8 +201,8 @@ class TestNonSymmetricInversion:
     def test_operator_is_not_symmetric(self, problem):
         rng = np.random.default_rng(30)
         u, v = sv.random_smooth_field(problem.grid, rng), sv.random_smooth_field(problem.grid, rng)
-        u_Bv = float(np.vdot(u, sv._glued_operator(problem, v)))
-        v_Bu = float(np.vdot(v, sv._glued_operator(problem, u)))
+        u_Bv = float(np.vdot(u, sv._glued_operator(problem, v)[0]))
+        v_Bu = float(np.vdot(v, sv._glued_operator(problem, u)[0]))
         assert abs(u_Bv - v_Bu) / abs(u_Bv) > 1e-3
 
     def test_true_residual_within_tolerance(self, problem, solved):
@@ -196,7 +210,7 @@ class TestNonSymmetricInversion:
         assert 0 < info["iterations"] < 80
         g = -f * problem.dets
         g -= g.mean()
-        true = float(np.linalg.norm(sv._glued_operator(problem, u) - g)) / float(np.linalg.norm(g))
+        true = float(np.linalg.norm(sv._glued_operator(problem, u)[0] - g)) / float(np.linalg.norm(g))
         assert true <= self.TOL
         assert info["relative_residual"] <= self.TOL
 
@@ -699,8 +713,10 @@ class TestStencilEquivalence:
     def test_krylov_operator(self, resolved_problem, field):
         P = _ref_complex_hessian(field, resolved_problem.spacing)
         ref = -_ref_bracket(complex_matrix(resolved_problem.field_.data), P)
-        ref = ref - ref.mean()
-        _assert_close(sv._glued_operator(resolved_problem, field), ref)
+        applied, mean = sv._glued_operator(resolved_problem, field)
+        _assert_close(applied, ref - ref.mean())
+        # the mean it removed, of the bracket, which is -ref
+        assert abs(mean + ref.mean()) <= STENCIL_RTOL * float(np.max(np.abs(ref)))
 
     def test_quadratic_Q(self, resolved_problem, field):
         P = _ref_complex_hessian(field, resolved_problem.spacing)
