@@ -46,7 +46,8 @@ by h into the bracket [h : P(u)] behind the Laplacian and its
 inversion, without building P.  The inversion is
 right-preconditioned BiCGStab, since the stencil operator is not
 symmetric on glued fields.  Its preconditioner takes two steps: the flat
-inverse, by real-to-complex FFTs on the half spectrum, and then an exact
+inverse, by matrix products with the real eigenbasis of the periodic
+second difference along each axis (flat_axis_basis), and then an exact
 solve of the glued operator on the 2^4 nodes nearest each site, where
 the Eguchi-Hanson cores give the coefficients a contrast growing like
 (n a)^2 that the flat inverse cannot see.  The site-box step makes one
@@ -55,19 +56,20 @@ hermitian_bracket call on the stacked 4^4 patches around the boxes
 boxes' 16x16 inverses; at n=24 and a = 0.02, 0.05, 0.08 it brings a
 lambda1 sweep from 73 to 55 BiCGStab steps.
 The solve loop allocates nothing n^4-sized per step: the work vectors,
-the operator images and the preconditioner's spectrum are made once per
-inversion and written in place, and the inverse preconditioner symbol
-and the site boxes' inverses are made once per Problem.  Each Picard
-step builds one stencil field P of its potential: Q = det P / det h is
-read from it, P becomes the corrected field h + P in place, and the
-step's residual and positivity checks drop it before its Y-norms run.
+the operator images and the preconditioner's scratch field are made
+once per inversion and written in place, and the flat preconditioner's
+basis and symbol and the site boxes' inverses are made once per
+Problem.  Each Picard step builds one stencil field P of its potential:
+Q = det P / det h is read from it, P becomes the corrected field h + P
+in place, and the step's residual and positivity checks drop it before
+its Y-norms run.
 Each other n^4 field lives only as long as it is needed: the work
 vectors die with the BiCGStab loop, a warm start's potential receives
 the solution in place, the residual checks and the fixed-point image
 are computed in place, and hessian_parts needs two slab buffers besides
 its result (4.3 fields at 24^4 nodes, 5.2 at 16^4); at a = 0.05 a solve
-peaks at 10.0 fields on top of its Problem's 7 at 24^4 nodes and 11.9
-at 16^4, and a warm inversion at 7.6 and 9.9 (traced, on either grid:
+peaks at 10.0 fields on top of its Problem's 7 at 24^4 nodes and 11.7
+at 16^4, and a warm inversion at 7.5 and 9.7 (traced, on either grid:
 24^4 nodes are the unit grid at n=24 or the quotient at n=48).
 """
 
@@ -182,13 +184,17 @@ class Problem:
         return (self.grid.n,) * 4
 
     @functools.cached_property
-    def inverse_symbol(self):
-        """The flat preconditioner on the real-FFT half spectrum, made on
-        first use: the flat operator is -(1/4) x the standard Laplacian,
-        and its inverse kills the constant mode."""
-        symbol = flat_symbol(self.grid)
-        with np.errstate(divide="ignore"):
-            return np.where(symbol > 0, 4.0 / symbol, 0.0)
+    def flat_basis(self):
+        """The flat preconditioner, made on first use: (Q, inverse), the
+        real eigenbasis Q of flat_axis_basis and, on the products of its
+        columns, the inverse 4 / (s0 + s1 + s2 + s3) of the flat operator,
+        shape (n, n, n, n).  The flat operator is -(1/4) x the standard
+        Laplacian, and its inverse kills the constant mode."""
+        Q, eigenvalues = flat_axis_basis(self.grid)
+        symbol = _axis_sum(eigenvalues, eigenvalues)
+        # the constant mode is the only zero of the symbol
+        symbol[0, 0, 0, 0] = math.inf
+        return Q, np.divide(4.0, symbol, out=symbol)
 
     @functools.cached_property
     def site_boxes(self):
@@ -417,37 +423,68 @@ def _axis_sum(s, last):
     return s[:, None, None, None] + s[:, None, None] + s[:, None] + last
 
 
-def flat_symbol(grid):
-    """Eigenvalues of minus the flat grid Laplacian on the real-FFT half
-    spectrum, shape (n, n, n, n // 2 + 1)."""
-    s = flat_axis_symbol(grid)
-    return _axis_sum(s, s[: grid.n // 2 + 1])
+def flat_axis_basis(grid):
+    """Orthonormal real eigenbasis of the flat 3-point second difference
+    along one periodic axis of the grid: (Q, eigenvalues), with Q's
+    columns the constant, the pairs cos(2 pi k j / n), sin(2 pi k j / n)
+    for k = 1, ..., (n - 1) // 2 and, for even n, the alternating
+    vector, each normalised; eigenvalues[c] is flat_axis_symbol's value
+    at k = (c + 1) // 2, the frequency of column c."""
+    n = grid.n
+    j = np.arange(n)
+    k = np.arange(1, (n + 1) // 2)
+    # k j is reduced mod n before scaling, so every phase lies in [0, 2 pi)
+    phase = (2.0 * np.pi / n) * (np.outer(j, k) % n)
+    Q = np.empty((n, n))
+    Q[:, 0] = 1.0 / math.sqrt(n)
+    Q[:, 1 : 2 * len(k) : 2] = math.sqrt(2.0 / n) * np.cos(phase)
+    Q[:, 2 : 2 * len(k) + 1 : 2] = math.sqrt(2.0 / n) * np.sin(phase)
+    if n % 2 == 0:
+        Q[:, -1] = (1.0 - 2.0 * (j % 2)) / math.sqrt(n)
+    return Q, flat_axis_symbol(grid)[(j + 1) // 2]
 
 
-def _flat_inverse(rhs, inverse_symbol, hat=None, out=None):
-    """Multiply the real spectrum of rhs by a half-spectrum symbol, e.g.
-    to solve the flat Laplacian with zero mean; into out (a new array by
-    default).
+def _axis_products(A, x, scratch, out):
+    """A applied along each axis of the (n, n, n, n) field x in turn,
+    into out, through scratch: one product of A with the (n, n^3) view
+    for axis 0, batched products on the (n, n, n^2) and (n^2, n, n)
+    views for axes 1 and 2, and one product of the (n^3, n) view with
+    A^T for axis 3; the steps alternate between scratch and out, and
+    only the first reads x, so x may be out."""
+    n = A.shape[0]
+    np.matmul(A, x.reshape(n, -1), out=scratch.reshape(n, -1))
+    np.matmul(A, scratch.reshape(n, n, n * n), out=out.reshape(n, n, n * n))
+    np.matmul(A, out.reshape(n * n, n, n), out=scratch.reshape(n * n, n, n))
+    np.matmul(scratch.reshape(-1, n), A.T, out=out.reshape(-1, n))
+    return out
 
-    The 1-D passes are those of numpy's rfftn and irfftn, in their axis
-    order, done in place in the half-spectrum buffer hat (shaped like
-    the symbol, complex; a new one by default), whose contents are lost.
+
+def _flat_inverse(rhs, basis, scratch=None, out=None):
+    """Multiply rhs by a symbol on the products of a real eigenbasis,
+    e.g. to solve the flat Laplacian with zero mean; into out (a new
+    array by default).
+
+    basis is (Q, symbol) as in Problem.flat_basis: Q^T acts along each
+    axis, the symbol multiplies and Q acts back along each axis, eight
+    matrix products in all, through the real field scratch (a new one by
+    default), whose contents are lost.  out and scratch are contiguous.
     """
-    hat = np.fft.rfftn(rhs, axes=(0, 1, 2, 3), out=hat)
-    hat *= inverse_symbol
-    for axis in (0, 1, 2):
-        np.fft.ifft(hat, axis=axis, out=hat)
-    return np.fft.irfft(hat, n=rhs.shape[3], axis=3, out=out)
+    Q, symbol = basis
+    scratch = np.empty_like(rhs) if scratch is None else scratch
+    out = _axis_products(Q.T, rhs, scratch, np.empty_like(rhs) if out is None else out)
+    out *= symbol
+    return _axis_products(Q, out, scratch, out)
 
 
-def _precondition(problem, p, hat, z):
+def _precondition(problem, p, scratch, z):
     """z = M p, the preconditioner of the BiCGStab steps, into z: the
     flat inverse F p, then on each site's box the exact solve
     z_box += A_s^-1 (p + [h : P(z)])_box of Problem.site_boxes, after
     which [h : P(z)] = -p at every box node.  M is fixed and linear; it
-    takes one _flat_inverse into the spectrum buffer hat and one
-    hermitian_bracket on the S stacked 4^4 patches."""
-    _flat_inverse(p, problem.inverse_symbol, hat, z)
+    takes one _flat_inverse on Problem.flat_basis, through the real
+    field scratch, and one hermitian_bracket on the S stacked 4^4
+    patches."""
+    _flat_inverse(p, problem.flat_basis, scratch, z)
     patch, box, h, inverse = problem.site_boxes
     sites = len(inverse)
     bracket = hermitian_bracket(h, z[patch].reshape(4 * sites, 4, 4, 4), problem.spacing)
@@ -477,12 +514,12 @@ def invert_laplacian(problem, f, tol=DEFAULT_INVERT_TOL, u0=None):
     short-recurrence method for non-symmetric systems; each step applies
     the preconditioner and the operator twice, or once when its half
     step already converges.  The preconditioner, _precondition, is the
-    flat FFT inverse followed by an exact solve on the 2^4 nodes nearest
-    each site; being fixed and linear, it leaves BiCGStab's recurrences
-    and its true residual as they are.  The operator's range misses the
-    constant direction by a truncation-level amount on non-flat glued
-    fields, so convergence is measured on the zero-sum projection of
-    the residual; the leftover constant defect, the weighted mean of
+    flat inverse on the real eigenbasis followed by an exact solve on the
+    2^4 nodes nearest each site; being fixed and linear, it leaves
+    BiCGStab's recurrences and its true residual as they are.  The
+    operator's range misses the constant direction by a truncation-level
+    amount on non-flat glued fields, so convergence is measured on the
+    zero-sum projection of the residual; the leftover constant defect, the weighted mean of
     laplacian(u) - f, is reported in the info dict, not hidden.  It is
     |mean [h : P(u)] - mean (f det h)| / mean det h, read from the
     bracket means the operator applies remove: [h : P(u)] is linear in
@@ -528,13 +565,13 @@ def _bicgstab(problem, u, r, scale, tol, history):
     The work vectors are made once and written in place, and die on
     return: shadow residual r_hat, search direction p, operator images
     v and t, the preconditioned vector z and the preconditioner's
-    spectrum hat."""
+    scratch field."""
     r_hat = r.copy()
     p = np.zeros_like(r)
     v = np.zeros_like(r)
     t = np.empty_like(r)
     z = np.empty_like(r)
-    hat = np.empty(problem.inverse_symbol.shape, dtype=complex)
+    scratch = np.empty_like(r)
     rho = alpha = omega = 1.0
     bracket_mean = 0.0
     for it in range(1, INVERT_MAX_ITER + 1):
@@ -548,7 +585,7 @@ def _bicgstab(problem, u, r, scale, tol, history):
         p -= v
         p *= beta
         p += r
-        _precondition(problem, p, hat, z)
+        _precondition(problem, p, scratch, z)
         _, z_mean = _glued_operator(problem, z, v)
         pivot = float(np.vdot(r_hat, v))
         if pivot == 0.0:
@@ -561,7 +598,7 @@ def _bicgstab(problem, u, r, scale, tol, history):
         r -= np.multiply(v, alpha, out=t)
         rel = float(np.linalg.norm(r)) / scale
         if rel > tol:
-            _precondition(problem, r, hat, z)
+            _precondition(problem, r, scratch, z)
             _, z_mean = _glued_operator(problem, z, t)
             omega = float(np.vdot(t, r)) / float(np.vdot(t, t))
             z *= omega
@@ -997,8 +1034,8 @@ def lambda1_estimate(problem, tol=1e-6, seed=7):
     M = np.empty((LAMBDA1_KRYLOV_DIM + 1, LAMBDA1_KRYLOV_DIM + 1))
     prev = None
     for _ in range(LAMBDA1_KRYLOV_DIM):
+        # invert_laplacian returns u with zero weighted mean
         u, _ = invert_laplacian(problem, basis[-1], tol=LAMBDA1_INVERT_TOL)
-        u = project_mean_zero(problem, u)
         for b in basis:
             c = wip(u, b)
             u -= np.multiply(b, c, out=prod)

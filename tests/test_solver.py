@@ -217,7 +217,7 @@ class TestNonSymmetricInversion:
     def test_site_boxes_save_steps(self, problem, solved, monkeypatch):
         f, _, info = solved
         monkeypatch.setattr(sv, "_precondition",
-                            lambda problem, p, hat, z: sv._flat_inverse(p, problem.inverse_symbol, hat, z))
+                            lambda problem, p, scratch, z: sv._flat_inverse(p, problem.flat_basis, scratch, z))
         _, flat = sv.invert_laplacian(problem, f, tol=self.TOL)
         assert info["iterations"] <= 5 < 7 <= flat["iterations"]
 
@@ -247,8 +247,7 @@ SITE_BOX_GRIDS = [km.TorusGrid(8), km.TorusGrid(24), km.TorusGrid(8).quotient(),
 class TestSiteBoxes:
     @staticmethod
     def _precondition(problem, p):
-        hat = np.empty(problem.inverse_symbol.shape, dtype=complex)
-        return sv._precondition(problem, p, hat, np.empty(problem.shape))
+        return sv._precondition(problem, p, np.empty(problem.shape), np.empty(problem.shape))
 
     @pytest.mark.parametrize("grid", SITE_BOX_GRIDS, ids=str)
     def test_bracket_solved_at_every_box_node(self, grid):
@@ -736,29 +735,52 @@ class TestStencilEquivalence:
         assert abs(mineig - _ref_min_eig(K)) <= STENCIL_RTOL * abs(_ref_min_eig(K))
 
 
-def _inverse_half_symbol(n):
-    half = sv.flat_symbol(km.TorusGrid(n))
-    assert half.shape == (n, n, n, n // 2 + 1)
+def _inverse_basis(grid):
+    """(Q, 1 / symbol) on the real eigenbasis of the grid, zero at the
+    constant mode."""
+    Q, eigenvalues = sv.flat_axis_basis(grid)
+    symbol = sv._axis_sum(eigenvalues, eigenvalues)
     with np.errstate(divide="ignore"):
-        return np.where(half > 0, 1.0 / half, 0.0)
+        return Q, np.where(symbol > 0, 1.0 / symbol, 0.0)
+
+
+def _complex_fft_inverse(grid, r):
+    """The flat inverse with zero mean by numpy's complex FFT."""
+    n = grid.n
+    s = 4.0 * n**2 * np.sin(np.pi * np.arange(n) / n) ** 2 / grid.side**2
+    full = s[:, None, None, None] + s[None, :, None, None] + s[None, None, :, None] + s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.real(np.fft.ifftn(np.where(full > 0, np.fft.fftn(r) / full, 0.0)))
+
+
+# unit grids at n = 8 and 16, quotient grids at n = 4, 5 and 12
+BASIS_GRIDS = [km.TorusGrid(8), km.TorusGrid(16), km.TorusGrid(8).quotient(),
+               km.TorusGrid(10).quotient(), km.TorusGrid(24).quotient()]
 
 
 class TestPreconditioner:
     def test_real_fft_matches_complex_fft(self, grid16):
-        n = grid16.n
         r = sv.random_smooth_field(grid16, np.random.default_rng(22))
-        s = 4.0 * n**2 * np.sin(np.pi * np.arange(n) / n) ** 2
-        full = s[:, None, None, None] + s[None, :, None, None] + s[None, None, :, None] + s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ref = np.real(np.fft.ifftn(np.where(full > 0, np.fft.fftn(r) / full, 0.0)))
-        _assert_close(sv._flat_inverse(r, _inverse_half_symbol(n)), ref)
+        _assert_close(sv._flat_inverse(r, _inverse_basis(grid16)), _complex_fft_inverse(grid16, r))
 
-    @pytest.mark.parametrize("n", [10, 16])
-    def test_quotient_symbol_is_the_unit_symbol_at_even_frequencies(self, n):
-        # the invariant modes of the unit torus are its even frequencies,
-        # and the 1/L^2 scaling reproduces them bit for bit
-        unit = sv.flat_symbol(km.TorusGrid(n))
-        assert np.array_equal(sv.flat_symbol(km.TorusGrid(n).quotient()), unit[::2, ::2, ::2, ::2])
+    @pytest.mark.parametrize("grid", BASIS_GRIDS, ids=str)
+    def test_axis_basis_is_orthonormal(self, grid):
+        Q, _ = sv.flat_axis_basis(grid)
+        assert Q.shape == (grid.n, grid.n)
+        assert float(np.max(np.abs(Q.T @ Q - np.eye(grid.n)))) <= 1e-14
+        _assert_same_bits(Q[:, 0], np.full(grid.n, Q[0, 0]))
+
+    @pytest.mark.parametrize("grid", BASIS_GRIDS, ids=str)
+    def test_axis_basis_diagonalises_the_second_difference(self, grid):
+        n = grid.n
+        # minus the periodic 3-point second difference along one axis
+        T = (2.0 * np.eye(n) - np.roll(np.eye(n), 1, axis=0) - np.roll(np.eye(n), -1, axis=0)) / grid.spacing**2
+        Q, eigenvalues = sv.flat_axis_basis(grid)
+        D = Q.T @ T @ Q
+        assert float(np.max(np.abs(D - np.diag(eigenvalues)))) <= 1e-12 * float(np.max(eigenvalues))
+        # the axis symbol's values at each column's frequency (c + 1) // 2
+        s = sv.flat_axis_symbol(grid)
+        _assert_same_bits(eigenvalues, s[(np.arange(n) + 1) // 2])
 
     @pytest.mark.parametrize("n", [10, 16])
     def test_quotient_axis_symbol_is_the_unit_one_at_even_frequencies(self, n):
@@ -768,7 +790,7 @@ class TestPreconditioner:
 
     def test_constants_map_to_zero(self, grid16):
         n = grid16.n
-        out = sv._flat_inverse(np.full((n,) * 4, 3.0), _inverse_half_symbol(n))
+        out = sv._flat_inverse(np.full((n,) * 4, 3.0), _inverse_basis(grid16))
         assert float(np.max(np.abs(out))) <= 1e-12 * 3.0
 
 
@@ -785,7 +807,6 @@ def _uncached_lambda1(problem, dim=16, tol=1e-6, seed=7, invert_tol=1e-9):
     prev = None
     for _ in range(dim):
         u, _ = sv.invert_laplacian(problem, basis[-1], tol=invert_tol)
-        u = sv.project_mean_zero(problem, u)
         for b in basis:
             u = u - wip(u, b) * b
         nrm = np.sqrt(wip(u, u))
@@ -836,7 +857,7 @@ class TestRitzImages:
 
 # ---------------------------------------------------------------------------
 # reference Krylov kernels: the bracket as one whole-array sweep, numpy's
-# allocating real-FFT pair, and forward differences from np.roll copies
+# complex FFT, and forward differences from np.roll copies
 
 
 def _ref_hermitian_bracket(field_, u, dx):
@@ -944,21 +965,22 @@ class TestKrylovKernelEquivalence:
                           _ref_hermitian_bracket(bolt_problem.field_, u, dx))
 
     def test_flat_inverse_buffers_match_numpy(self, grid16):
-        n = grid16.n
-        axes = (0, 1, 2, 3)
-        symbol = _inverse_half_symbol(n)
-        hat = np.empty(symbol.shape, dtype=complex)
-        out = np.empty((n,) * 4)
-        rng = np.random.default_rng(31)
-        # twice through the same buffers
-        for _ in range(2):
-            r = rng.standard_normal((n,) * 4)
-            kept = r.copy()
-            ref = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * symbol, s=r.shape, axes=axes)
-            assert sv._flat_inverse(r, symbol, hat, out) is out
-            _assert_same_bits(out, ref)
-            _assert_same_bits(r, kept)
-        _assert_same_bits(sv._flat_inverse(r, symbol), ref)
+        # unit n=16 and the quotients at n = 5 and 12, against numpy's
+        # complex FFT
+        for grid in (grid16, km.TorusGrid(10).quotient(), km.TorusGrid(24).quotient()):
+            shape = (grid.n,) * 4
+            basis = _inverse_basis(grid)
+            scratch, out = np.empty(shape), np.empty(shape)
+            rng = np.random.default_rng(31)
+            # twice through the same buffers
+            for _ in range(2):
+                r = rng.standard_normal(shape)
+                kept = r.copy()
+                ref = _complex_fft_inverse(grid, r)
+                assert sv._flat_inverse(r, basis, scratch, out) is out
+                assert float(np.max(np.abs(out - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+                _assert_same_bits(r, kept)
+                _assert_same_bits(sv._flat_inverse(r, basis, scratch, out), sv._flat_inverse(r, basis))
 
     def test_poincare_margins_match_roll(self, bolt_problem):
         # the fields' Rayleigh quotients lie between 68 and 127, so every
@@ -1273,8 +1295,8 @@ def _traced_peak_fields(fn, n):
 
 
 def test_solve_peak_memory_in_fields(resolved_problem, params):
-    # at n=16 a warm-started inversion peaks at 9.9 fields and the
-    # solve at 11.9; they read 12.9 and 18.9 while the Krylov work
+    # at n=16 a warm-started inversion peaks at 9.7 fields and the
+    # solve at 11.7; they read 12.9 and 18.9 while the Krylov work
     # vectors outlived the loop and the Picard step kept the previous
     # corrected field and a -e_a temporary
     n = resolved_problem.grid.n
@@ -1318,13 +1340,13 @@ def test_random_field_mode_table_made_once(monkeypatch):
 
 def test_preconditioner_symbol_made_once_per_problem(monkeypatch):
     calls = []
-    symbol = sv.flat_symbol
+    basis = sv.flat_axis_basis
 
-    def counting_symbol(grid):
+    def counting_basis(grid):
         calls.append(grid)
-        return symbol(grid)
+        return basis(grid)
 
-    monkeypatch.setattr(sv, "flat_symbol", counting_symbol)
+    monkeypatch.setattr(sv, "flat_axis_basis", counting_basis)
     problem = sv.Problem.build(km.GluedModel(a=0.05, zeta=4.0 / 9.0), km.TorusGrid(8))
     assert calls == []
     f = sv.project_mean_zero(problem, sv.random_smooth_field(problem.grid, np.random.default_rng(3)))
