@@ -36,8 +36,6 @@ from . import gibbons_hawking as gh
 from . import kummer
 from . import solver
 
-log = logging.getLogger(__name__)
-
 
 # ---------------------------------------------------------------------------
 # configuration

@@ -1,21 +1,27 @@
 """Minimal exterior calculus on 4-dimensional coordinate patches.
 
-Forms are stored as mappings from strictly increasing index tuples to
-coefficient functions of the coordinates.  The exterior derivative is a
-lazy central finite difference, so nested applications (d of d) stay
-well defined and second-order accurate.  Pullbacks contract coefficient
-functions with jacobian minors.  A small complex-structure type acts on
-1-forms through a declared orthonormal coframe.
+A form holds its strictly increasing index tuples and one function
+that returns all their coefficients at a batch of points.  A leaf form
+is built from one function or constant per index tuple; a derived form
+(a sum, a product with a scalar, a wedge, d, a pullback, J acting,
+i del delbar) evaluates each of its operands once per batch, so a
+quantity its coefficients share (a frame solve, a map and its jacobian,
+a second-derivative matrix) is computed once.  The exterior derivative
+is a lazy central finite difference, so nested applications (d of d)
+stay well defined and second-order accurate.  Pullbacks contract
+coefficients with jacobian minors.  A small complex-structure type acts
+on 1-forms through a declared orthonormal coframe.
 
 Every function here, and every coefficient, metric and chart map of
 eguchi_hanson and gibbons_hawking, evaluates on a batch of points: a
 float array with the four chart coordinates on its leading axis and the
 samples after it, of which one point, shape (4,), is the case without
-sample axes.  Values keep the same layout, component and derivative
-axes first and sample axes last: a coefficient has the samples' shape,
-a 1-form's components (4, ...), a metric or a jacobian (4, 4, ...).  A
-guard raises if any sample of the batch is bad, with the message it
-gives for that sample alone.  as_stack moves the two matrix axes to
+sample axes; a point is its coordinate array and has no type of its
+own.  Values keep the same layout, component and derivative axes first
+and sample axes last: a coefficient has the samples' shape, a 1-form's
+components (4, ...), a metric or a jacobian (4, 4, ...).  A guard
+raises if any sample of the batch is bad, with the message it gives
+for that sample alone.  as_stack moves the two matrix axes to
 the end for np.linalg.  power and product raise to a power and
 multiply complex values on a batch as on one point, so that a batch
 gives each of its points the bits the point gets alone wherever numpy's
@@ -23,30 +29,25 @@ array and scalar functions agree.
 
 central_partials is the central difference behind finite-difference
 jacobians, the curvature and the Cauchy-Riemann and curl residuals
-(ext_d keeps its own, and validates every sample it evaluates: the two
-stencil points, which cover the centre), and coords_of the
-one point-to-coordinates accessor.  per_point computes a quantity once
-per batch where several coefficients share it: the frame solve of
-apply_J, the map and jacobian of pullback, the second derivatives of
-i_ddbar and the metric samples of a Ricci residual.  Hermitian 2x2
-matrices are the components (h11, h22, Re h12, Im h12) along a leading
-axis, the layout of kummer.Field11.
+(ext_d keeps its own, and validates every sample it evaluates: the
+stencil points, which cover the centre).  Hermitian 2x2 matrices are
+the components (h11, h22, Re h12, Im h12) along a leading axis, the
+layout of kummer.Field11.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import logging
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 DIM = 4
 
 # ---------------------------------------------------------------------------
-# charts and points
+# charts
 
 
 @dataclass(frozen=True)
@@ -84,26 +85,6 @@ class Chart:
                 f"violates open bounds ({self.lower[i]:.6g}, {self.upper[i]:.6g}) with margin {margin:.3g}"
             )
         return coords
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    chart: Chart
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", self.chart.validate(self.coords))
-
-
-def point(chart, *coords):
-    return ChartPoint(chart, np.asarray(coords, dtype=float))
-
-
-def coords_of(p):
-    """The coordinate array of a point object (anything with ``coords``)
-    or of a plain coordinate sequence."""
-    coords = getattr(p, "coords", None)
-    return np.asarray(p, dtype=float) if coords is None else coords
 
 
 def _leading(values, coords):
@@ -160,36 +141,6 @@ def central_partials(fn, coords, step, axes=range(DIM)):
         cm[j] -= step
         cols.append((np.asarray(fn(cp)) - np.asarray(fn(cm))) / (2 * step))
     return np.stack(cols, axis=cols[0].ndim - (coords.ndim - 1))
-
-
-# more than the 41 distinct batches of one Ricci residual
-PER_POINT_CACHE = 64
-
-
-def per_point(fn):
-    """fn, evaluated once per batch of points: its value is cached under
-    the exact bytes of the whole float coordinate array, in an LRU of
-    PER_POINT_CACHE batches owned by the returned closure.  A batch
-    reached by another rounding is another batch, so a cached value is
-    always fn's value at exactly these coordinates; an fn that raises
-    caches nothing.  fn gets its own copy of the coordinates, so a value
-    that shares memory with them (an identity map's image) outlives a
-    caller that reuses its coordinate buffer."""
-    cache = {}
-
-    def cached(c):
-        c = np.array(c, dtype=float)
-        key = (c.shape, c.tobytes())
-        if key in cache:
-            value = cache.pop(key)
-        else:
-            value = fn(c)
-            if len(cache) == PER_POINT_CACHE:
-                del cache[next(iter(cache))]
-        cache[key] = value
-        return value
-
-    return cached
 
 
 # Charts used throughout the package.  Angles are radians; the fiber
@@ -250,12 +201,8 @@ class ChartMap:
     fd_step: float = 1e-6
     jacobian_floor: float = 1e-12
 
-    def __call__(self, p):
-        if isinstance(p, ChartPoint):
-            if p.chart is not self.source:
-                raise ValueError(f"map {self.name}: point lives on {p.chart.name}, expected {self.source.name}")
-            return ChartPoint(self.target, np.asarray(self.forward(p.coords), dtype=float))
-        return np.asarray(self.forward(np.asarray(p, dtype=float)), dtype=float)
+    def __call__(self, coords):
+        return np.asarray(self.forward(np.asarray(coords, dtype=float)), dtype=float)
 
     def jacobian(self, coords):
         coords = np.asarray(coords, dtype=float)
@@ -290,40 +237,51 @@ def _check_index_tuple(idx, degree):
         raise ValueError(f"index tuple {idx} is not strictly increasing")
 
 
-@dataclass(frozen=True)
+def _sum(values):
+    """((v0 + v1) + v2) + ..., left to right, with no leading 0."""
+    return functools.reduce(operator.add, values)
+
+
 class CoefficientForm:
     """Degree-k differential form with numerically evaluated coefficients.
 
     Only strictly increasing index tuples are stored, so antisymmetry is
     canonical.  Coefficients may be real or complex valued; a complex
     form is understood as a pair of real forms.
+
+    A leaf form is built from ``terms``, a mapping from index tuples to
+    functions of a batch or constants.  A derived form passes its index
+    tuples as ``terms`` and, as ``values``, one function that returns
+    all their coefficients at a batch, in that order.  ``indices`` and
+    ``values`` hold the same for either kind.
     """
 
-    chart: Chart
-    degree: int
-    terms: dict = field(default_factory=dict)
+    def __init__(self, chart, degree, terms=None, values=None):
+        if not (0 <= degree <= DIM):
+            raise ValueError(f"degree {degree} out of range")
+        if values is None:
+            terms = {tuple(int(i) for i in idx): _as_callable(f) for idx, f in (terms or {}).items()}
+            fns = tuple(terms.values())
 
-    def __post_init__(self):
-        if not (0 <= self.degree <= DIM):
-            raise ValueError(f"degree {self.degree} out of range")
-        clean = {}
-        for idx, f in self.terms.items():
-            idx = tuple(int(i) for i in idx)
-            _check_index_tuple(idx, self.degree)
-            clean[idx] = _as_callable(f)
-        object.__setattr__(self, "terms", clean)
+            def values(c):
+                return [f(c) for f in fns]
+
+        self.chart, self.degree, self.values = chart, degree, values
+        self.indices = tuple(terms)
+        for idx in self.indices:
+            _check_index_tuple(idx, degree)
 
     # -- evaluation helpers
 
-    def coeff(self, idx, coords):
-        f = self.terms.get(tuple(idx))
-        if f is None:
-            return 0.0
-        return f(np.asarray(coords, dtype=float))
-
     def evaluate(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        return {idx: f(coords) for idx, f in self.terms.items()}
+        """The coefficients at a batch, keyed by their index tuples."""
+        return dict(zip(self.indices, self.values(np.asarray(coords, dtype=float))))
+
+    def coeff(self, idx, coords):
+        idx = tuple(idx)
+        if idx not in self.indices:
+            return 0.0
+        return self.evaluate(coords)[idx]
 
     def as_vector(self, coords):
         """Coordinate components of a 1-form, shape (4, ...)."""
@@ -353,7 +311,7 @@ class CoefficientForm:
     def max_abs(self, coords):
         """The largest coefficient modulus at each sample."""
         samples = np.shape(coords)[1:]
-        vals = [np.broadcast_to(v, samples) for v in self.evaluate(coords).values()]
+        vals = [np.broadcast_to(v, samples) for v in self.values(np.asarray(coords, dtype=float))]
         if not vals:
             return np.zeros(samples)[()]
         # np.max returns NaN wherever one occurs
@@ -363,27 +321,24 @@ class CoefficientForm:
 
     def __add__(self, other):
         self._check_compat(other, self.degree)
-        keys = set(self.terms) | set(other.terms)
-        terms = {}
-        for k in keys:
-            f, g = self.terms.get(k), other.terms.get(k)
-            if f is None:
-                terms[k] = g
-            elif g is None:
-                terms[k] = f
-            else:
-                terms[k] = lambda c, _f=f, _g=g: _f(c) + _g(c)
-        return CoefficientForm(self.chart, self.degree, terms)
+        keys = tuple(set(self.indices) | set(other.indices))
+
+        def values(c):
+            a = dict(zip(self.indices, self.values(c)))
+            b = dict(zip(other.indices, other.values(c)))
+            return [a[k] + b[k] if k in a and k in b else a.get(k, b.get(k)) for k in keys]
+
+        return CoefficientForm(self.chart, self.degree, keys, values)
 
     def __sub__(self, other):
         return self + (other * (-1.0))
 
     def __mul__(self, scalar):
-        if callable(scalar):
-            terms = {k: (lambda c, _f=f, _s=scalar: _s(c) * _f(c)) for k, f in self.terms.items()}
-        else:
-            terms = {k: (lambda c, _f=f, _s=scalar: _s * _f(c)) for k, f in self.terms.items()}
-        return CoefficientForm(self.chart, self.degree, terms)
+        def values(c):
+            s = scalar(c) if callable(scalar) else scalar
+            return [s * v for v in self.values(c)]
+
+        return CoefficientForm(self.chart, self.degree, self.indices, values)
 
     __rmul__ = __mul__
 
@@ -421,92 +376,89 @@ def _merge_sign(idx_a, idx_b):
 
 
 def wedge(f, g):
-    """Canonical wedge product; bilinear, with the permutation sign rule."""
+    """Canonical wedge product; bilinear, with the permutation sign rule.
+
+    Each coefficient sums its products in the order of f's and then g's
+    index tuples, and is placed where its first product occurs."""
     if f.chart is not g.chart:
         raise ValueError(f"wedge chart mismatch: {f.chart.name} vs {g.chart.name}")
     degree = f.degree + g.degree
     if degree > DIM:
         raise ValueError(f"wedge degree overflow: {f.degree} + {g.degree} > {DIM}")
-    terms = {}
-    for ia, fa in f.terms.items():
-        for ib, gb in g.terms.items():
+    plan = {}
+    for a, ia in enumerate(f.indices):
+        for b, ib in enumerate(g.indices):
             merged, sign = _merge_sign(ia, ib)
-            if sign == 0:
-                continue
+            if sign:
+                plan.setdefault(merged, []).append((a, b, sign))
 
-            def coeff(c, _fa=fa, _gb=gb, _s=sign):
-                return product(_s * _fa(c), _gb(c))
+    def values(c):
+        fv, gv = f.values(c), g.values(c)
+        return [_sum(product(s * fv[a], gv[b]) for a, b, s in terms) for terms in plan.values()]
 
-            if merged in terms:
-                prev = terms[merged]
-                terms[merged] = lambda c, _p=prev, _n=coeff: _p(c) + _n(c)
-            else:
-                terms[merged] = coeff
-    return CoefficientForm(f.chart, degree, terms)
+    return CoefficientForm(f.chart, degree, tuple(plan), values)
 
 
 def ext_d(f, step=1e-4):
     """Numerical exterior derivative by central differences, built lazily.
 
-    Each coefficient of the result is a closure that differentiates the
-    parent coefficients at evaluation time, so ``ext_d(ext_d(f))`` is
-    meaningful and the chart margin is enforced where evaluation
-    actually happens.
+    The result evaluates f, once per batch and point, at the stencil
+    points c + step e_j and c - step e_j for each axis j that some index
+    tuple of f lacks, and validates each of them on the chart first, so
+    ``ext_d(ext_d(f))`` is meaningful and the chart margin is enforced
+    where evaluation actually happens; the stencil points cover the
+    centre c, which is neither evaluated nor validated.  Coefficients
+    sum and are placed as in wedge.
     """
     if f.degree == DIM:
         return CoefficientForm(f.chart, DIM, {})
-    chart = f.chart
-    out_terms = {}
-    for idx, coeff_fn in f.terms.items():
+    plan = {}
+    for a, idx in enumerate(f.indices):
         for j in range(DIM):
-            if j in idx:
-                continue
-            merged, sign = _merge_sign((j,), idx)
+            if j not in idx:
+                merged, sign = _merge_sign((j,), idx)
+                plan.setdefault(merged, []).append((a, j, sign))
+    axes = sorted({j for terms in plan.values() for _, j, _ in terms})
 
-            def d_coeff(c, _fn=coeff_fn, _j=j, _s=sign, _h=step):
-                cp = np.array(c, dtype=float)
-                cm = np.array(c, dtype=float)
-                cp[_j] += _h
-                cm[_j] -= _h
-                chart.validate(cp)
-                chart.validate(cm)
-                return _s * (_fn(cp) - _fn(cm)) / (2 * _h)
+    def values(c):
+        plus, minus = {}, {}
+        for j in axes:
+            cp = np.array(c, dtype=float)
+            cm = np.array(c, dtype=float)
+            cp[j] += step
+            cm[j] -= step
+            f.chart.validate(cp)
+            f.chart.validate(cm)
+            plus[j], minus[j] = f.values(cp), f.values(cm)
+        return [_sum(s * (plus[j][a] - minus[j][a]) / (2 * step) for a, j, s in terms)
+                for terms in plan.values()]
 
-            if merged in out_terms:
-                prev = out_terms[merged]
-                out_terms[merged] = lambda c, _p=prev, _n=d_coeff: _p(c) + _n(c)
-            else:
-                out_terms[merged] = d_coeff
-    return CoefficientForm(chart, f.degree + 1, out_terms)
+    return CoefficientForm(f.chart, f.degree + 1, tuple(plan), values)
 
 
 def pullback(m, f):
-    """Pull a form on the target chart of ``m`` back to the source chart."""
+    """Pull a form on the target chart of ``m`` back to the source chart,
+    with one map, one jacobian and one evaluation of f per batch."""
     if f.chart is not m.target:
         raise ValueError(f"pullback: form lives on {f.chart.name}, map targets {m.target.name}")
     k = f.degree
     if k == 0:
         return CoefficientForm(m.source, 0, {(): lambda c: f.coeff((), m.forward(c))})
-    source_tuples = list(itertools.combinations(range(DIM), k))
+    source_tuples = tuple(itertools.combinations(range(DIM), k))
 
-    # the terms at one batch share one image and one jacobian
-    @per_point
-    def image(c):
-        return np.asarray(m.forward(c), dtype=float), m.jacobian(c)
-
-    terms = {}
-    for jdx in source_tuples:
-
-        def coeff(c, _jdx=jdx):
-            y, J = image(c)
+    def values(c):
+        y = np.asarray(m.forward(c), dtype=float)
+        J = m.jacobian(c)
+        fv = f.values(y)
+        out = []
+        for jdx in source_tuples:
             total = 0.0
-            for idx, fn in f.terms.items():
-                minor = J[np.ix_(idx, _jdx)]
-                total = total + fn(y) * np.linalg.det(as_stack(minor))
-            return total
+            for idx, v in zip(f.indices, fv):
+                total = total + v * np.linalg.det(as_stack(J[np.ix_(idx, jdx)]))
+            out.append(total)
+        return out
 
-        terms[jdx] = coeff
-    return CoefficientForm(m.source, k, terms)
+    return CoefficientForm(m.source, k, source_tuples, values)
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +500,15 @@ def apply_J(structure, f):
             f"coframe mismatch: form on {f.chart.name}, structure {structure.name} declared on {structure.chart.name}"
         )
 
-    # the four components at one batch share one frame solve; the
-    # explicit (..., 4, 1) right-hand side keeps numpy 2.0's solve from
-    # reading a stack of vectors as one matrix
-    @per_point
-    def image(c):
+    # the four components share one frame solve; the explicit (..., 4, 1)
+    # right-hand side keeps numpy 2.0's solve from reading a stack of
+    # vectors as one matrix
+    def values(c):
         Et = np.swapaxes(as_stack(np.asarray(structure.coframe(c), dtype=float)), -1, -2)
         frame_comps = np.linalg.solve(Et, np.moveaxis(f.as_vector(c), 0, -1)[..., None])
         return np.moveaxis((Et @ (structure.action @ frame_comps))[..., 0], -1, 0)
 
-    terms = {(i,): (lambda c, _i=i: image(c)[_i]) for i in range(DIM)}
-    return CoefficientForm(f.chart, 1, terms)
+    return CoefficientForm(f.chart, 1, [(i,) for i in range(DIM)], values)
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +597,11 @@ def i_ddbar(phi, step=1e-4, chart=COMPLEX2):
     construction of the symmetrized stencils.
     """
 
-    # the six coefficients at one batch share one second-derivative matrix
-    @per_point
-    def two_form(c):
+    # the six coefficients, in hermitian_to_real_two_form's order, share
+    # one second-derivative matrix
+    def values(c):
         d2 = second_derivative_matrix(phi, c, step)
-        return hermitian_to_real_two_form(hermitian_from_second_derivs(as_stack(d2)))
+        return list(hermitian_to_real_two_form(hermitian_from_second_derivs(as_stack(d2))).values())
 
     keys = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
-    terms = {k: (lambda c, _k=k: two_form(c)[_k]) for k in keys}
-    return CoefficientForm(chart, 2, terms)
+    return CoefficientForm(chart, 2, keys, values)

@@ -13,7 +13,6 @@ closed-form connection used here.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +25,10 @@ from .forms import (
     ChartMap,
     as_stack,
     central_partials,
-    coords_of,
     first_bad,
     power,
 )
 from .eguchi_hanson import EhParams, MetricTensor, eh_metric
-
-log = logging.getLogger(__name__)
 
 # pullback of the two-center metric along the identification map equals
 # this constant times the Eguchi-Hanson metric with a^2 = 2 c
@@ -86,20 +82,6 @@ def two_center_config(c, eps_gh=0.0):
     return GhConfig(centers=((0.0, 0.0, c), (0.0, 0.0, -c)), charges=(1, 1), eps_gh=eps_gh)
 
 
-@dataclass(frozen=True)
-class CylPoint:
-    """Cylindrical point (psi fiber, rho, phi, z); rho > 0 off the axis."""
-
-    psi: float
-    rho: float
-    phi: float
-    z: float
-
-    @property
-    def coords(self):
-        return np.array([self.psi, self.rho, self.phi, self.z])
-
-
 # ---------------------------------------------------------------------------
 # potential and connection
 
@@ -140,7 +122,7 @@ def connection_axial(cfg, rho, z):
     return out
 
 
-def curl_residual(cfg, p, step=1e-4, extra=None):
+def curl_residual(cfg, coords, step=1e-4, extra=None):
     """Components of curl A - grad V in the orthonormal cylindrical frame.
 
     A is the axisymmetric connection plus an optional extra field
@@ -148,7 +130,7 @@ def curl_residual(cfg, p, step=1e-4, extra=None):
     everything is differenced centrally at the given step, along rho
     and z (coordinates 1 and 3).
     """
-    coords = coords_of(p)
+    coords = np.asarray(coords, dtype=float)
     rho = coords[1]
     bad = rho - step <= 0
     if np.any(bad):
@@ -194,10 +176,10 @@ def harmonic_residual(cfg, x, step):
 # metric
 
 
-def gh_metric(cfg, p):
+def gh_metric(cfg, coords):
     """Ansatz metric V^-1 (dpsi + B dphi)^2 + V (drho^2 + rho^2 dphi^2 + dz^2)
     as components in the (psi, rho, phi, z) chart, with B = rho A_phi."""
-    coords = coords_of(p)
+    coords = np.asarray(coords, dtype=float)
     rho, phi, z = coords[1], coords[2], coords[3]
     bad = rho <= 0
     if np.any(bad):
@@ -244,11 +226,11 @@ def prolate_to_cylinder(c):
     return ChartMap(PROLATE, CYL, fwd, jac=jac, name="prolate_to_cyl")
 
 
-def prolate_chain(c, p):
+def prolate_chain(c, coords):
     """Prolate point -> (cylindrical point, EH radial-chart point with
-    a = sqrt(2c)); the fiber/azimuth pair swaps roles and the azimuth
-    doubles into the cylinder fiber."""
-    coords = coords_of(p)
+    a = sqrt(2c)), each a coordinate array; the fiber/azimuth pair swaps
+    roles and the azimuth doubles into the cylinder fiber."""
+    coords = np.asarray(coords, dtype=float)
     mu, nu, ph, ps = coords
     if mu <= 1.0:
         raise ValueError(f"prolate radial coordinate must exceed 1, got mu={mu}")
@@ -257,7 +239,7 @@ def prolate_chain(c, p):
     cyl = prolate_to_cylinder(c)(coords)
     r = np.sqrt(2.0 * c * mu)
     eh_point = np.array([r, np.arccos(nu), ps / 2.0, ph])
-    return CylPoint(*cyl), eh_point
+    return cyl, eh_point
 
 
 def radial_to_prolate(c):
@@ -300,7 +282,7 @@ def isometry_residual(c, sample):
     a = sqrt(2c), relative to the target's largest entry (at least
     GH_TO_EH_SCALE, since g_rr >= 1), so that it reads the same at every
     c; one value per sample of a batch."""
-    coords = coords_of(sample)
+    coords = np.asarray(sample, dtype=float)
     a = np.sqrt(2.0 * c)
     m = radial_to_cylinder(c)
     cyl = m(coords)

@@ -78,7 +78,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import logging
 import math
 from dataclasses import dataclass
 
@@ -86,7 +85,6 @@ import numpy as np
 
 from . import kummer
 
-log = logging.getLogger(__name__)
 
 DEFAULT_INVERT_TOL = 1e-8
 # BiCGStab step budget of invert_laplacian

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from kummerflat import eguchi_hanson, forms
-
 
 @pytest.fixture
 def rng():
@@ -18,11 +16,3 @@ def complex_matrix(h):
     m[..., 0, 1] = h[2] + 1j * h[3]
     m[..., 1, 0] = h[2] - 1j * h[3]
     return m
-
-
-def pass_through_per_point(monkeypatch):
-    """Make forms.per_point a pass-through for what is built from here
-    on, so that every cached per-point quantity is recomputed on each
-    use."""
-    for module in (forms, eguchi_hanson):
-        monkeypatch.setattr(module, "per_point", lambda fn: fn)

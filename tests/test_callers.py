@@ -1,6 +1,7 @@
 """Every function, method and class in the package has a caller there,
 apart from a pinned list; a new caller-less definition fails here until
-it gets a caller or a place in the list."""
+it gets a caller or a place in the list.  Every name a module assigns
+at its top level is read in the package."""
 
 import ast
 import pathlib
@@ -18,15 +19,19 @@ CALLER_LESS = {
     # the field file's reader, which CI reads a solve's output back with
     "load_field",
     # accessors the acceptance and verification tests use
-    "as_matrix", "i_ddbar", "involution", "kahler_potential", "nodes", "point",
+    "as_matrix", "i_ddbar", "involution", "kahler_potential", "nodes",
     "resolving_to_radial",
 }
 
 
+def _modules():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "kummerflat").glob("*.py"))}
+
+
 def _caller_less_definitions():
     defined, used = set(), set()
-    for path in sorted((ROOT / "src" / "kummerflat").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _modules().values():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.add(node.name)
@@ -38,5 +43,38 @@ def _caller_less_definitions():
 
 
 def test_every_definition_has_a_caller_or_is_listed():
-    assert len(CALLER_LESS) == 22
+    assert len(CALLER_LESS) == 21
     assert _caller_less_definitions() == CALLER_LESS
+
+
+def _unread_module_names():
+    """(module, name) for each non-dunder name a module assigns at its
+    top level that the package never reads: not loaded by name in that
+    module, not imported by name from it, and not taken as an attribute
+    of it (``forms.DIM`` after ``from . import forms``).  Attributes of
+    other objects do not count, so ``np.log`` reads no module's ``log``."""
+    assigned, read = set(), set()
+    for module, tree in _modules().items():
+        aliases = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                    assigned.update((module, n.id) for n in ast.walk(target)
+                                    if isinstance(n, ast.Name) and not n.id.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    else:
+                        read.add((node.module, alias.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+        read.update((aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases)
+    return assigned - read
+
+
+def test_every_module_level_name_is_read():
+    assert _unread_module_names() == set()

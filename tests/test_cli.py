@@ -13,7 +13,6 @@ from kummerflat import cli
 from kummerflat import kummer as km
 from kummerflat import solver as sv
 
-from conftest import pass_through_per_point
 
 ZETA_RESOLVED = "0.4444444444444444"
 
@@ -389,23 +388,6 @@ class TestVerifyEh:
         assert (tmp_path / "x" / "verify_eh.json").read_bytes() == (
             tmp_path / "y" / "verify_eh.json"
         ).read_bytes()
-
-
-class TestPerPointCachesLeaveReportsAlone:
-    """Each report renders to the same JSON text with the per-point
-    caches and with every cached quantity recomputed on each use."""
-
-    @pytest.mark.parametrize("seed, inject", [(s, False) for s in range(8)] + [(0, True)])
-    def test_verify_eh(self, monkeypatch, seed, inject):
-        cached = sv.json_text(cli.verify_eh_checks(seed=seed, inject_sigma2=inject))
-        pass_through_per_point(monkeypatch)
-        assert sv.json_text(cli.verify_eh_checks(seed=seed, inject_sigma2=inject)) == cached
-
-    @pytest.mark.parametrize("eps_gh", [0.0, 1.0])
-    def test_verify_gh(self, monkeypatch, eps_gh):
-        cached = sv.json_text(cli.verify_gh_checks(0.5, eps_gh))
-        pass_through_per_point(monkeypatch)
-        assert sv.json_text(cli.verify_gh_checks(0.5, eps_gh)) == cached
 
 
 class TestVerifyGh:

@@ -381,8 +381,7 @@ def test_volume_form_square_machine_zero(rng):
 def test_volume_form_against_metric_volume(rng):
     # Om ^ conj(Om) has constant ratio to the metric volume form
     Om = EH.holomorphic_volume_form(P1)
-    conj_terms = {k: (lambda cc, _f=v: np.conj(_f(cc))) for k, v in Om.terms.items()}
-    Om_bar = F.CoefficientForm(F.EH_U, 2, conj_terms)
+    Om_bar = F.CoefficientForm(F.EH_U, 2, Om.indices, lambda cc: [np.conj(v) for v in Om.values(cc)])
     dens = F.wedge(Om, Om_bar)
     ratios = []
     for c in _resolving_points(rng, 20):
@@ -417,8 +416,13 @@ def test_ricci_flat_at_sampled_points(rng):
     assert worst < 1e-4
 
 
+def _identity_metric(c):
+    """The identity metric, shape (4, 4, ...) on a batch."""
+    return np.multiply.outer(np.eye(4), np.ones(np.shape(c)[1:]))
+
+
 def test_ricci_zero_for_flat_metric():
-    ric = EH.ricci_residual(lambda c: np.eye(4), np.array([0.3, 0.4, 0.5, 0.6]), step=1e-3)
+    ric = EH.ricci_residual(_identity_metric, np.array([0.3, 0.4, 0.5, 0.6]), step=1e-3)
     assert np.max(np.abs(ric)) < 1e-12
 
 
@@ -432,7 +436,7 @@ def test_ricci_second_order_in_step():
 def test_ricci_positive_control_round_sphere():
     # radius-2 sphere block: Ric = g / 4 on the block
     def gfun(c):
-        g = np.eye(4)
+        g = _identity_metric(c)
         g[1, 1] = 4.0
         g[2, 2] = 4.0 * np.sin(c[1]) ** 2
         return g
@@ -489,16 +493,34 @@ def test_ricci_samples_the_metric_once_per_distinct_point(rng):
     samples = []
 
     def field(c):
-        samples.append(c.tobytes())
+        samples.append(c.T.tobytes())
         return _eh_field(c)
 
-    # a second point must not reuse the first point's samples
+    def stencil(c, step):
+        # c and its shifts by step along each axis, as rows
+        out = [c]
+        for k in range(4):
+            for h in (step, -step):
+                cc = c.copy()
+                cc[k] += h
+                out.append(cc)
+        return np.array(out)
+
+    step = 1e-3
     for c in _radial_points(rng, 2, r_lo=1.5, pole_margin=0.5):
         samples.clear()
         got = EH.ricci_residual(field, c)
-        # the 81 samples of the nested stencils fall on 41 points
-        assert len(samples) == len(set(samples)) == 41
-        assert got.tobytes() == _ref_ricci_tensor(_eh_field, c, 1e-3).tobytes()
+        # the Christoffel stencil at c, then at each pair c +- step e_k,
+        # with the pair's two points side by side
+        want = [stencil(c, step)]
+        for k in range(4):
+            plus, minus = c.copy(), c.copy()
+            plus[k] += step
+            minus[k] -= step
+            want.append(np.stack([stencil(plus, step), stencil(minus, step)], axis=1))
+        assert len(samples) == 45
+        assert b"".join(samples) == b"".join(np.ascontiguousarray(w).tobytes() for w in want)
+        assert got.tobytes() == _ref_ricci_tensor(_eh_field, c, step).tobytes()
 
 
 def test_ricci_rejects_indefinite_metric():

@@ -1,6 +1,8 @@
 """Exterior-calculus layer: wedge, d, pullback, complex-structure action,
 and the i del-delbar operator."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from kummerflat import forms as F
 
-from conftest import complex_matrix, pass_through_per_point
+from conftest import complex_matrix
 
 C2 = F.COMPLEX2
 
@@ -23,7 +25,7 @@ coord_strategy = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# charts and points
+# charts
 
 
 def test_chart_validate_rejects_out_of_domain():
@@ -38,13 +40,6 @@ def test_chart_margin_shrinks_domain():
     F.EH_R.validate(np.array([2.0, 0.01, 0.0, 0.0]))
     with pytest.raises(ValueError, match="margin"):
         F.EH_R.validate(np.array([2.0, 0.01, 0.0, 0.0]), margin=0.05)
-
-
-def test_point_helper_validates():
-    p = F.point(F.EH_R, 2.0, 1.0, 0.5, 0.5)
-    assert p.chart is F.EH_R
-    with pytest.raises(ValueError):
-        F.point(F.EH_R, 0.5, 4.0, 0.0, 0.0)
 
 
 def _ref_validate(chart, coords, margin=0.0):
@@ -239,22 +234,32 @@ def _d_of_product(step):
 
 
 def test_ext_d_validates_its_two_samples(monkeypatch):
-    # each coefficient validates c + h e_j and c - h e_j, which cover c
-    seen = []
+    # one evaluation validates each stencil point it evaluates once: the
+    # two samples c + h e_j and c - h e_j of each coefficient, which
+    # cover c
+    seen, evaluated = [], []
     validate = F.Chart.validate
 
     def recording(chart, coords, margin=0.0):
         seen.append(np.array(coords).tobytes())
         return validate(chart, coords, margin)
 
+    def product(c):
+        evaluated.append(c.tobytes())
+        return c[0] * c[1]
+
     monkeypatch.setattr(F.Chart, "validate", recording)
-    df = _d_of_product(1e-3)
+    df = F.ext_d(F.CoefficientForm(F.EH_R, 0, {(): product}), step=1e-3)
     c = np.array([2.0, 1.0, 0.3, -0.4])
+    stencil = []
     for j in range(4):
-        seen.clear()
         e = 1e-3 * np.eye(4)[j]
-        df.coeff((j,), c)
-        assert seen == [(c + e).tobytes(), (c - e).tobytes()]
+        stencil += [(c + e).tobytes(), (c - e).tobytes()]
+    for read in (df.as_vector, df.max_abs, lambda c: df.coeff((2,), c)):
+        seen.clear()
+        evaluated.clear()
+        read(c)
+        assert seen == evaluated == stencil
 
 
 @pytest.mark.parametrize("centre, match", [
@@ -321,7 +326,20 @@ def test_pullback_degree_zero(rng):
     assert abs(F.pullback(m, f).coeff((), c) - (2 * c[0] + 2 * c[3])) < 1e-12
 
 
-def test_pullback_maps_once_per_point(rng, monkeypatch):
+def _ref_pullback_matrix(m, terms, c):
+    """The pullback's component matrix at one point, each coefficient
+    summed over the form's terms on its own."""
+    out = np.zeros((4, 4))
+    for i, j in itertools.combinations(range(4), 2):
+        total = 0.0
+        for idx, fn in terms.items():
+            v = fn(m.forward(c)) if callable(fn) else fn
+            total = total + v * np.linalg.det(m.jacobian(c)[np.ix_(idx, (i, j))])
+        out[i, j], out[j, i] = total, -total
+    return out
+
+
+def test_pullback_maps_once_per_point(rng):
     calls = {"forward": 0, "jac": 0}
     A = rng.normal(size=(4, 4))
 
@@ -334,21 +352,18 @@ def test_pullback_maps_once_per_point(rng, monkeypatch):
         return A * np.cos(c)
 
     m = F.ChartMap(C2, C2, forward, jac=jac, name="sin")
-    f = F.CoefficientForm(C2, 2, {(0, 1): lambda c: c[2] * c[3], (1, 3): lambda c: np.exp(c[0]), (0, 2): 2.0})
-    pb = F.pullback(m, f)
-    pass_through_per_point(monkeypatch)
-    uncached = F.pullback(m, f)
-    # a second point must not reuse the first point's map and jacobian
+    terms = {(0, 1): lambda c: c[2] * c[3], (1, 3): lambda c: np.exp(c[0]), (0, 2): 2.0}
+    pb = F.pullback(m, F.CoefficientForm(C2, 2, terms))
     for c in c2_coords(rng, 2):
         calls.update(forward=0, jac=0)
         got = pb.as_matrix(c)
         assert calls == {"forward": 1, "jac": 1}
-        assert got.tobytes() == uncached.as_matrix(c).tobytes()
+        assert got.tobytes() == _ref_pullback_matrix(m, terms, c).tobytes()
 
 
 def test_pullback_cache_survives_a_reused_coordinate_buffer():
-    # the identity's image is its input; the cache must not keep a view
-    # of a buffer the caller writes to later
+    # the identity's image is its input; a form must not keep a view of
+    # a buffer the caller writes to later
     ident = F.ChartMap(C2, C2, lambda c: c, jac=lambda c: np.eye(4), name="id")
     pb = F.pullback(ident, F.CoefficientForm(C2, 2, {(0, 1): lambda c: c[2]}))
     buf = np.array([0.1, 0.2, 0.3, 0.4])
@@ -356,36 +371,6 @@ def test_pullback_cache_survives_a_reused_coordinate_buffer():
     buf[2] = 5.0
     assert pb.coeff((0, 1), buf) == 5.0
     assert pb.coeff((0, 1), np.array([0.1, 0.2, 0.3, 0.4])) == 0.3
-
-
-def test_per_point_is_a_bounded_lru_on_exact_bytes():
-    calls = []
-
-    def fn(c):
-        calls.append(c.tobytes())
-        if c[0] < 0:
-            raise ValueError("negative")
-        return c.sum()
-
-    cached = F.per_point(fn)
-    pts = [np.array([float(k), 0.0, 0.0, 0.0]) for k in range(F.PER_POINT_CACHE + 1)]
-    for p in pts[:-1]:
-        cached(p)
-    # a hit refreshes the first point, so the new one evicts the second
-    assert cached(list(pts[0])) == 0.0 and len(calls) == F.PER_POINT_CACHE
-    cached(pts[-1])
-    cached(pts[0])
-    assert len(calls) == F.PER_POINT_CACHE + 1
-    cached(pts[1])
-    assert len(calls) == F.PER_POINT_CACHE + 2
-    # -0.0 and 0.0 differ in their bytes, so they are two points
-    cached(np.array([1.0, -0.0, 0.0, 0.0]))
-    assert len(calls) == F.PER_POINT_CACHE + 3
-    # an evaluation that raises caches nothing
-    for _ in range(2):
-        with pytest.raises(ValueError, match="negative"):
-            cached(np.array([-1.0, 0.0, 0.0, 0.0]))
-    assert len(calls) == F.PER_POINT_CACHE + 5
 
 
 def test_chart_map_numeric_jacobian_matches_analytic(rng):
@@ -461,13 +446,6 @@ def test_fd_jacobian_matches_axis_loop(rng):
         assert m.jacobian(c).tobytes() == _ref_fd_jacobian(m, c).tobytes()
 
 
-def test_coords_of_point_or_sequence():
-    p = F.point(C2, 0.1, 0.2, 0.3, 0.4)
-    assert F.coords_of(p) is p.coords
-    got = F.coords_of([1, 2, 3, 4])
-    assert got.dtype == float and np.array_equal(got, [1.0, 2.0, 3.0, 4.0])
-
-
 # ---------------------------------------------------------------------------
 # complex structure action
 
@@ -504,7 +482,31 @@ def test_apply_j_squares_to_minus_identity(rng):
     assert (twice + f).max_abs(c) < 1e-14
 
 
-def test_apply_j_solves_the_frame_once_per_point(rng, monkeypatch):
+def _ref_apply_j(structure, f, c):
+    """J acting on a 1-form at one point, by the frame solve of forms."""
+    Et = np.asarray(structure.coframe(c), dtype=float).T
+    comps = np.linalg.solve(Et, f.as_vector(c)[:, None])
+    return (Et @ (structure.action @ comps))[:, 0]
+
+
+def _ref_d_one_form_matrix(g, c, step):
+    """The component matrix of d of the 1-form g (a function of one
+    point) at c, each coefficient differenced on its own:
+    -d_j g_i + d_i g_j for i < j, in ext_d's order and sign."""
+    def shifted(k, h):
+        cc = c.copy()
+        cc[k] += h
+        return cc
+
+    out = np.zeros((4, 4))
+    for i, j in itertools.combinations(range(4), 2):
+        v = (-1 * (g(shifted(j, step))[i] - g(shifted(j, -step))[i]) / (2 * step)
+             + 1 * (g(shifted(i, step))[j] - g(shifted(i, -step))[j]) / (2 * step))
+        out[i, j], out[j, i] = v, -v
+    return out
+
+
+def test_apply_j_solves_the_frame_once_per_point(rng):
     solves = []
     A = _toy_structure().action
 
@@ -516,15 +518,13 @@ def test_apply_j_solves_the_frame_once_per_point(rng, monkeypatch):
     J = F.ComplexStructure("skew", A, C2, coframe)
     f = F.one_form(C2, [lambda c: c[0] * c[1], 1.0, lambda c: np.sin(c[3]), lambda c: c[2] ** 2])
     d_jf = F.ext_d(F.apply_J(J, f))
-    pass_through_per_point(monkeypatch)
-    uncached = F.ext_d(F.apply_J(J, f))
-    # a second point must not reuse the first point's solves
     for c in c2_coords(rng, 2):
         solves.clear()
         d_jf.max_abs(c)
         # one solve at each of the 8 stencil points
         assert len(solves) == 8
-        assert d_jf.as_matrix(c).tobytes() == uncached.as_matrix(c).tobytes()
+        want = _ref_d_one_form_matrix(lambda cc: _ref_apply_j(J, f, cc), c, 1e-4)
+        assert d_jf.as_matrix(c).tobytes() == want.tobytes()
 
 
 def test_apply_j_rejects_degree_two():

@@ -117,22 +117,23 @@ def test_connection_far_field_single_charge_two():
 
 def test_curl_residual_small(rng):
     for _ in range(10):
-        p = GH.CylPoint(0.0, rng.uniform(0.5, 2.5), rng.uniform(0, 2 * np.pi), rng.uniform(-1.8, 1.8))
-        if min(abs(p.z - 1.0), abs(p.z + 1.0)) < 0.3 and p.rho < 0.3:
+        p = np.array([0.0, rng.uniform(0.5, 2.5), rng.uniform(0, 2 * np.pi), rng.uniform(-1.8, 1.8)])
+        _, rho, _, z = p
+        if min(abs(z - 1.0), abs(z + 1.0)) < 0.3 and rho < 0.3:
             continue
         res = GH.curl_residual(TWO, p, step=1e-4)
         assert np.max(np.abs(res)) < 1e-5
 
 
 def test_curl_residual_reference_point():
-    res = GH.curl_residual(TWO, GH.CylPoint(0.0, 1.0, 0.0, 0.5), step=1e-4)
+    res = GH.curl_residual(TWO, np.array([0.0, 1.0, 0.0, 0.5]), step=1e-4)
     assert np.max(np.abs(res)) < 1e-5
 
 
 def test_curl_gauge_invariance():
     # adding an exact gradient (quadratic potential, so the stencil is exact)
     # leaves the residual unchanged
-    p = GH.CylPoint(0.0, 1.1, 0.2, 0.4)
+    p = np.array([0.0, 1.1, 0.2, 0.4])
     base = GH.curl_residual(TWO, p, step=1e-4)
 
     def grad_f(rho, z):
@@ -144,7 +145,7 @@ def test_curl_gauge_invariance():
 
 
 def _ref_curl_residual(cfg, p, step, extra=None):
-    rho, phi, z = p.rho, p.phi, p.z
+    _, rho, phi, z = p
 
     def a_field(rr, zz):
         base = np.array([0.0, GH.connection_axial(cfg, rr, zz), 0.0])
@@ -175,23 +176,23 @@ def test_curl_residual_matches_axis_loop(rng):
         return np.array([np.sin(rho) * z, rho * z**2, np.cos(z)])
 
     for _ in range(5):
-        p = GH.CylPoint(rng.uniform(0.0, 4.0 * np.pi), rng.uniform(0.3, 2.0),
-                        rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.5, 1.5))
+        p = np.array([rng.uniform(0.0, 4.0 * np.pi), rng.uniform(0.3, 2.0),
+                      rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.5, 1.5)])
         for c, ex in ((TWO, None), (cfg, None), (TWO, extra)):
             got = GH.curl_residual(c, p, step=1e-4, extra=ex)
             assert got.tobytes() == _ref_curl_residual(c, p, 1e-4, extra=ex).tobytes()
 
 
 def test_curl_residual_reflection_parity():
-    up = GH.curl_residual(TWO, GH.CylPoint(0.0, 1.2, 0.1, 0.7), step=1e-4)
-    dn = GH.curl_residual(TWO, GH.CylPoint(0.0, 1.2, 0.1, -0.7), step=1e-4)
+    up = GH.curl_residual(TWO, np.array([0.0, 1.2, 0.1, 0.7]), step=1e-4)
+    dn = GH.curl_residual(TWO, np.array([0.0, 1.2, 0.1, -0.7]), step=1e-4)
     assert abs(up[0] - dn[0]) < 1e-10
     assert abs(up[2] + dn[2]) < 1e-10
 
 
 def test_curl_residual_margin_error():
     with pytest.raises(ValueError, match="rho"):
-        GH.curl_residual(TWO, GH.CylPoint(0.0, 1e-5, 0.0, 0.5), step=1e-4)
+        GH.curl_residual(TWO, np.array([0.0, 1e-5, 0.0, 0.5]), step=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +201,20 @@ def test_curl_residual_margin_error():
 
 def test_metric_determinant_identity(rng):
     for _ in range(10):
-        p = GH.CylPoint(0.0, rng.uniform(0.3, 2.0), rng.uniform(0, 2 * np.pi), rng.uniform(-1.5, 1.5))
-        if abs(abs(p.z) - 1.0) < 0.2 and p.rho < 0.2:
+        p = np.array([0.0, rng.uniform(0.3, 2.0), rng.uniform(0, 2 * np.pi), rng.uniform(-1.5, 1.5)])
+        _, rho, phi, z = p
+        if abs(abs(z) - 1.0) < 0.2 and rho < 0.2:
             continue
         g = GH.gh_metric(TWO, p)
-        v = GH.potential_V(TWO, [p.rho * np.cos(p.phi), p.rho * np.sin(p.phi), p.z])
-        assert np.linalg.det(g.components) == pytest.approx(v**2 * p.rho**2, rel=1e-10)
+        v = GH.potential_V(TWO, [rho * np.cos(phi), rho * np.sin(phi), z])
+        assert np.linalg.det(g.components) == pytest.approx(v**2 * rho**2, rel=1e-10)
 
 
 def test_metric_positive_definite(rng):
     for _ in range(20):
-        p = GH.CylPoint(0.0, rng.uniform(0.3, 2.0), 0.0, rng.uniform(-1.5, 1.5))
-        if abs(abs(p.z) - 1.0) < 0.2 and p.rho < 0.2:
+        p = np.array([0.0, rng.uniform(0.3, 2.0), 0.0, rng.uniform(-1.5, 1.5)])
+        _, rho, _, z = p
+        if abs(abs(z) - 1.0) < 0.2 and rho < 0.2:
             continue
         assert GH.gh_metric(TWO, p).min_eigenvalue() > 0
 
@@ -219,7 +222,7 @@ def test_metric_positive_definite(rng):
 def test_metric_rejects_negative_potential():
     cfg = GH.GhConfig(centers=((0, 0, 0),), charges=(-1,), eps_gh=0.1)
     with pytest.raises(ValueError, match="positive"):
-        GH.gh_metric(cfg, GH.CylPoint(0.0, 1.0, 0.0, 0.0))
+        GH.gh_metric(cfg, np.array([0.0, 1.0, 0.0, 0.0]))
 
 
 def test_single_center_metric_is_ricci_flat():
@@ -258,8 +261,9 @@ def test_prolate_reference_values():
     c = 1.0
     mu, nu = np.sqrt(2.0), 0.0
     cyl, eh_point = GH.prolate_chain(c, [mu, nu, 0.3, 1.1])
-    r1 = np.hypot(cyl.rho, cyl.z + c)
-    r2 = np.hypot(cyl.rho, cyl.z - c)
+    _, rho, _, z = cyl
+    r1 = np.hypot(rho, z + c)
+    r2 = np.hypot(rho, z - c)
     assert r1 == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert r2 == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert eh_point[0] ** 2 == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
@@ -276,8 +280,9 @@ def test_prolate_rejects_degenerate_coordinates():
 def test_prolate_reflection_symmetry():
     up = GH.prolate_chain(1.0, [1.7, 0.4, 0.2, 0.5])[0]
     dn = GH.prolate_chain(1.0, [1.7, -0.4, 0.2, 0.5])[0]
-    assert up.rho == pytest.approx(dn.rho, abs=1e-14)
-    assert up.z == pytest.approx(-dn.z, abs=1e-14)
+    # (psi, rho, phi, z): rho is even and z odd under the reflection
+    assert up[1] == pytest.approx(dn[1], abs=1e-14)
+    assert up[3] == pytest.approx(-dn[3], abs=1e-14)
 
 
 def test_prolate_round_trip(rng):
@@ -299,9 +304,9 @@ def test_prolate_focal_distances(rng):
     for _ in range(10):
         mu = rng.uniform(1.1, 3.0)
         nu = rng.uniform(-0.9, 0.9)
-        cyl, _ = GH.prolate_chain(c, [mu, nu, 0.0, 0.0])
-        assert np.hypot(cyl.rho, cyl.z + c) == pytest.approx(c * (mu + nu), rel=1e-12)
-        assert np.hypot(cyl.rho, cyl.z - c) == pytest.approx(c * (mu - nu), rel=1e-12)
+        _, rho, _, z = GH.prolate_chain(c, [mu, nu, 0.0, 0.0])[0]
+        assert np.hypot(rho, z + c) == pytest.approx(c * (mu + nu), rel=1e-12)
+        assert np.hypot(rho, z - c) == pytest.approx(c * (mu - nu), rel=1e-12)
 
 
 def test_isometry_reference_point():
