@@ -178,8 +178,8 @@ def _make_out_dir(cfg, parser):
 # quotient grid, at grid_n=64 (32^4 nodes), a resolved solve peaks at
 # 176 B/node (its .kmf write copies no field), uniqueness at
 # 205 and scaling at 152; lambda1 keeps its Krylov basis and its
-# operator images, up to 17 fields each, and peaks at 271 B/node on
-# the unit grid at grid_n=32.
+# operator images, up to 17 fields each, and peaks at 266 B/node on
+# the unit grid at grid_n=32 (a=0.05).
 _BYTES_PER_NODE = 300
 
 

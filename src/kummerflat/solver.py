@@ -38,12 +38,14 @@ corrected field is field_.data + hessian_parts(phi, dx), and
 kummer.hermitian_det and kummer.hermitian_min_eig work on those
 components; no complex (..., 2, 2) field is built here.  The stencil
 is written once, in _stencil_sums, as four unscaled sums on the rows of
-one slab along axis 0, read with a periodic halo row per side; a slab
-holds _SLAB_BYTES of u, the one budget of every slab sweep, the Hölder
-one too, so that its buffers stay in the per-core cache.  hessian_parts
-scales the sums into the slabs of P, and hermitian_bracket weights them
-by h into the bracket [h : P(u)] behind the Laplacian and its
-inversion, without building P.  The inversion is
+one slab along axis 0, read with a periodic halo row per side: an inner
+slab reads its rows and halo as a view of u, and only the first and the
+last slab, whose halo wraps, copy theirs; a slab holds _SLAB_BYTES of
+u, the one budget of every slab sweep, the Hölder one too, so that its
+buffers stay in the per-core cache.  hessian_parts scales the sums into
+the slabs of P, and hermitian_bracket weights them by h into the
+bracket [h : P(u)] behind the Laplacian and its inversion, without
+building P.  The inversion is
 right-preconditioned BiCGStab, since the stencil operator is not
 symmetric on glued fields.  Its preconditioner takes two steps: the flat
 inverse, by matrix products with the real eigenbasis of the periodic
@@ -55,21 +57,22 @@ hermitian_bracket call on the stacked 4^4 patches around the boxes
 (4096 nodes on the unit grid, 256 on the quotient) and applies the
 boxes' 16x16 inverses; at n=24 and a = 0.02, 0.05, 0.08 it brings a
 lambda1 sweep from 73 to 55 BiCGStab steps.
-The solve loop allocates nothing n^4-sized per step: the work vectors,
-the operator images and the preconditioner's scratch field are made
-once per inversion and written in place, and the flat preconditioner's
-basis and symbol and the site boxes' inverses are made once per
-Problem.  Each Picard step builds one stencil field P of its potential:
-Q = det P / det h is read from it, P becomes the corrected field h + P
-in place, and the step's residual and positivity checks drop it before
-its Y-norms run.
+The solve loop allocates nothing n^4-sized per step: an inversion holds
+u, the residual and five work fields (r_hat, p, the operator images v
+and t, and z), made once and written in place, with t, dead at both
+preconditioner applies, as the flat inverse's scratch; the flat
+preconditioner's basis and symbol and the site boxes' inverses are made
+once per Problem.  Each Picard step builds one stencil field P of its
+potential: Q = det P / det h is read from it, P becomes the corrected
+field h + P in place, and the step's residual and positivity checks
+drop it before its Y-norms run.
 Each other n^4 field lives only as long as it is needed: the work
 vectors die with the BiCGStab loop, a warm start's potential receives
 the solution in place, the residual checks and the fixed-point image
 are computed in place, and hessian_parts needs two slab buffers besides
 its result (4.3 fields at 24^4 nodes, 5.2 at 16^4); at a = 0.05 a solve
-peaks at 10.0 fields on top of its Problem's 7 at 24^4 nodes and 11.7
-at 16^4, and a warm inversion at 7.5 and 9.7 (traced, on either grid:
+peaks at 10.0 fields on top of its Problem's 7 at 24^4 nodes and 10.7
+at 16^4, and a warm inversion at 6.5 and 8.7 (traced, on either grid:
 24^4 nodes are the unit grid at n=24 or the quotient at n=48).
 """
 
@@ -288,10 +291,14 @@ def _central_diff(f, axis, dx):
 
 
 def _stencil_slabs(u, count):
-    """Slabs of rows i0:i1 along axis 0 of u, _SLAB_BYTES of u each
-    (the last one shorter when the rows do not divide n): yields
-    (i0, i1, halo, work), with halo holding rows i0 - 1, ..., i1 of u,
-    wrapped around the torus, and work count slab-sized buffers."""
+    """Slabs of rows i0:i1 along axis 0 of the C-contiguous u, _SLAB_BYTES
+    of u each (the last one shorter when the rows do not divide n):
+    yields (i0, i1, halo, work), with halo holding rows i0 - 1, ..., i1
+    of u, wrapped around the torus, and work count slab-sized buffers.
+
+    halo is the view u[i0 - 1:i1 + 1] wherever those rows do not wrap;
+    only the first and the last slab copy theirs into a buffer, so u is
+    never written and a slab sweep reads the same values either way."""
     n0 = u.shape[0]
     rows = min(n0, max(1, _SLAB_BYTES // u[0].nbytes))
     halo = np.empty((rows + 2,) + u.shape[1:])
@@ -299,8 +306,11 @@ def _stencil_slabs(u, count):
     for i0 in range(0, n0, rows):
         i1 = min(i0 + rows, n0)
         m = i1 - i0
-        np.take(u, range(i0 - 1, i1 + 1), axis=0, out=halo[:m + 2], mode="wrap")
-        yield i0, i1, halo[:m + 2], work[:, :m]
+        if 0 < i0 and i1 < n0:
+            yield i0, i1, u[i0 - 1:i1 + 1], work[:, :m]
+        else:
+            np.take(u, range(i0 - 1, i1 + 1), axis=0, out=halo[:m + 2], mode="wrap")
+            yield i0, i1, halo[:m + 2], work[:, :m]
 
 
 def _stencil_sums(halo, a, b, c, d, x):
@@ -350,7 +360,9 @@ def hermitian_bracket(h, u, dx, out=None):
     """[h : P(u)] = h11 p22 + h22 p11 - 2 Re(h12 conj(p12)) for the
     stencil field P = hessian_parts(u, dx) and the components h = (h11,
     h22, Re h12, Im h12) of a field on u's nodes, such as Field11.data,
-    without building P; into out (a new array by default).
+    without building P; into out (a new array by default), which must
+    not share memory with u: the slabs read rows of u that earlier slabs
+    of out would have overwritten, so an aliased out raises ValueError.
 
     The sums of _stencil_sums are weighted by the components of h they
     meet in the bracket, and the stencil factors are applied once per
@@ -361,6 +373,8 @@ def hermitian_bracket(h, u, dx, out=None):
     u = np.ascontiguousarray(u, dtype=float)
     if out is None:
         out = np.empty_like(u)
+    elif np.may_share_memory(out, u):
+        raise ValueError("hermitian_bracket: out may share memory with u")
     h11, h22, re12, im12 = h
     for i0, i1, halo, (b, c, d, x) in _stencil_slabs(u, 4):
         o = out[i0:i1]
@@ -480,7 +494,8 @@ def _precondition(problem, p, scratch, z):
     z_box += A_s^-1 (p + [h : P(z)])_box of Problem.site_boxes, after
     which [h : P(z)] = -p at every box node.  M is fixed and linear; it
     takes one _flat_inverse on Problem.flat_basis, through the real
-    field scratch, and one hermitian_bracket on the S stacked 4^4
+    field scratch, whose contents are lost (_bicgstab passes its dead
+    operator image t), and one hermitian_bracket on the S stacked 4^4
     patches."""
     _flat_inverse(p, problem.flat_basis, scratch, z)
     patch, box, h, inverse = problem.site_boxes
@@ -562,14 +577,15 @@ def _bicgstab(problem, u, r, scale, tol, history):
 
     The work vectors are made once and written in place, and die on
     return: shadow residual r_hat, search direction p, operator images
-    v and t, the preconditioned vector z and the preconditioner's
-    scratch field."""
+    v and t and the preconditioned vector z, five fields besides u and
+    r.  t is dead at both preconditioner applies (its last value has
+    already been subtracted from r, and the operator overwrites it
+    next), so it is also the flat inverse's scratch field."""
     r_hat = r.copy()
     p = np.zeros_like(r)
     v = np.zeros_like(r)
     t = np.empty_like(r)
     z = np.empty_like(r)
-    scratch = np.empty_like(r)
     rho = alpha = omega = 1.0
     bracket_mean = 0.0
     for it in range(1, INVERT_MAX_ITER + 1):
@@ -583,7 +599,7 @@ def _bicgstab(problem, u, r, scale, tol, history):
         p -= v
         p *= beta
         p += r
-        _precondition(problem, p, scratch, z)
+        _precondition(problem, p, t, z)
         _, z_mean = _glued_operator(problem, z, v)
         pivot = float(np.vdot(r_hat, v))
         if pivot == 0.0:
@@ -596,7 +612,7 @@ def _bicgstab(problem, u, r, scale, tol, history):
         r -= np.multiply(v, alpha, out=t)
         rel = float(np.linalg.norm(r)) / scale
         if rel > tol:
-            _precondition(problem, r, scratch, z)
+            _precondition(problem, r, t, z)
             _, z_mean = _glued_operator(problem, z, t)
             omega = float(np.vdot(t, r)) / float(np.vdot(t, t))
             z *= omega
@@ -1014,20 +1030,26 @@ def lambda1_estimate(problem, tol=1e-6, seed=7):
 
     Rayleigh-Ritz on an inverse-iteration Krylov subspace; robust to
     the near-degenerate low cluster that plain power iteration cannot
-    separate.  Stops once the bottom Ritz value is stable to tol."""
+    separate.  Stops once the bottom Ritz value is stable to tol.
+
+    A Gram-Schmidt coefficient or norm <u, v>_w = sum w u v is one
+    multiply of w into a scratch field and one np.vdot.  Each basis
+    vector's image is kept as w Delta b, scaled in place on laplacian's
+    result, so a Ritz entry <b_i, -Delta b_k>_w is minus one np.vdot."""
     rng = np.random.default_rng(seed)
+    weight = problem.weight
     prod = np.empty(problem.shape)
 
     def wip(u, v):
-        np.multiply(problem.weight, u, out=prod)
-        return float(np.sum(np.multiply(prod, v, out=prod)))
+        return float(np.vdot(np.multiply(weight, u, out=prod), v))
 
     basis = []
     v = project_mean_zero(problem, random_smooth_field(problem.grid, rng))
     v /= np.sqrt(wip(v, v))
     basis.append(v)
-    # one -laplacian image per basis vector, made when a Ritz step first
-    # needs it; the Ritz matrix grows by one row and column per image
+    # one weighted laplacian image per basis vector, made when a Ritz
+    # step first needs it; the Ritz matrix grows by one row and column
+    # per image
     images = []
     M = np.empty((LAMBDA1_KRYLOV_DIM + 1, LAMBDA1_KRYLOV_DIM + 1))
     prev = None
@@ -1035,7 +1057,7 @@ def lambda1_estimate(problem, tol=1e-6, seed=7):
         # invert_laplacian returns u with zero weighted mean
         u, _ = invert_laplacian(problem, basis[-1], tol=LAMBDA1_INVERT_TOL)
         for b in basis:
-            c = wip(u, b)
+            c = wip(b, u)
             u -= np.multiply(b, c, out=prod)
         nrm = np.sqrt(wip(u, u))
         if nrm < 1e-13:
@@ -1045,11 +1067,11 @@ def lambda1_estimate(problem, tol=1e-6, seed=7):
         m = len(basis)
         for k in range(len(images), m):
             image = laplacian(problem, basis[k])
-            images.append(np.negative(image, out=image))
+            images.append(np.multiply(image, weight, out=image))
             for i in range(k):
-                M[i, k] = wip(basis[i], images[k])
-                M[k, i] = wip(basis[k], images[i])
-            M[k, k] = wip(basis[k], images[k])
+                M[i, k] = -float(np.vdot(basis[i], images[k]))
+                M[k, i] = -float(np.vdot(basis[k], images[i]))
+            M[k, k] = -float(np.vdot(basis[k], images[k]))
         G = M[:m, :m]
         ritz = np.linalg.eigvalsh(0.5 * (G + G.T))
         bottom = float(ritz[0])
