@@ -15,9 +15,15 @@ volume, and the complex volume form density is the constant 4.
 The grid is the unit torus or its quotient of side 1/2 by the
 half-period translations (Z/2)^4 (TorusGrid.quotient), which permute the
 sixteen sites and under which the glued field is invariant.
-build_omega0 keeps all sixteen sites through wrap_displacement on the
-unit torus, so on the quotient it is the unit-torus field restricted to
-the first n/2 nodes per axis, bit for bit.
+build_omega0 sets up no per-site index boxes: per axis it takes the
+displacement of each grid coordinate to the nearer site coordinate, 0 or
+1/2, which is the wrapped displacement on the unit torus of the site
+nearest the node, and in one sweep over axis-0 slabs it evaluates the
+site formula on the nodes inside a gluing ball (19% of them at
+zeta = 4/9) and checks positivity there only; every other node is flat.
+So on the quotient the field is the unit-torus field restricted to the
+first n/2 nodes per axis, and on either grid the sum of
+site_contribution over all sixteen sites at every node, bit for bit.
 
 A Hermitian 2x2 field is stored as its four real components
 (h11, h22, Re h12, Im h12) along a leading axis of length 4; on the
@@ -55,6 +61,14 @@ CHI_CHIBAR_DENSITY = 4.0
 
 _MAGIC = b"KMF1"
 _VERSION = 2
+
+# bytes of the swept field per slab of every axis-0 slab sweep: the
+# glued field in build_omega0, the scalar field in solver's stencil and
+# Hölder sweeps.  A stencil slab with its halo rows, sums, scratch and
+# the bracket's four slabs of h, a Hölder slab with its shifted copies,
+# or the site formula's temporaries on a slab's ball nodes, about 20
+# floats per node, stays near a 2 MiB per-core L2
+_SLAB_BYTES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +323,11 @@ class GluedModel:
             log.info("zeta=%.4g exceeds the conservative bound 1/4", self.zeta)
 
 
+# components (h11, h22, Re h12, Im h12) of the flat form, identity/2
+_FLAT = np.array([0.5, 0.5, 0.0, 0.0])
+_FLAT.flags.writeable = False
+
+
 def hermitian_det(h):
     """Pointwise determinant h11 h22 - |h12|^2 of Hermitian 2x2 fields
     given as components (h11, h22, Re h12, Im h12) along axis 0."""
@@ -351,31 +370,40 @@ class Field11:
         return float(np.min(hermitian_min_eig(self.data)))
 
 
-def site_contribution(model, v):
-    """Components (h11, h22, Re h12, Im h12) of one site's Hermitian
-    contribution at wrapped displacements v (shape (..., 4)), along a
-    leading axis of length 4; zero outside the radius-zeta/2 ball.
+def _ball_contribution(model, v, w):
+    """The site formula: one site's Hermitian contribution at the wrapped
+    displacement rows v (shape (m, 4)) inside its ball, 0 < |v| < zeta/2,
+    whose squared radii are w = np.sum(v**2, axis=-1), as the components
+    (h11, h22, Re h12, Im h12) along a leading axis of length 4.
 
     With z = (x1 + i y1, x2 + i y2) the contribution is
     f_w identity + f_ww conj(z) z^T."""
+    u = np.sqrt(w)
+    beta, beta_t, beta_tt = cutoff_beta_derivs(model.zeta, u)
+    beta_w = np.where(beta_t != 0.0, beta_t / (2.0 * u), 0.0)
+    beta_ww = np.where(beta_tt != 0.0, (beta_tt - beta_t / u) / (4.0 * w), 0.0)
+    g, gw, gww = ball_correction_derivs(model.a, w)
+    f_w = beta_w * g + beta * gw
+    f_ww = beta_ww * g + 2.0 * beta_w * gw + beta * gww
+    x1, y1, x2, y2 = v.T
+    out = np.stack([x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2, x1 * y2 - y1 * x2])
+    out *= f_ww
+    out[:2] += f_w
+    return out
+
+
+def site_contribution(model, v):
+    """Components (h11, h22, Re h12, Im h12) of one site's Hermitian
+    contribution at wrapped displacements v (shape (..., 4)), along a
+    leading axis of length 4: the site formula _ball_contribution inside
+    the radius-zeta/2 ball, zero outside it."""
     v = np.asarray(v, dtype=float)
     w = np.sum(v**2, axis=-1)
     u = np.sqrt(w)
     out = np.zeros((4,) + v.shape[:-1])
     mask = (u > 0) & (u < model.zeta / 2.0)
-    if not np.any(mask):
-        return out
-    um, wm = u[mask], w[mask]
-    beta, beta_t, beta_tt = cutoff_beta_derivs(model.zeta, um)
-    beta_w = np.where(beta_t != 0.0, beta_t / (2.0 * um), 0.0)
-    beta_ww = np.where(beta_tt != 0.0, (beta_tt - beta_t / um) / (4.0 * wm), 0.0)
-    g, gw, gww = ball_correction_derivs(model.a, wm)
-    f_w = beta_w * g + beta * gw
-    f_ww = beta_ww * g + 2.0 * beta_w * gw + beta * gww
-    x1, y1, x2, y2 = v[mask].T
-    out[:, mask] = f_ww * np.stack([x1 * x1 + y1 * y1, x2 * x2 + y2 * y2,
-                                    x1 * x2 + y1 * y2, x1 * y2 - y1 * x2])
-    out[:2, mask] += f_w
+    if np.any(mask):
+        out[:, mask] = _ball_contribution(model, v[mask], w[mask])
     return out
 
 
@@ -383,7 +411,7 @@ def omega0_at(model, x):
     """Pointwise components (h11, h22, Re h12, Im h12) of the glued form
     at a torus point."""
     x = np.asarray(x, dtype=float)
-    h = np.array([0.5, 0.5, 0.0, 0.0])
+    h = _FLAT
     for site in SITES:
         v = wrap_displacement(x - site)
         if np.linalg.norm(v) == 0.0:
@@ -401,36 +429,62 @@ def build_omega0(model, grid):
     Eguchi-Hanson Hessian inside the radius-zeta/4 balls, and invariant
     under the involution node-for-node.
 
-    Each site is evaluated only on its index box: the nodes whose wrapped
-    displacement is below zeta/2 on every axis, which hold its whole
-    ball.  The balls are pairwise disjoint, so every node receives at
-    most one nonzero contribution and the box skips only additions of
-    exact zeros.
+    The balls are pairwise disjoint, so a node can lie only in the ball
+    of its nearest site, whose wrapped displacement is, per axis, the
+    displacement d to the nearer site coordinate 0 or 1/2.  One sweep
+    over slabs of _SLAB_BYTES of the field along axis 0 forms the squared
+    distances w = ((d0^2 + d1^2) + d2^2) + d3^2, the order in which
+    np.sum(v**2, axis=-1) adds them, and evaluates the site formula once
+    per slab, on the nodes with 0 < sqrt(w) < zeta/2.  Every other node
+    would receive only exact zeros from the sixteen sites and keeps the
+    flat value, so the field is bit for bit the sum of site_contribution
+    over all sites at every node.  Positivity is checked on the ball
+    nodes only, since a flat node has the eigenvalue 1/2; the error
+    names the first node, in grid order, with the smallest eigenvalue.
     """
     ax = grid.axis_coordinates()
-    shape = (grid.n,) * 4
-    h = np.zeros((4,) + shape)
+    n = grid.n
+    h = np.zeros((4,) + (n,) * 4)
     h[:2] = 0.5
-    touched = False
-    for site in SITES:
-        d = wrap_displacement(ax[:, None] - site)
-        idx = [np.flatnonzero(np.abs(d[:, k]) < model.zeta / 2.0) for k in range(4)]
-        box = np.ix_(*idx)
-        v = np.stack(np.broadcast_arrays(*(d[box[k], k] for k in range(4))), axis=-1)
-        contrib = site_contribution(model, v)
-        touched = touched or bool(contrib.any())
-        h[(slice(None),) + box] += contrib
-    if not touched:
+    low, high = wrap_displacement(ax), wrap_displacement(ax - 0.5)
+    d = np.where(np.abs(high) < np.abs(low), high, low)
+    sq = d * d
+    # w012[i] + sq is row i of w along axis 0
+    w012 = (sq[:, None, None] + sq[:, None]) + sq
+    rows = max(1, _SLAB_BYTES // h[:, 0].nbytes)
+    # per slab with ball nodes: its smallest eigenvalue and the flat index
+    # of its first node with it
+    worst = []
+    for i0 in range(0, n, rows):
+        w = w012[i0:i0 + rows, :, :, None] + sq
+        ball = np.flatnonzero((w > 0) & (np.sqrt(w) < model.zeta / 2.0))
+        if ball.size == 0:
+            continue
+        v = np.empty((ball.size, 4))
+        v[:, 0] = d[i0 + ball // n**3]
+        v[:, 1] = d[ball // n**2 % n]
+        v[:, 2] = d[ball // n % n]
+        v[:, 3] = d[ball % n]
+        hb = _ball_contribution(model, v, w.reshape(-1)[ball])
+        # the flat value plus the contribution, as the sum over all sites
+        # adds them, which also turns a -0.0 component into 0.0
+        hb += _FLAT[:, None]
+        ball += i0 * n**3
+        h.reshape(4, -1)[:, ball] = hb
+        mineig = hermitian_min_eig(hb)
+        k = int(np.argmin(mineig))
+        worst.append((mineig[k], int(ball[k])))
+    if not worst:
         log.info(
             "grid n=%d has no nodes inside any gluing ball (zeta=%.4g): field is exactly flat",
             grid.unit_n, model.zeta,
         )
-    mineig = hermitian_min_eig(h)
-    worst = np.unravel_index(np.argmin(mineig), shape)
-    if mineig[worst] <= 0:
-        node = tuple(round(float(ax[i]), 6) for i in worst)
+        return Field11(grid, model.a, model.zeta, h)
+    value, node = worst[int(np.argmin([m for m, _ in worst]))]
+    if value <= 0:
+        node = tuple(round(float(ax[i]), 6) for i in np.unravel_index(node, h.shape[1:]))
         raise ValueError(
-            f"glued form not positive definite: min eigenvalue {mineig[worst]:.6g} at node "
+            f"glued form not positive definite: min eigenvalue {value:.6g} at node "
             f"{node}; the deformation parameter a={model.a} is too large for zeta={model.zeta}"
         )
     return Field11(grid, model.a, model.zeta, h)

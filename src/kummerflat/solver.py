@@ -40,12 +40,12 @@ components; no complex (..., 2, 2) field is built here.  The stencil
 is written once, in _stencil_sums, as four unscaled sums on the rows of
 one slab along axis 0, read with a periodic halo row per side: an inner
 slab reads its rows and halo as a view of u, and only the first and the
-last slab, whose halo wraps, copy theirs; a slab holds _SLAB_BYTES of
-u, the one budget of every slab sweep, the Hölder one too, so that its
-buffers stay in the per-core cache.  hessian_parts scales the sums into
-the slabs of P, and hermitian_bracket weights them by h into the
-bracket [h : P(u)] behind the Laplacian and its inversion, without
-building P.  The inversion is
+last slab, whose halo wraps, copy theirs; a slab holds
+kummer._SLAB_BYTES of u, the one budget of every slab sweep (the
+Hölder one and the field build too), so that its buffers stay in the
+per-core cache.  hessian_parts scales the sums into the slabs of P, and
+hermitian_bracket weights them by h into the bracket [h : P(u)] behind
+the Laplacian and its inversion, without building P.  The inversion is
 right-preconditioned BiCGStab, since the stencil operator is not
 symmetric on glued fields.  Its preconditioner takes two steps: the flat
 inverse, by matrix products with the real eigenbasis of the periodic
@@ -103,10 +103,6 @@ POINCARE_SEED = 11
 # band limit and amplitude decay of random_smooth_field
 RANDOM_FIELD_KMAX = 3
 RANDOM_FIELD_DECAY = 2.0
-# bytes of the swept field per slab of the stencil and Hölder sweeps: a
-# slab with its halo rows, sums, scratch and the bracket's four slabs of
-# h, or with its shifted copies, stays near a 2 MiB per-core L2
-_SLAB_BYTES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +181,11 @@ class Problem:
         return (self.grid.n,) * 4
 
     @functools.cached_property
+    def weight_total(self):
+        """Sum of the volume weights, weighted_mean's denominator."""
+        return np.sum(self.weight)
+
+    @functools.cached_property
     def flat_basis(self):
         """The flat preconditioner, made on first use: (Q, inverse), the
         real eigenbasis Q of flat_axis_basis and, on the products of its
@@ -237,7 +238,7 @@ class Problem:
 
 
 def weighted_mean(problem, f):
-    return float(np.sum(problem.weight * f) / np.sum(problem.weight))
+    return float(np.sum(problem.weight * f) / problem.weight_total)
 
 
 def project_mean_zero(problem, f):
@@ -291,8 +292,9 @@ def _central_diff(f, axis, dx):
 
 
 def _stencil_slabs(u, count):
-    """Slabs of rows i0:i1 along axis 0 of the C-contiguous u, _SLAB_BYTES
-    of u each (the last one shorter when the rows do not divide n):
+    """Slabs of rows i0:i1 along axis 0 of the C-contiguous u,
+    kummer._SLAB_BYTES of u each (the last one shorter when the rows do
+    not divide n):
     yields (i0, i1, halo, work), with halo holding rows i0 - 1, ..., i1
     of u, wrapped around the torus, and work count slab-sized buffers.
 
@@ -300,7 +302,7 @@ def _stencil_slabs(u, count):
     only the first and the last slab copy theirs into a buffer, so u is
     never written and a slab sweep reads the same values either way."""
     n0 = u.shape[0]
-    rows = min(n0, max(1, _SLAB_BYTES // u[0].nbytes))
+    rows = min(n0, max(1, kummer._SLAB_BYTES // u[0].nbytes))
     halo = np.empty((rows + 2,) + u.shape[1:])
     work = np.empty((count, rows) + u.shape[1:])
     for i0 in range(0, n0, rows):
@@ -683,12 +685,13 @@ def holder_seminorm(f, dx, alpha, r_ball):
     """Sup of |f(x+d) - f(x)| / |d|^alpha over lattice offsets within
     the sampling ball; coordinate identification, no transport.
 
-    The sweep runs over slabs of _SLAB_BYTES along axis 0, so that a
-    slab and its shifted copies stay in the per-core cache while every
-    offset visits them.  The shifted values are read from one periodic
-    padding of f, as wide as the largest component of the kept offsets;
-    within a slab the offsets are grouped by their last component, whose
-    shift is made contiguous once per group, and the rest are views.
+    The sweep runs over slabs of kummer._SLAB_BYTES along axis 0, so
+    that a slab and its shifted copies stay in the per-core cache while
+    every offset visits them.  The shifted values are read from one
+    periodic padding of f, as wide as the largest component of the kept
+    offsets; within a slab the offsets are grouped by their last
+    component, whose shift is made contiguous once per group, and the
+    rest are views.
     Each offset's sup is the exact max over all slabs, so the result
     does not depend on the slab size.
     """
@@ -701,7 +704,7 @@ def holder_seminorm(f, dx, alpha, r_ball):
     by_last = {}
     for k, (d, _) in enumerate(offsets):
         by_last.setdefault(int(d[3]), []).append((k, int(d[0]), reach + int(d[1]), reach + int(d[2])))
-    rows = max(1, _SLAB_BYTES // f[0].nbytes)
+    rows = max(1, kummer._SLAB_BYTES // f[0].nbytes)
     peaks = [0.0] * len(offsets)
     for i0 in range(0, n0, rows):
         i1 = min(i0 + rows, n0)

@@ -1,6 +1,5 @@
 import json
 import logging
-import math
 import re
 import struct
 
@@ -463,33 +462,46 @@ class TestBoxAssembly:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        n=st.sampled_from([8, 16]),
+        # n = 12 and the quotient of n = 20 have spacings that are not
+        # dyadic, so the squared coordinates round and the order of their
+        # sum shows in the last bits
+        grid=st.sampled_from([km.TorusGrid(8), km.TorusGrid(12), km.TorusGrid(16),
+                              km.TorusGrid(20).quotient()]),
         zeta=st.floats(0.05, 0.49, exclude_min=True, exclude_max=True),
         share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     )
-    def test_matches_all_nodes_build_or_same_error(self, n, zeta, share):
+    def test_matches_all_nodes_build_or_same_error(self, grid, zeta, share):
         a = share * zeta / 2.0
         assume(0.0 < a < zeta / 2.0)
-        model, grid = km.GluedModel(a=a, zeta=zeta), km.TorusGrid(n)
+        model = km.GluedModel(a=a, zeta=zeta)
         built, message = _build_or_message(lambda m, g: km.build_omega0(m, g).data, model, grid)
         ref, ref_message = _build_or_message(_all_nodes_build, model, grid)
         assert message == ref_message
         if message is None:
             assert np.array_equal(built, ref)
 
-    def test_each_site_sees_only_its_box(self, monkeypatch):
-        n, zeta = 24, 4.0 / 9.0
-        rows = []
-        contribution = km.site_contribution
+    @pytest.mark.parametrize("grid", [km.TorusGrid(24), km.TorusGrid(32).quotient()],
+                             ids=["unit24", "quotient16"])
+    def test_site_formula_sees_only_ball_nodes(self, monkeypatch, grid):
+        model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)
+        seen = []
+        contribution = km._ball_contribution
 
-        def counting_contribution(model, v):
-            rows.append(int(np.prod(v.shape[:-1])))
-            return contribution(model, v)
+        def recording_contribution(model, v, w):
+            seen.append(v)
+            return contribution(model, v, w)
 
-        monkeypatch.setattr(km, "site_contribution", counting_contribution)
-        km.build_omega0(km.GluedModel(a=0.05, zeta=zeta), km.TorusGrid(n))
-        assert len(rows) == 16
-        assert max(rows) <= (math.ceil(n * zeta) + 2) ** 4 < n**4
+        monkeypatch.setattr(km, "_ball_contribution", recording_contribution)
+        km.build_omega0(model, grid)
+        nodes = grid.nodes()
+        radius = np.min([np.sqrt(np.sum(km.wrap_displacement(nodes - site) ** 2, axis=-1))
+                         for site in km.SITES], axis=0)
+        inside = np.count_nonzero((radius > 0) & (radius < model.zeta / 2.0))
+        v = np.concatenate(seen)
+        seen_radius = np.sqrt(np.sum(v**2, axis=-1))
+        assert np.all((seen_radius > 0) & (seen_radius < model.zeta / 2.0))
+        # about 19% of the nodes at zeta = 4/9
+        assert len(v) == inside < 0.2 * grid.node_count()
 
     @pytest.mark.parametrize("a, zeta, blind", [(0.01, 1.0 / 9.0, True), (0.05, 4.0 / 9.0, False)])
     def test_blind_grid_logs_flat_field(self, caplog, a, zeta, blind):

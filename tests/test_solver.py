@@ -950,7 +950,7 @@ class TestKrylovKernelEquivalence:
         dx = bolt_problem.spacing
         ref = _ref_hermitian_bracket(bolt_problem.field_, u, dx)
         ref_parts = _ref_hessian_parts(u, dx)
-        monkeypatch.setattr(sv, "_SLAB_BYTES", rows * u[0].nbytes)
+        monkeypatch.setattr(km, "_SLAB_BYTES", rows * u[0].nbytes)
         # a slab that wrote into u would raise here
         u.flags.writeable = False
         _assert_same_bits(sv.hermitian_bracket(bolt_problem.field_.data, u, dx), ref)
@@ -1155,7 +1155,7 @@ class TestNormLayerEquivalence:
         # several slabs along axis 0, the last one short when rows does
         # not divide n
         f = np.random.default_rng(rows + n).standard_normal((n,) * 4)
-        monkeypatch.setattr(sv, "_SLAB_BYTES", rows * f[0].nbytes)
+        monkeypatch.setattr(km, "_SLAB_BYTES", rows * f[0].nbytes)
         dx = 1.0 / n
         assert sv.holder_seminorm(f, dx, 0.2, reach * dx) == _ref_holder_seminorm(f, dx, 0.2, reach * dx)
 
@@ -1317,6 +1317,20 @@ def test_solve_peak_memory_in_fields(resolved_problem, params):
     assert _traced_peak_fields(warm, n) < 9.2
     solve = lambda: sv.banach_solve(resolved_problem, params, enforce_ball=False)
     assert _traced_peak_fields(solve, n) < 11.2
+
+
+@pytest.mark.parametrize("grid, bound", [(km.TorusGrid(24).quotient(), 7.0),
+                                         (km.TorusGrid(32).quotient(), 6.0),
+                                         (km.TorusGrid(48).quotient(), 5.0),
+                                         (km.TorusGrid(24), 5.0)],
+                         ids=["quotient12", "quotient16", "quotient24", "unit24"])
+def test_build_omega0_peak_memory_in_fields(grid, bound):
+    # the field is 4 fields; at a = 0.05, zeta = 4/9 the build peaks at
+    # 6.8, 5.5, 4.5 and 4.5 fields on these grids, where a build that
+    # took every node's minimum eigenvalue read 8.3, 7.3, 7.4 and 7.2;
+    # on the 12^4 nodes the ufuncs' fixed iteration buffers weigh most
+    model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)
+    assert _traced_peak_fields(lambda: km.build_omega0(model, grid), grid.n) < bound
 
 
 def test_problem_build_computes_det_once(monkeypatch):
