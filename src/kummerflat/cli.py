@@ -47,17 +47,17 @@ class RunConfig:
 
     command: str
     a: float = 0.05
-    zeta: float = 1.0 / 9.0
+    zeta: float = kummer.GluedModel.zeta
     grid_n: int = 16
-    alpha: float = 0.1
-    p: float = 6.0
+    alpha: float = solver.NormParams.alpha
+    p: float = solver.NormParams.p
     tol: float = solver.DEFAULT_FIXED_POINT_TOL
-    max_iter: int = 40
+    max_iter: int = solver.DEFAULT_FIXED_POINT_MAX_ITER
     seed: int = 0
     out: Path = Path(".")
     a_list: tuple | None = None
     c: float = 0.5
-    eps_gh: float = 0.0
+    eps_gh: float = gh.GhConfig.eps_gh
     no_ball_guard: bool = False
     inject_sigma2_sign_error: bool = False
 
@@ -510,7 +510,7 @@ def lambda1_report(cfg, models):
     last_prob = None
     for model in models:
         prob = solver.Problem.build(model, grid)
-        lam1 = solver.lambda1_estimate(prob, tol=min(cfg.tol, 1e-6), seed=cfg.seed)
+        lam1 = solver.lambda1_estimate(prob, tol=cfg.tol, seed=cfg.seed)
         values.append({"a": model.a, "lambda1": lam1})
         flat_grid = flat_grid and float(np.max(np.abs(prob.ea))) == 0.0
         last_prob = prob

@@ -73,7 +73,7 @@ class GhConfig:
         return all(abs(c[0]) < _POLE_EPS and abs(c[1]) < _POLE_EPS for c in self.centers)
 
 
-def two_center_config(c, eps_gh=0.0):
+def two_center_config(c, eps_gh=GhConfig.eps_gh):
     """Symmetric unit charges at (0, 0, +-c)."""
     if not np.isfinite(c):
         raise ValueError(f"half-separation must be finite, got {c}")

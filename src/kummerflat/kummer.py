@@ -15,12 +15,12 @@ volume, and the complex volume form density is the constant 4.
 The grid is the unit torus or its quotient of side 1/2 by the
 half-period translations (Z/2)^4 (TorusGrid.quotient), which permute the
 sixteen sites and under which the glued field is invariant.
-build_omega0 sets up no per-site index boxes: per axis it takes the
-displacement of each grid coordinate to the nearer site coordinate, 0 or
-1/2, which is the wrapped displacement on the unit torus of the site
-nearest the node, and in one sweep over axis-0 slabs it evaluates the
-site formula on the nodes inside a gluing ball (19% of them at
-zeta = 4/9) and checks positivity there only; every other node is flat.
+build_omega0 takes, per axis, each grid coordinate's displacement to
+the nearer site coordinate, 0 or 1/2, the wrapped displacement on the
+unit torus of the site nearest the node; one sweep over axis-0 slabs
+(slab_rows) evaluates the site formula on the nodes inside a gluing
+ball (19% of them at zeta = 4/9) and checks positivity there only;
+every other node is flat.
 So on the quotient the field is the unit-torus field restricted to the
 first n/2 nodes per axis, and on either grid the sum of
 site_contribution over all sixteen sites at every node, bit for bit.
@@ -62,13 +62,19 @@ CHI_CHIBAR_DENSITY = 4.0
 _MAGIC = b"KMF1"
 _VERSION = 2
 
-# bytes of the swept field per slab of every axis-0 slab sweep: the
-# glued field in build_omega0, the scalar field in solver's stencil and
-# Hölder sweeps.  A stencil slab with its halo rows, sums, scratch and
-# the bracket's four slabs of h, a Hölder slab with its shifted copies,
-# or the site formula's temporaries on a slab's ball nodes, about 20
-# floats per node, stays near a 2 MiB per-core L2
+# bytes of the swept field per slab of every axis-0 slab sweep
+# (slab_rows): the glued field in build_omega0, the scalar field in
+# solver's stencil and Hölder sweeps.  A stencil slab with its halo
+# rows, sums, scratch and the bracket's four slabs of h, a Hölder slab
+# with its shifted copies, or the site formula's temporaries on a slab's
+# ball nodes, about 20 floats per node, stays near a 2 MiB per-core L2
 _SLAB_BYTES = 1 << 18
+
+
+def slab_rows(row_nbytes, n0):
+    """Rows per slab of an axis-0 sweep over n0 rows of row_nbytes each:
+    _SLAB_BYTES of the swept field, at least one row and at most n0."""
+    return min(n0, max(1, _SLAB_BYTES // row_nbytes))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +438,7 @@ def build_omega0(model, grid):
     The balls are pairwise disjoint, so a node can lie only in the ball
     of its nearest site, whose wrapped displacement is, per axis, the
     displacement d to the nearer site coordinate 0 or 1/2.  One sweep
-    over slabs of _SLAB_BYTES of the field along axis 0 forms the squared
+    over axis-0 slabs of the field, slab_rows rows each, forms the squared
     distances w = ((d0^2 + d1^2) + d2^2) + d3^2, the order in which
     np.sum(v**2, axis=-1) adds them, and evaluates the site formula once
     per slab, on the nodes with 0 < sqrt(w) < zeta/2.  Every other node
@@ -451,7 +457,7 @@ def build_omega0(model, grid):
     sq = d * d
     # w012[i] + sq is row i of w along axis 0
     w012 = (sq[:, None, None] + sq[:, None]) + sq
-    rows = max(1, _SLAB_BYTES // h[:, 0].nbytes)
+    rows = slab_rows(h[:, 0].nbytes, n)
     # per slab with ball nodes: its smallest eigenvalue and the flat index
     # of its first node with it
     worst = []

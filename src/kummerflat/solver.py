@@ -40,8 +40,8 @@ components; no complex (..., 2, 2) field is built here.  The stencil
 is written once, in _stencil_sums, as four unscaled sums on the rows of
 one slab along axis 0, read with a periodic halo row per side: an inner
 slab reads its rows and halo as a view of u, and only the first and the
-last slab, whose halo wraps, copy theirs; a slab holds
-kummer._SLAB_BYTES of u, the one budget of every slab sweep (the
+last slab, whose halo wraps, copy theirs; a slab holds the rows that
+kummer.slab_rows gives, the one row rule of every slab sweep (the
 Hölder one and the field build too), so that its buffers stay in the
 per-core cache.  hessian_parts scales the sums into the slabs of P, and
 hermitian_bracket weights them by h into the bracket [h : P(u)] behind
@@ -64,8 +64,8 @@ preconditioner applies, as the flat inverse's scratch; the flat
 preconditioner's basis and symbol and the site boxes' inverses are made
 once per Problem.  Each Picard step builds one stencil field P of its
 potential: Q = det P / det h is read from it, P becomes the corrected
-field h + P in place, and the step's residual and positivity checks
-drop it before its Y-norms run.
+field h + P in place, and the step reads its min eigenvalue (its one
+positivity test) and its residual, then drops it before its Y-norms run.
 Each other n^4 field lives only as long as it is needed: the work
 vectors die with the BiCGStab loop, a warm start's potential receives
 the solution in place, the residual checks and the fixed-point image
@@ -93,6 +93,7 @@ DEFAULT_INVERT_TOL = 1e-8
 # BiCGStab step budget of invert_laplacian
 INVERT_MAX_ITER = 600
 DEFAULT_FIXED_POINT_TOL = 1e-6
+DEFAULT_FIXED_POINT_MAX_ITER = 40
 MEAN_ZERO_TOL = 1e-8
 # Krylov subspace dimension and inversion tolerance of lambda1_estimate
 LAMBDA1_KRYLOV_DIM = 16
@@ -169,7 +170,7 @@ class Problem:
         lam = kummer.volume_ratio_lambda(dets)
         ea = kummer.error_density_ea(dets, lam)
         # Riemannian volume weights: half the squared-form density
-        weight = 4.0 * dets / dets.size
+        weight = (kummer.OMEGA_SQ_DENSITY_FACTOR / 2.0) * dets / dets.size
         return cls(model, grid, field_, lam, dets, ea, weight)
 
     @property
@@ -293,7 +294,7 @@ def _central_diff(f, axis, dx):
 
 def _stencil_slabs(u, count):
     """Slabs of rows i0:i1 along axis 0 of the C-contiguous u,
-    kummer._SLAB_BYTES of u each (the last one shorter when the rows do
+    kummer.slab_rows rows each (the last one shorter when the rows do
     not divide n):
     yields (i0, i1, halo, work), with halo holding rows i0 - 1, ..., i1
     of u, wrapped around the torus, and work count slab-sized buffers.
@@ -302,7 +303,7 @@ def _stencil_slabs(u, count):
     only the first and the last slab copy theirs into a buffer, so u is
     never written and a slab sweep reads the same values either way."""
     n0 = u.shape[0]
-    rows = min(n0, max(1, kummer._SLAB_BYTES // u[0].nbytes))
+    rows = kummer.slab_rows(u[0].nbytes, n0)
     halo = np.empty((rows + 2,) + u.shape[1:])
     work = np.empty((count, rows) + u.shape[1:])
     for i0 in range(0, n0, rows):
@@ -685,7 +686,7 @@ def holder_seminorm(f, dx, alpha, r_ball):
     """Sup of |f(x+d) - f(x)| / |d|^alpha over lattice offsets within
     the sampling ball; coordinate identification, no transport.
 
-    The sweep runs over slabs of kummer._SLAB_BYTES along axis 0, so
+    The sweep runs over slabs of kummer.slab_rows rows along axis 0, so
     that a slab and its shifted copies stay in the per-core cache while
     every offset visits them.  The shifted values are read from one
     periodic padding of f, as wide as the largest component of the kept
@@ -704,7 +705,7 @@ def holder_seminorm(f, dx, alpha, r_ball):
     by_last = {}
     for k, (d, _) in enumerate(offsets):
         by_last.setdefault(int(d[3]), []).append((k, int(d[0]), reach + int(d[1]), reach + int(d[2])))
-    rows = max(1, kummer._SLAB_BYTES // f[0].nbytes)
+    rows = kummer.slab_rows(f[0].nbytes, n0)
     peaks = [0.0] * len(offsets)
     for i0 in range(0, n0, rows):
         i1 = min(i0 + rows, n0)
@@ -795,20 +796,19 @@ def _corrected(problem, P):
     return kummer.Field11(h.grid, h.a, h.zeta, P, lam=problem.lam)
 
 
-def ma_residual(problem, corrected):
-    """Pointwise volume-equation defect 2 det(K) / lambda - 1 of a
-    corrected field K = corrected_field(problem, phi); K must be
-    positive definite.
-
-    A Hermitian 2x2 matrix is positive definite exactly when its det
-    and its first diagonal entry are positive, so the check reuses the
-    det; the min-eigenvalue formula runs only to report a failure."""
-    det = corrected.det()
-    if not (np.all(det > 0) and np.all(corrected.data[0] > 0)):
-        raise ValueError(
-            f"corrected form not positive definite: min eigenvalue {corrected.min_eigenvalue():.6g}"
-        )
+def ma_residual(problem, det):
+    """Pointwise volume-equation defect 2 det / lambda - 1 of the
+    determinants det of a corrected field (problem.dets for phi = 0)."""
     return 2.0 * det / problem.lam - 1.0
+
+
+def _positive_residual(problem, corrected, failure):
+    """(sup of the MA residual, min eigenvalue) of a corrected field; a
+    ValueError starting with failure unless the min eigenvalue is positive."""
+    mineig = corrected.min_eigenvalue()
+    if not mineig > 0:
+        raise ValueError(f"{failure}: min eigenvalue {mineig:.6g}")
+    return float(np.max(np.abs(ma_residual(problem, corrected.det())))), mineig
 
 
 def fixed_point_map(problem, psi, phi0=None):
@@ -831,21 +831,16 @@ def fixed_point_map(problem, psi, phi0=None):
     return raw, phi, _corrected(problem, P), {"projection_leak": leak, "invert": info}
 
 
-def banach_solve(
-    problem,
-    params,
-    tol=DEFAULT_FIXED_POINT_TOL,
-    max_iter=40,
-    psi0=None,
-    enforce_ball=True,
-):
+def banach_solve(problem, params, tol=DEFAULT_FIXED_POINT_TOL, max_iter=DEFAULT_FIXED_POINT_MAX_ITER,
+                 psi0=None, enforce_ball=True):
     """Iterate the contraction map from psi0 (zero by default) until the
     Y-norm increment falls below tol times the first increment.
 
-    Raises if an iterate leaves the radius-R ball (advice: shrink a),
-    if the corrected form loses positivity, or on non-convergence; and
-    up front for a psi0 not shaped like the problem's grid, such as a
-    unit-torus field given to a problem on the quotient grid.
+    Raises if an iterate leaves the radius-R ball (advice: shrink a), if
+    the min eigenvalue of a step's or the accepted corrected field, the
+    one positivity test of each, is not positive, or on non-convergence;
+    and up front for a psi0 not shaped like the problem's grid, such as
+    a unit-torus field given to a problem on the quotient grid.
     """
     if psi0 is not None and np.shape(psi0) != problem.shape:
         raise ValueError(f"psi0 has shape {np.shape(psi0)}, but the problem's grid has shape {problem.shape}")
@@ -858,8 +853,8 @@ def banach_solve(
         raise ValueError(
             f"starting field outside the radius-R ball: Y-norm {y0:.4e} > R = {R:.4e}"
         )
-    # the corrected field of phi = 0 is h itself
-    initial_ma_sup = float(np.max(np.abs(ma_residual(problem, problem.field_))))
+    # the corrected field of phi = 0 is h, which build_omega0 checked
+    initial_ma_sup = float(np.max(np.abs(ma_residual(problem, problem.dets))))
     rows = []
     first_increment = None
     prev_increment = None
@@ -868,8 +863,7 @@ def banach_solve(
         # each inversion after the first starts from the previous
         # potential and writes the new one into it
         psi_next, phi, corrected, _ = fixed_point_map(problem, psi, phi0=phi)
-        ma_sup = float(np.max(np.abs(ma_residual(problem, corrected))))
-        mineig = corrected.min_eigenvalue()
+        ma_sup, mineig = _positive_residual(problem, corrected, "corrected form not positive definite")
         # the corrected field is spent before the Y-norms run
         del corrected
         y_next = y_norm(problem, params, psi_next)
@@ -897,16 +891,12 @@ def banach_solve(
         )
     phi, _ = invert_laplacian(problem, psi, u0=phi)
     corrected = corrected_field(problem, phi)
-    final_min_eigenvalue = corrected.min_eigenvalue()
-    if final_min_eigenvalue <= 0:
-        raise ValueError(
-            f"accepted correction loses positivity: min eigenvalue {final_min_eigenvalue:.6g}"
-        )
+    final_ma_sup, final_min_eigenvalue = _positive_residual(
+        problem, corrected, "accepted correction loses positivity")
     return SolverState(
         psi=psi, phi=phi, ball_radius=R, iterations=it,
         trace_rows=rows, initial_ma_sup=initial_ma_sup,
-        final_ma_sup=float(np.max(np.abs(ma_residual(problem, corrected)))),
-        final_min_eigenvalue=final_min_eigenvalue,
+        final_ma_sup=final_ma_sup, final_min_eigenvalue=final_min_eigenvalue,
         mean_zero_defect=abs(weighted_mean(problem, psi)), corrected=corrected,
     )
 
@@ -1118,10 +1108,11 @@ def bochner_ratio(grid, u):
     ValueError, for a field with zero Laplacian energy (a constant)."""
     dx = grid.spacing
     u = np.asarray(u, dtype=float)
-    hess = 0.0
+    hess = lap = 0.0
     for m, h in _second_differences(u, dx):
         hess += m * float(np.mean(h**2))
-    lap = sum(_second_diff(u, ax, dx) for ax in range(4))
+        if m == 1.0:
+            lap = lap + h
     denom = float(np.mean(lap**2))
     if denom == 0.0:
         raise ValueError("Bochner ratio undefined for a field with zero Laplacian energy")

@@ -1,7 +1,8 @@
 """Every function, method and class in the package has a caller there,
 apart from a pinned list; a new caller-less definition fails here until
 it gets a caller or a place in the list.  Every name a module assigns
-at its top level is read in the package."""
+at its top level is read in the package, and no module reads a
+sibling module's private name."""
 
 import ast
 import pathlib
@@ -47,6 +48,23 @@ def test_every_definition_has_a_caller_or_is_listed():
     assert _caller_less_definitions() == CALLER_LESS
 
 
+def _sibling_reads(tree):
+    """(line, sibling, name) for each name a module takes from a sibling
+    module: by ``from .forms import DIM``, or as an attribute of the
+    module object (``forms.DIM`` after ``from . import forms``)."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    yield node.lineno, node.module, alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            yield node.lineno, aliases[node.value.id], node.attr
+
+
 def _unread_module_names():
     """(module, name) for each non-dunder name a module assigns at its
     top level that the package never reads: not loaded by name in that
@@ -55,26 +73,24 @@ def _unread_module_names():
     other objects do not count, so ``np.log`` reads no module's ``log``."""
     assigned, read = set(), set()
     for module, tree in _modules().items():
-        aliases = {}
         for node in tree.body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 for target in getattr(node, "targets", [getattr(node, "target", None)]):
                     assigned.update((module, n.id) for n in ast.walk(target)
                                     if isinstance(n, ast.Name) and not n.id.startswith("__"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                for alias in node.names:
-                    if node.module is None:
-                        aliases[alias.asname or alias.name] = alias.name
-                    else:
-                        read.add((node.module, alias.name))
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add((module, node.id))
-        read.update((aliases[node.value.id], node.attr) for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in aliases)
+        read.update((module, node.id) for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        read.update((sibling, name) for _, sibling, name in _sibling_reads(tree))
     return assigned - read
 
 
 def test_every_module_level_name_is_read():
     assert _unread_module_names() == set()
+
+
+def test_no_module_reads_a_sibling_private_name():
+    private = sorted(f"{module}:{line} {sibling}.{name}"
+                     for module, tree in _modules().items()
+                     for line, sibling, name in _sibling_reads(tree)
+                     if name.startswith("_") and not (name.startswith("__") and name.endswith("__")))
+    assert private == []

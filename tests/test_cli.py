@@ -609,6 +609,19 @@ class TestLambda1:
         assert {c["check"] for c in report["checks"]} == {"poincare-inequality"}
         assert all(c["pass"] for c in report["checks"])
 
+    def test_tol_is_the_ritz_tolerance(self, tmp_path, monkeypatch):
+        # --tol reaches lambda1_estimate as given, not capped at 1e-6
+        tols = []
+        estimate = sv.lambda1_estimate
+
+        def recording_estimate(problem, tol, seed):
+            tols.append(tol)
+            return estimate(problem, tol=tol, seed=seed)
+
+        monkeypatch.setattr(sv, "lambda1_estimate", recording_estimate)
+        assert run(["lambda1", "--tol", "1e-3", "--out", str(tmp_path / "run")]) == 0
+        assert tols == [1e-3]
+
     def test_imports_no_masked_arrays(self, tmp_path):
         # a 1-D np.unique imports numpy.ma on its first call, about 10 ms
         # of every run's start-up; a fresh interpreter shows whether the

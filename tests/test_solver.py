@@ -395,22 +395,34 @@ class TestQuadraticRemainder:
 class TestMaResidual:
     def test_flat_zero(self, flat_problem):
         zero = sv.corrected_field(flat_problem, np.zeros(flat_problem.shape))
-        res = sv.ma_residual(flat_problem, zero)
+        res = sv.ma_residual(flat_problem, zero.det())
         assert np.max(np.abs(res)) == 0.0
 
     def test_zero_potential_identity(self, resolved_problem):
         # the defect of the uncorrected form is the error density times
         # the density ratio, an exact algebraic rearrangement
         zero = sv.corrected_field(resolved_problem, np.zeros(resolved_problem.shape))
-        res = sv.ma_residual(resolved_problem, zero)
+        res = sv.ma_residual(resolved_problem, zero.det())
         ident = resolved_problem.ea * 2.0 * resolved_problem.dets / resolved_problem.lam
         assert np.max(np.abs(res - ident)) < 1e-10
 
-    def test_positivity_guard(self, flat_problem, grid16):
+    def test_positivity_guard(self, flat_problem, params, grid16):
+        # the first step inverts the Laplacian of huge back to huge, whose
+        # corrected field is not positive definite
         X = _coords(grid16)
         huge = 5.0 * np.sin(2 * np.pi * X[0])
-        with pytest.raises(ValueError, match="positive definite"):
-            sv.ma_residual(flat_problem, sv.corrected_field(flat_problem, huge))
+        psi0 = sv.laplacian(flat_problem, huge)
+        with pytest.raises(ValueError, match="corrected form not positive definite: min eigenvalue -"):
+            sv.banach_solve(flat_problem, params, psi0=psi0, enforce_ball=False)
+
+    def test_accepted_correction_positivity_guard(self, flat_problem, params, grid16, monkeypatch):
+        # the field of the potential the loop accepted is tested again
+        X = _coords(grid16)
+        huge = 5.0 * np.sin(2 * np.pi * X[0])
+        corrected = sv.corrected_field
+        monkeypatch.setattr(sv, "corrected_field", lambda problem, phi: corrected(problem, phi + huge))
+        with pytest.raises(ValueError, match="accepted correction loses positivity: min eigenvalue -"):
+            sv.banach_solve(flat_problem, params)
 
 
 class TestFixedPoint:
@@ -730,7 +742,7 @@ class TestStencilEquivalence:
         ref = 2.0 * _ref_det(K) / resolved_problem.lam - 1.0
         corrected = sv.corrected_field(resolved_problem, phi)
         _assert_close(complex_matrix(corrected.data), K)
-        _assert_close(sv.ma_residual(resolved_problem, corrected), ref)
+        _assert_close(sv.ma_residual(resolved_problem, corrected.det()), ref)
         mineig = corrected.min_eigenvalue()
         assert abs(mineig - _ref_min_eig(K)) <= STENCIL_RTOL * abs(_ref_min_eig(K))
 
