@@ -18,7 +18,6 @@ grid_n^4 grid.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -51,7 +50,7 @@ class RunConfig:
     grid_n: int = 16
     alpha: float = solver.NormParams.alpha
     p: float = solver.NormParams.p
-    tol: float = solver.DEFAULT_FIXED_POINT_TOL
+    tol: float | None = None  # None: the command's own default (stopping_tol)
     max_iter: int = solver.DEFAULT_FIXED_POINT_MAX_ITER
     seed: int = 0
     out: Path = Path(".")
@@ -63,6 +62,11 @@ class RunConfig:
 
     def norm_params(self):
         return solver.NormParams(alpha=self.alpha, p=self.p)
+
+    def stopping_tol(self, default):
+        """--tol, else default, the tolerance the command stops on, read
+        when it runs."""
+        return default if self.tol is None else self.tol
 
     def grid(self):
         """The grid the command runs on: the quotient of the grid_n^4
@@ -107,7 +111,9 @@ _OPTIONS = (
     _Option("grid_n", int, "integer", "grid nodes per axis"),
     _Option("alpha", _finite_float, "number", "Hölder exponent"),
     _Option("p", _finite_float, "number", "integrability exponent"),
-    _Option("tol", _finite_float, "number", "iteration tolerance", lambda v: v > 0, "must be positive"),
+    _Option("tol", _finite_float, "number",
+            "stopping tolerance: of the Picard step in solve and uniqueness, of the bottom "
+            "Ritz value in lambda1", lambda v: v > 0, "must be positive"),
     _Option("max_iter", int, "integer", "iteration budget", lambda v: v >= 1, "must be at least 1"),
     _Option("seed", int, "integer", "sampling seed", lambda v: v >= 0, "must be non-negative"),
     _Option("out", Path, "string", "artifact directory"),
@@ -464,12 +470,7 @@ def cmd_scaling(cfg, models):
     footer = scaling_footer(rows)
     path = cfg.out / "scaling.csv"
     columns = ("a", "sup_ea", "y_norm_ea", "lambda")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([r[k] for k in columns])
-        fh.write("# " + solver.json_text(footer, indent=None) + "\n")
+    solver.write_csv(path, columns, rows, footer)
     for r in rows:
         print(" ".join(f"{k}={float(r[k])!r}" for k in columns))
     print("slopes: " + solver.json_text(footer, indent=None))
@@ -483,8 +484,8 @@ def cmd_scaling(cfg, models):
 
 def cmd_solve(cfg, models):
     prob = solver.Problem.build(models[0], cfg.grid())
-    state = solver.banach_solve(prob, cfg.norm_params(), tol=cfg.tol, max_iter=cfg.max_iter,
-                                enforce_ball=not cfg.no_ball_guard)
+    state = solver.banach_solve(prob, cfg.norm_params(), tol=cfg.stopping_tol(solver.DEFAULT_FIXED_POINT_TOL),
+                                max_iter=cfg.max_iter, enforce_ball=not cfg.no_ball_guard)
     out = cfg.out
     trace_path = out / "solve_trace.csv"
     solver.write_trace_csv(state, trace_path)
@@ -510,7 +511,7 @@ def lambda1_report(cfg, models):
     last_prob = None
     for model in models:
         prob = solver.Problem.build(model, grid)
-        lam1 = solver.lambda1_estimate(prob, tol=cfg.tol, seed=cfg.seed)
+        lam1 = solver.lambda1_estimate(prob, tol=cfg.stopping_tol(solver.LAMBDA1_TOL), seed=cfg.seed)
         values.append({"a": model.a, "lambda1": lam1})
         flat_grid = flat_grid and float(np.max(np.abs(prob.ea))) == 0.0
         last_prob = prob
@@ -544,9 +545,10 @@ def cmd_lambda1(cfg, models):
 def cmd_uniqueness(cfg, models):
     prob = solver.Problem.build(models[0], cfg.grid())
     params = cfg.norm_params()
+    tol = cfg.stopping_tol(solver.DEFAULT_FIXED_POINT_TOL)
 
     def solve(psi0=None):
-        return solver.banach_solve(prob, params, tol=cfg.tol, max_iter=cfg.max_iter,
+        return solver.banach_solve(prob, params, tol=tol, max_iter=cfg.max_iter,
                                    psi0=psi0, enforce_ball=not cfg.no_ball_guard)
 
     # the zero-seed solve is both the first seed and the first rerun;
@@ -557,7 +559,7 @@ def cmd_uniqueness(cfg, models):
     gap = solver.potential_gap(prob, first, solve(-prob.ea))
     det_gap = float(np.max(np.abs(first.psi - solve().psi)))
     checks = [
-        _entry("two-seed-agreement", gap, 10.0 * cfg.tol),
+        _entry("two-seed-agreement", gap, 10.0 * tol),
         _entry("rerun-determinism", det_gap, 0.0),
     ]
     return _print_report(checks, cfg.out / "uniqueness.json")

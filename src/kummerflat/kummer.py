@@ -2,11 +2,13 @@
 
 The unit 4-torus is quotiented by the negation involution, which has the
 sixteen half-lattice fixed points.  Around each fixed point the flat
-Kahler potential is corrected toward the Eguchi-Hanson one through a
-smooth radial cutoff, producing a (1,1) coefficient field that is flat
-far from the sites, exactly the Eguchi-Hanson form close to them, and
-interpolates in the annuli in between.  The volume-ratio constant and
-the resulting error density live here as well.
+Kahler potential r^2/2 is glued to the Eguchi-Hanson one phi_a through
+a smooth radial cutoff beta, as r^2/2 + beta(r) (phi_a(r) - r^2/2).  Its
+(1,1) coefficient field is flat far from the sites, exactly the
+Eguchi-Hanson form close to them, and interpolates in the annuli in
+between; one site formula (_ball_contribution) gives it inside every
+gluing ball.  The volume-ratio constant and the resulting error density
+live here as well.
 
 Conventions: the flat form carries coefficient matrix identity/2, the
 2-form density of a coefficient field h is 8 det h per coordinate
@@ -234,12 +236,13 @@ def _profile_terms(s):
     """exp-smoothstep profile A/(A+B) with A = exp(-1/s), B = exp(-1/(1-s)),
     together with first and second derivatives; s strictly inside (0, 1)."""
     s = np.asarray(s, dtype=float)
+    r = 1.0 - s
     A = np.exp(-1.0 / s)
-    B = np.exp(-1.0 / (1.0 - s))
+    B = np.exp(-1.0 / r)
     Ap = A / s**2
-    Bp = -B / (1.0 - s) ** 2
+    Bp = -B / r**2
     App = A * (1.0 - 2.0 * s) / s**4
-    Bpp = B * (2.0 * s - 1.0) / (1.0 - s) ** 4
+    Bpp = B * (2.0 * s - 1.0) / r**4
     denom = A + B
     p = A / denom
     num1 = Ap * B - A * Bp
@@ -254,49 +257,24 @@ def cutoff_beta(zeta, t):
 
 
 def cutoff_beta_derivs(zeta, t):
-    """Cutoff value with first and second t-derivatives (analytic)."""
+    """Cutoff value with first and second t-derivatives (analytic), as
+    arrays shaped like t (0-d for a scalar t)."""
     if not np.isfinite(zeta):
         raise ValueError(f"gluing radius must be finite, got {zeta}")
     if zeta <= 0:
         raise ValueError(f"gluing radius must be positive, got {zeta}")
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
     b = np.zeros_like(t)
     b1 = np.zeros_like(t)
     b2 = np.zeros_like(t)
     b[t <= zeta / 4.0] = 1.0
     mid = (t > zeta / 4.0) & (t < zeta / 2.0)
-    if np.any(mid):
-        scale = 4.0 / zeta
-        s = (zeta / 2.0 - t[mid]) * scale
-        p, p1, p2 = _profile_terms(s)
-        b[mid] = p
-        b1[mid] = -scale * p1
-        b2[mid] = scale**2 * p2
-    if scalar:
-        return float(b[0]), float(b1[0]), float(b2[0])
+    scale = 4.0 / zeta
+    p, p1, p2 = _profile_terms((zeta / 2.0 - t[mid]) * scale)
+    b[mid] = p
+    b1[mid] = -scale * p1
+    b2[mid] = scale**2 * p2
     return b, b1, b2
-
-
-# ---------------------------------------------------------------------------
-# gluing correction
-
-
-def ball_correction_derivs(a, w):
-    """Resolving-chart correction phi_a(u) - u^2/2 as a function of the
-    squared ball radius w = u^2, with first and second w-derivatives.
-
-    This is the version entering the glued potential: it is defined for
-    every positive ball radius, not only above the bolt radius.
-    """
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError(f"squared radius must be positive, got {w}")
-    u = np.sqrt(w)
-    g = kahler_potential_u_chart(EhParams(a), u) - w / 2.0
-    fw, fww = radial_hessian_derivs(a, w)
-    return g, fw - 0.5, fww
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +360,22 @@ def _ball_contribution(model, v, w):
     whose squared radii are w = np.sum(v**2, axis=-1), as the components
     (h11, h22, Re h12, Im h12) along a leading axis of length 4.
 
-    With z = (x1 + i y1, x2 + i y2) the contribution is
-    f_w identity + f_ww conj(z) z^T."""
+    The glued potential is w/2 + f(w), with f = beta(u) g(w), u = sqrt(w)
+    the ball radius and g(w) = phi_a(u) - w/2 the Eguchi-Hanson
+    correction of the flat potential w/2.  The contribution is the
+    complex Hessian of f: with z = (x1 + i y1, x2 + i y2), it is
+    f_w identity + f_ww conj(z) z^T, where f_w and f_ww follow from
+    beta_w = beta_t / (2u), beta_ww = (beta_tt - beta_t / u) / (4w) and
+    the w-derivatives of g."""
     u = np.sqrt(w)
     beta, beta_t, beta_tt = cutoff_beta_derivs(model.zeta, u)
-    beta_w = np.where(beta_t != 0.0, beta_t / (2.0 * u), 0.0)
-    beta_ww = np.where(beta_tt != 0.0, (beta_tt - beta_t / u) / (4.0 * w), 0.0)
-    g, gw, gww = ball_correction_derivs(model.a, w)
-    f_w = beta_w * g + beta * gw
-    f_ww = beta_ww * g + 2.0 * beta_w * gw + beta * gww
+    beta_w = beta_t / (2.0 * u)
+    beta_ww = (beta_tt - beta_t / u) / (4.0 * w)
+    g = kahler_potential_u_chart(EhParams(model.a), u) - w / 2.0
+    g_w, g_ww = radial_hessian_derivs(model.a, w)
+    g_w -= 0.5
+    f_w = beta_w * g + beta * g_w
+    f_ww = beta_ww * g + 2.0 * beta_w * g_w + beta * g_ww
     x1, y1, x2, y2 = v.T
     out = np.stack([x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2, x1 * y2 - y1 * x2])
     out *= f_ww

@@ -95,8 +95,10 @@ INVERT_MAX_ITER = 600
 DEFAULT_FIXED_POINT_TOL = 1e-6
 DEFAULT_FIXED_POINT_MAX_ITER = 40
 MEAN_ZERO_TOL = 1e-8
-# Krylov subspace dimension and inversion tolerance of lambda1_estimate
+# Krylov subspace dimension, Ritz stopping tolerance and inversion
+# tolerance of lambda1_estimate
 LAMBDA1_KRYLOV_DIM = 16
+LAMBDA1_TOL = 1e-6
 LAMBDA1_INVERT_TOL = 1e-9
 # random-field count and seed of poincare_check
 POINCARE_FIELDS = 20
@@ -1018,7 +1020,7 @@ def inverse_bound_diagnostic(problem, params, n_fields=20, seed=0):
 # spectrum and uniqueness
 
 
-def lambda1_estimate(problem, tol=1e-6, seed=7):
+def lambda1_estimate(problem, tol=LAMBDA1_TOL, seed=7):
     """Smallest nonzero eigenvalue of minus the Laplacian.
 
     Rayleigh-Ritz on an inverse-iteration Krylov subspace; robust to
@@ -1153,12 +1155,21 @@ def dump_json(obj, path):
     return text
 
 
-def write_trace_csv(state, path):
+def write_csv(path, columns, rows, footer=None):
+    """The one CSV dialect of the artifacts: csv.writer with \\n line
+    ends, a header row of columns, then each row's values in that order,
+    and a footer, when given, as a last line "# " + its one-line JSON."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for row in state.trace_rows:
-            writer.writerow([row[c] for c in TRACE_COLUMNS])
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row[c] for c in columns])
+        if footer is not None:
+            fh.write("# " + json_text(footer, indent=None) + "\n")
+
+
+def write_trace_csv(state, path):
+    write_csv(path, TRACE_COLUMNS, state.trace_rows)
 
 
 def write_summary_json(state, path, extra):

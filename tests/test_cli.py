@@ -622,6 +622,25 @@ class TestLambda1:
         assert run(["lambda1", "--tol", "1e-3", "--out", str(tmp_path / "run")]) == 0
         assert tols == [1e-3]
 
+    def test_default_tol_is_each_commands_own(self, tmp_path, monkeypatch):
+        # without --tol, lambda1 stops on the Ritz default and solve and
+        # uniqueness on the Picard default, each read when the command runs
+        monkeypatch.setattr(sv, "LAMBDA1_TOL", 2e-4)
+        monkeypatch.setattr(sv, "DEFAULT_FIXED_POINT_TOL", 3e-5)
+        tols = {}
+
+        def recorder(command):
+            def record(problem, *args, tol, **kwargs):
+                tols[command] = tol
+                raise RuntimeError("stopped after the tolerance was read")
+            return record
+
+        for command, solver_name in (("lambda1", "lambda1_estimate"), ("solve", "banach_solve"),
+                                     ("uniqueness", "banach_solve")):
+            monkeypatch.setattr(sv, solver_name, recorder(command))
+            assert run([command, "--grid-n", "8", "--out", str(tmp_path / command)]) == 1
+        assert tols == {"lambda1": 2e-4, "solve": 3e-5, "uniqueness": 3e-5}
+
     def test_imports_no_masked_arrays(self, tmp_path):
         # a 1-D np.unique imports numpy.ma on its first call, about 10 ms
         # of every run's start-up; a fresh interpreter shows whether the

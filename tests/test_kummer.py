@@ -246,25 +246,9 @@ class TestGluingCorrection:
         with pytest.raises(ValueError, match="r > a"):
             eh.kahler_potential(eh.EhParams(0.1), 0.1)
 
-    def test_ball_version_closes_potential(self):
-        # potential minus flat part minus correction vanishes identically
-        a = 0.1
-        for u in [0.05, 0.12, 0.4, 2.0]:
-            g, _, _ = km.ball_correction_derivs(a, u * u)
-            phi = eh.kahler_potential_u_chart(eh.EhParams(a), u)
-            assert abs(phi - u * u / 2.0 - g) < 1e-14 * max(1.0, abs(phi))
-
-    def test_ball_derivatives_match_differences(self):
-        a, w0, h = 0.1, 0.02, 1e-6
-        g0, gw, gww = km.ball_correction_derivs(a, w0)
-        gp = km.ball_correction_derivs(a, w0 + h)[0]
-        gm = km.ball_correction_derivs(a, w0 - h)[0]
-        assert abs(gw - (gp - gm) / (2 * h)) < 1e-6 * max(1.0, abs(gw))
-        assert abs(gww - (gp - 2 * g0 + gm) / h**2) < 1e-2 * abs(gww)
-
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError, match="positive"):
-            km.ball_correction_derivs(0.1, 0.0)
+        with pytest.raises(ValueError, match="u > 0"):
+            eh.kahler_potential_u_chart(eh.EhParams(0.1), 0.0)
 
 
 class TestGluedModel:
@@ -314,6 +298,47 @@ class TestGluedField:
         ref = complex_matrix(forms.hermitian_from_second_derivs(d2))
         rel = np.max(np.abs(complex_matrix(h) - ref)) / np.max(np.abs(ref))
         assert rel < 2e-3
+
+    @pytest.mark.parametrize("grid, a, zeta", [
+        (km.TorusGrid(18).quotient(), 0.05, 4.0 / 9.0),
+        (km.TorusGrid(24), 0.02, 1.0 / 9.0),
+    ], ids=["quotient18", "unit24"])
+    def test_site_formula_is_the_glued_potential_hessian(self, grid, a, zeta):
+        # at every ball node, and at random points of the annulus, the
+        # field is the complex Hessian of r^2/2 + beta(r)(phi_a(r) - r^2/2);
+        # both grids have nodes on the cutoff's inflection sphere
+        # r = 3 zeta/8, where beta_tt = 0 while beta_t != 0
+        model = km.GluedModel(a=a, zeta=zeta)
+
+        def potential(c):
+            w = np.sum(c**2, axis=0)
+            r = np.sqrt(w)
+            phi = eh.kahler_potential_u_chart(eh.EhParams(a), r)
+            return w / 2.0 + km.cutoff_beta(zeta, r) * (phi - w / 2.0)
+
+        def hessian(v):
+            d2 = forms.second_derivative_matrix(potential, v.T, step=1e-5)
+            return forms.hermitian_from_second_derivs(forms.as_stack(d2))
+
+        def worst(h, ref):
+            return np.max(np.max(np.abs(h - ref), axis=0) / np.max(np.abs(ref), axis=0))
+
+        nodes = grid.nodes()
+        low, high = km.wrap_displacement(nodes), km.wrap_displacement(nodes - 0.5)
+        v = np.where(np.abs(high) < np.abs(low), high, low)
+        r = np.linalg.norm(v, axis=1)
+        ball = r < zeta / 2.0
+        assert np.any(np.abs(r[ball] - 3.0 * zeta / 8.0) < 1e-12)
+        built = km.build_omega0(model, grid).data.reshape(4, -1)[:, ball]
+        assert worst(built, hessian(v[ball])) < 1e-6
+
+        rng = np.random.default_rng(3)
+        directions = rng.normal(size=(20, 4))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        v = rng.uniform(0.26 * zeta, 0.49 * zeta, size=(20, 1)) * directions
+        site = km.SITES[5]
+        pointwise = np.stack([km.omega0_at(model, site + dv) for dv in v], axis=-1)
+        assert worst(pointwise, hessian(v)) < 1e-6
 
     def test_grid_build_agrees_with_pointwise(self):
         model = km.GluedModel(a=0.05, zeta=4.0 / 9.0)
